@@ -1,4 +1,4 @@
 """fiberforge: exact verification of fiber and Rees ideal constructions
 for Gorenstein ideals submaximally generated by quadrics."""
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import BadParams, NotInS, OutOfTable
-from .rings import Monomial, cmp_vars_omega, omega_order, ring_W, wvar
+from .rings import Monomial, omega_order, ring_W, wvar
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import candidate, census, groebner, hilbert, rees
-from .errors import BudgetExceeded, FiberForgeError
+from .errors import BadParams, BudgetExceeded, FiberForgeError
 from .rings import (
     omega_order,
     poly_to_json,
@@ -139,6 +139,8 @@ def _lambda_values(d, part="all"):
 
 
 def cmd_hf(args) -> int:
+    if args.degree < 0:
+        raise BadParams(f"--degree must be >= 0, got {args.degree}")
     if args.ideal == "oracle":
         ker = groebner.kernel_of_hom(
             ring_W(args.d),
@@ -179,16 +181,24 @@ def cmd_hf(args) -> int:
     return 0 if status in (None, PASS) else 1
 
 
+def _int_pair(text: str) -> tuple:
+    i, j = (int(x) for x in text.split(","))
+    return i, j
+
+
 def _parse_params(family: str, raw: str | None):
-    if not raw:
-        return ()
-    if family == "Tkl":
-        ij, kl = raw.split(":")
-        return (
-            tuple(int(x) for x in ij.split(",")),
-            tuple(int(x) for x in kl.split(",")),
-        )
-    return tuple(int(x) for x in raw.split(","))
+    """``--params`` as the census wants it: an index pair for S and Tmax,
+    two pairs for Tkl; BadParams if it does not parse."""
+    raw = raw or ""
+    try:
+        if family == "Tkl":
+            ij, kl = raw.split(":")
+            return _int_pair(ij), _int_pair(kl)
+        if family in ("S", "Tmax"):
+            return _int_pair(raw)
+        return tuple(int(x) for x in raw.split(",")) if raw else ()
+    except ValueError:
+        raise BadParams(f"malformed --params {raw!r} for family {family}") from None
 
 
 def cmd_census(args) -> int:
@@ -216,7 +226,7 @@ def cmd_census(args) -> int:
     return 0 if status in (None, PASS) else 1
 
 
-def _check_counts(report: VerifyReport, d: int):
+def _check_counts(report: VerifyReport, d: int, args):
     r = census.verify_census(d)
     for name, expected, actual, ok in r.checks:
         if isinstance(expected, (set, frozenset)):
@@ -265,14 +275,12 @@ def _check_membership(report: VerifyReport, d: int, args):
     report.add("criterion-c", [], bad)
 
 
-# the two systematic print defects in the source catalogue, kept explicit
-DOCUMENTED_ERRATA_KEYS = ("f1", "G2.F1")
-
-
-def _check_catalogue(report: VerifyReport, d: int):
+def _check_catalogue(report: VerifyReport, d: int, args):
     bad = candidate.errata_report(d)
     undocumented = [
-        (e.key, e.params) for e, _ in bad if e.key not in DOCUMENTED_ERRATA_KEYS
+        (e.key, e.params)
+        for e, _ in bad
+        if e.key not in candidate.DOCUMENTED_ERRATA_KEYS
     ]
     report.add("catalogue-undocumented-errata", [], undocumented)
     for e, lead in bad:
@@ -282,7 +290,7 @@ def _check_catalogue(report: VerifyReport, d: int):
         )
 
 
-def _check_powers(report: VerifyReport, d: int):
+def _check_powers(report: VerifyReport, d: int, args):
     if d > 6:
         report.skip("powers", f"not run at d={d} (criterion covers d<=6)")
         return
@@ -291,7 +299,7 @@ def _check_powers(report: VerifyReport, d: int):
     report.add("power-check-I3-eq-m6", True, rees.power_check(d, 3))
 
 
-def _check_identities(report: VerifyReport):
+def _check_identities(report: VerifyReport, d: int, args):
     ok = True
     for d in range(4, 51):
         hf2 = hilbert.hf_closed("IX2", d)
@@ -312,12 +320,12 @@ def _check_identities(report: VerifyReport):
     report.add("integer-identities-d4-50", True, ok)
 
 
-def _check_witness(report: VerifyReport, d: int):
+def _check_witness(report: VerifyReport, d: int, args):
     w = rees.integrality_witness(d)
     report.add("integrality-witness-phiU-zero", True, candidate.phi_U(w.h).is_zero)
 
 
-def _check_rees_membership(report: VerifyReport, d: int):
+def _check_rees_membership(report: VerifyReport, d: int, args):
     from .rings import apply_hom, ring_Rees
 
     hom = rees.rees_substitution(d)
@@ -358,32 +366,25 @@ def _rees_oracle_check(report: VerifyReport, d: int, budget):
         report.skip(name, "time budget exceeded")
 
 
-_CHECKS = ("counts", "hf", "initial", "membership", "catalogue", "powers",
-           "identities", "witness", "rees")
+# ``verify --check`` names, in the order ``--check all`` runs them
+_CHECKS = {
+    "counts": _check_counts,
+    "hf": _check_hf,
+    "initial": _check_initial,
+    "membership": _check_membership,
+    "catalogue": _check_catalogue,
+    "powers": _check_powers,
+    "identities": _check_identities,
+    "witness": _check_witness,
+    "rees": _check_rees_membership,
+}
 
 
 def cmd_verify(args) -> int:
     report = VerifyReport(args.d)
     which = _CHECKS if args.check == "all" else (args.check,)
     for name in which:
-        if name == "counts":
-            _check_counts(report, args.d)
-        elif name == "hf":
-            _check_hf(report, args.d, args)
-        elif name == "initial":
-            _check_initial(report, args.d, args)
-        elif name == "membership":
-            _check_membership(report, args.d, args)
-        elif name == "catalogue":
-            _check_catalogue(report, args.d)
-        elif name == "powers":
-            _check_powers(report, args.d)
-        elif name == "identities":
-            _check_identities(report)
-        elif name == "witness":
-            _check_witness(report, args.d)
-        elif name == "rees":
-            _check_rees_membership(report, args.d)
+        _CHECKS[name](report, args.d, args)
     if args.check == "all":
         if args.d == 4:
             _fiber_oracle_check(report, 4, args.time_budget_seconds, required=True)
@@ -484,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification checks")
     common(p)
-    p.add_argument("--check", choices=("all",) + _CHECKS, default="all")
+    p.add_argument("--check", choices=("all", *_CHECKS), default="all")
     p.add_argument("--deep", action="store_true",
                    help="also run the budgeted elimination oracles")
     p.set_defaults(func=cmd_verify)

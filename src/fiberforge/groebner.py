@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -21,7 +21,6 @@ from .errors import (
     UnknownVariable,
 )
 from .rings import (
-    Monomial,
     OrderSpec,
     Polynomial,
     Ring,

@@ -2,18 +2,23 @@
 
 The rank route is deliberately independent of the Groebner engine: the
 degree-k slice of an ideal is spanned by generator multiples, and its
-dimension is the rank of the coefficient matrix under fraction-free
-integer elimination.  Closed forms for the same numbers live in
-``hf_closed`` so the two can be compared.
+dimension is the rank of the coefficient matrix.  Closed forms for the
+same numbers live in ``hf_closed`` so the two can be compared.
+
+One exact kernel serves every linear-algebra computation in the package:
+``echelon`` is a fraction-free sparse elimination on integer rows, used
+for ranks here and in ``rees.power_check``; ``rref`` back-substitutes its
+result into the unique reduced form, used for the kernels in ``rees``.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import comb, gcd
 
 from .errors import NotHomogeneous, OutOfTable
-from .rings import Monomial, OrderSpec, Polynomial, Ring, omega_order
+from .rings import Monomial, OrderSpec, Ring, omega_order
 
 
 def monomials_of_degree(ring: Ring, k: int, order: OrderSpec | None = None):
@@ -30,43 +35,27 @@ def monomials_of_degree(ring: Ring, k: int, order: OrderSpec | None = None):
     return [Monomial(ring, e) for e in out]
 
 
-def _int_rows(products, colindex):
-    """Generator multiples as integer sparse rows {column: int}."""
-    rows = []
-    for terms in products:
-        denom = 1
-        for c in terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        row = {}
-        g = 0
-        for m, c in terms.items():
-            v = int(c * denom)
-            row[colindex[m]] = v
-            g = gcd(g, v)
-        if row:
-            if g > 1:
-                row = {j: v // g for j, v in row.items()}
-            rows.append(row)
-    return rows
+def echelon(rows) -> dict:
+    """Row echelon form of sparse rational rows ``{column: value}``.
 
-
-def _rank(rows) -> int:
-    """Rank by incremental fraction-free elimination on sparse int rows."""
-    pivots: dict = {}  # leading column -> normalized row
-    rank = 0
+    Each row is scaled to primitive integers and reduced incrementally,
+    fraction-free, against the pivots found so far; a row's pivot is its
+    smallest column.  Returns ``{pivot column: primitive integer row}``,
+    whose length is the rank.
+    """
+    pivots: dict = {}
     for row in rows:
-        row = dict(row)
+        denom = 1
+        for v in row.values():
+            denom = denom * v.denominator // gcd(denom, v.denominator)
+        row = _primitive(
+            {j: v.numerator * (denom // v.denominator) for j, v in row.items() if v}
+        )
         while row:
             c = min(row)
             piv = pivots.get(c)
             if piv is None:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    row = {j: v // g for j, v in row.items()}
                 pivots[c] = row
-                rank += 1
                 break
             a, b = piv[c], row[c]
             new = {}
@@ -76,16 +65,41 @@ def _rank(rows) -> int:
                     new[j] = s
             for j, v in piv.items():
                 if j not in row:
-                    s = -b * v
-                    if s:
-                        new[j] = s
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
-            if g > 1:
-                new = {j: v // g for j, v in new.items()}
-            row = new
-    return rank
+                    new[j] = -b * v
+            row = _primitive(new)
+    return pivots
+
+
+def rref(rows) -> dict:
+    """Reduced row echelon form over Q of sparse rational rows.
+
+    Back-substitutes the output of ``echelon``; returns ``{pivot column:
+    row}`` in pivot order, each row with entry 1 at its pivot and 0 at
+    every other pivot column.  For a fixed column numbering this form is
+    unique.
+    """
+    done: dict = {}
+    for c, row in sorted(echelon(rows).items(), reverse=True):
+        lead = row[c]
+        out = {j: Fraction(v, lead) for j, v in row.items()}
+        for j in [j for j in out if j in done]:
+            f = out[j]
+            for k, v in done[j].items():
+                s = out.get(k, 0) - f * v
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        done[c] = out
+    return dict(sorted(done.items()))
+
+
+def _primitive(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
 def hf_exact(gens, k: int) -> int:
@@ -100,18 +114,17 @@ def hf_exact(gens, k: int) -> int:
     order = omega_order(ring)
     basis = monomials_of_degree(ring, k, order)
     colindex = {m.exps: p for p, m in enumerate(basis)}
-    products = []
+    rows = []
     for g in gens:
         e = g.degree()
         if e > k:
             continue
         for m in monomials_of_degree(ring, k - e, order):
-            shifted = {
-                tuple(a + b for a, b in zip(m.exps, t)): c
+            rows.append({
+                colindex[tuple(a + b for a, b in zip(m.exps, t))]: c
                 for t, c in g.terms.items()
-            }
-            products.append(shifted)
-    return _rank(_int_rows(products, colindex))
+            })
+    return len(echelon(rows))
 
 
 def hf_closed(which: str, d: int, k: int | None = None) -> int:

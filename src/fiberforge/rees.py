@@ -16,7 +16,7 @@ from math import comb
 from .candidate import epsilon, generators_lambda, quadric_image
 from .errors import DimensionTooSmall
 from .groebner import eliminate, transport
-from .hilbert import _int_rows, _rank, monomials_of_degree
+from .hilbert import echelon, monomials_of_degree, rref
 from .rings import (
     Polynomial,
     ring_R,
@@ -26,7 +26,6 @@ from .rings import (
     ring_W,
     tvar,
     uvar,
-    wvar,
 )
 
 
@@ -53,38 +52,15 @@ def power_check(d: int, k: int) -> bool:
     """True iff k-fold products of the generators span all degree-2k forms."""
     ideal = build_ideal_I(d)
     R = ring_R(d)
-    products = []
+    basis = monomials_of_degree(R, 2 * k)
+    colindex = {m.exps: p for p, m in enumerate(basis)}
+    rows = []
     for combo in itertools.combinations_with_replacement(ideal.gens, k):
         p = combo[0]
         for q in combo[1:]:
             p = p * q
-        products.append(p.terms)
-    basis = monomials_of_degree(R, 2 * k)
-    colindex = {m.exps: p for p, m in enumerate(basis)}
-    return _rank(_int_rows(products, colindex)) == comb(d + 2 * k - 1, 2 * k)
-
-
-def _rref(rows, ncols):
-    """Reduced row echelon form over Q; returns (rref rows, pivot columns)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+        rows.append({colindex[t]: c for t, c in p.terms.items()})
+    return len(echelon(rows)) == comb(d + 2 * k - 1, 2 * k)
 
 
 @dataclass(frozen=True)
@@ -109,18 +85,18 @@ def linear_syzygies(d: int) -> SyzygyMatrix:
     colindex = {m.exps: p for p, m in enumerate(cubics)}
     # unknowns: (generator, linear monomial) pairs
     unknowns = [(gi, m) for gi in range(len(ideal.gens)) for m in lin]
-    rows = [[Fraction(0)] * len(unknowns) for _ in cubics]
+    rows = [{} for _ in cubics]
     for uidx, (gi, m) in enumerate(unknowns):
         for t, c in ideal.gens[gi].terms.items():
             prod = tuple(a + b for a, b in zip(m.exps, t))
             rows[colindex[prod]][uidx] = c
-    rref, pivots = _rref(rows, len(unknowns))
-    free = [c for c in range(len(unknowns)) if c not in pivots]
+    reduced = rref(rows)
+    free = [c for c in range(len(unknowns)) if c not in reduced]
     columns = []
     for fc in free:
         vec = {fc: Fraction(1)}
-        for prow, pc in zip(rref, pivots):
-            if prow[fc]:
+        for pc, prow in reduced.items():
+            if fc in prow:
                 vec[pc] = -prow[fc]
         col = []
         for gi in range(len(ideal.gens)):
@@ -208,18 +184,16 @@ def integrality_witness(d: int) -> IntegralityWitness:
             img = quadric_image(d, *vs[0].index) * quadric_image(d, *vs[1].index)
         images.append(img)
     xd4 = tuple(4 if v.index == (d,) else 0 for v in R.vars)
-    rows = [[Fraction(0)] * (len(wmons) + 1) for _ in quartics]
+    rhs = len(wmons)
+    rows = [{} for _ in quartics]
     for col, img in enumerate(images):
         for t, c in img.terms.items():
             rows[rowindex[t]][col] = c
-    rows[rowindex[xd4]][len(wmons)] = Fraction(1)
-    rref, pivots = _rref(rows, len(wmons) + 1)
-    if len(wmons) in pivots:
+    rows[rowindex[xd4]][rhs] = Fraction(1)
+    reduced = rref(rows)
+    if rhs in reduced:
         raise ArithmeticError("x_d^4 is not in the span of the quadric products")
-    sol = {}
-    for prow, pc in zip(rref, pivots):
-        if prow[len(wmons)]:
-            sol[pc] = prow[len(wmons)]
+    sol = {pc: prow[rhs] for pc, prow in reduced.items() if rhs in prow}
     combo = W.zero()
     for col, coeff in sorted(sol.items()):
         combo = combo + Polynomial(W, {wmons[col].exps: coeff})

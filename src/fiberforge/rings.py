@@ -11,7 +11,6 @@ pair variables ascending by (max index, min index):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -417,23 +416,6 @@ class Polynomial:
 
     def __repr__(self):
         return format_poly(self)
-
-
-def poly_add(f, g):
-    return f + g
-
-
-def poly_sub(f, g):
-    return f - g
-
-
-def poly_mul(f, g):
-    return f * g
-
-
-def leading_term(order: OrderSpec, f: Polynomial):
-    """The order-greatest term of f as (coefficient, Monomial)."""
-    return f.leading(order)
 
 
 def apply_hom(f: Polynomial, hom: dict, target: Ring) -> Polynomial:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BadIndex, NotA1
-from .rings import Polynomial, Ring, VarKind, ring_U, ring_W, uvar, wvar
+from .rings import Polynomial, VarKind, ring_U, ring_W, uvar, wvar
 
 
 class SymMatrix:

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from fiberforge import candidate, census, groebner, hilbert, rees
-from fiberforge.cli import DOCUMENTED_ERRATA_KEYS
+from fiberforge.candidate import DOCUMENTED_ERRATA_KEYS
 from fiberforge.errors import BudgetExceeded
 from fiberforge.rings import omega_order, ring_R, ring_S, ring_W
 from math import comb

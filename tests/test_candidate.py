@@ -4,6 +4,7 @@ import pytest
 from fractions import Fraction
 
 from fiberforge.candidate import (
+    DOCUMENTED_ERRATA_KEYS,
     catalogue_entries,
     check_criterion_c,
     errata_report,
@@ -23,8 +24,6 @@ from fiberforge.rings import (
     ring_W,
     wvar,
 )
-
-from fiberforge.cli import DOCUMENTED_ERRATA_KEYS
 
 W4 = ring_W(4)
 

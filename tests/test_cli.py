@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -20,7 +21,10 @@ class TestExitCodes:
         assert run("gens").returncode == 2  # missing --d
 
     def test_domain_error(self):
-        assert run("gens", "--d", "3").returncode == 2
+        for argv in (("gens", "--d", "3"), ("hf", "--d", "4", "--degree", "-1")):
+            r = run(*argv)
+            assert r.returncode == 2, (argv, r.stderr)
+            assert "Traceback" not in r.stderr
 
     def test_unknown_subcommand(self):
         assert run("frobnicate").returncode == 2
@@ -85,8 +89,12 @@ class TestCensus:
         assert r.returncode == 0
 
     def test_bad_params(self):
-        r = run("census", "--d", "4", "--family", "S", "--params", "9,9")
-        assert r.returncode == 2
+        # out of range, a single index for S, a Tkl without ':', not integers
+        for family, params in (("S", "9,9"), ("S", "3"), ("Tkl", "2,4"),
+                               ("S", "x,y")):
+            r = run("census", "--d", "4", "--family", family, "--params", params)
+            assert r.returncode == 2, (family, params, r.stderr)
+            assert "Traceback" not in r.stderr
 
 
 class TestVerify:
@@ -127,6 +135,19 @@ class TestRees:
         r = run("rees", "--d", "4", "--emit", "syzygies", "--format", "json")
         assert r.returncode == 0
         json.loads(r.stdout)
+
+    # The kernel basis is the one a reduced echelon form over the fixed
+    # column numbering gives; these digests pin it (first 16 hex digits of
+    # the sha256 of the JSON output at d = 5).
+    @pytest.mark.parametrize("emit, digest", [
+        ("syzygies", "03c3543e1a6aa6b1"),
+        ("witness", "001729609d89fd15"),
+        ("J", "c614ff29ae78f22d"),
+    ])
+    def test_canonical_basis_pinned(self, emit, digest):
+        r = run("rees", "--d", "5", "--emit", emit, "--format", "json")
+        assert r.returncode == 0
+        assert hashlib.sha256(r.stdout.encode()).hexdigest()[:16] == digest
 
     def test_out_file(self, tmp_path):
         dest = tmp_path / "j.json"

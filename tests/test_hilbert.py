@@ -4,13 +4,17 @@ import pytest
 from fractions import Fraction
 from math import comb
 
+from hypothesis import given, settings, strategies as st
+
 from fiberforge.candidate import generators_lambda
 from fiberforge.errors import NotHomogeneous, OutOfTable
 from fiberforge.hilbert import (
+    echelon,
     hf_closed,
     hf_exact,
     initial_monomials,
     monomials_of_degree,
+    rref,
 )
 from fiberforge.rings import Polynomial, omega_order, ring_W, wvar
 
@@ -61,6 +65,62 @@ class TestExactValues:
 
     def test_empty_gens(self):
         assert hf_exact([W4.zero()], 2) == 0
+
+
+# small rational matrices as sparse rows {column: value}, zeros left out
+_entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_matrix = st.integers(1, 6).flatmap(
+    lambda ncols: st.lists(
+        st.lists(_entry, min_size=ncols, max_size=ncols).map(
+            lambda vals: {j: v for j, v in enumerate(vals) if v}
+        ),
+        max_size=7,
+    )
+)
+
+
+def _reduce(row, reduced):
+    """Row minus its multiples of the rref rows, by their pivot entries."""
+    row = {j: Fraction(v) for j, v in row.items() if v}
+    for c, prow in reduced.items():
+        f = row.get(c)
+        if f:
+            for j, v in prow.items():
+                row[j] = row.get(j, 0) - f * v
+            row = {j: v for j, v in row.items() if v}
+    return row
+
+
+class TestEchelonKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(_matrix, st.randoms(use_true_random=False))
+    def test_rank_ignores_row_order(self, rows, rng):
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert len(echelon(shuffled)) == len(echelon(rows)) == len(rref(rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_matrix)
+    def test_rref_is_reduced(self, rows):
+        reduced = rref(rows)
+        for c, prow in reduced.items():
+            assert min(prow) == c and prow[c] == 1
+            for other, orow in reduced.items():
+                if other != c:
+                    assert c not in orow
+
+    @settings(max_examples=200, deadline=None)
+    @given(_matrix)
+    def test_rows_reduce_to_zero(self, rows):
+        reduced = rref(rows)
+        for row in rows:
+            assert _reduce(row, reduced) == {}
+
+    def test_integer_pivot_rows_are_primitive(self):
+        rows = [{0: Fraction(1, 2), 2: Fraction(3, 4)}, {0: 2, 1: 4, 2: 6}]
+        ech = echelon(rows)
+        assert ech[0] == {0: 2, 2: 3}
+        assert ech[1] == {1: 4, 2: 3}
 
 
 class TestClosedForms:
