@@ -226,6 +226,17 @@ def enum_census(d: int, family: str, params: tuple = ()) -> CensusSet:
     return CensusSet(family, d, params, frozenset(members), expected)
 
 
+def _exact_quotient(num, den: int, family: str) -> int:
+    """``num / den`` for a closed form whose numerator ``den`` must divide.
+
+    Raises ArithmeticError otherwise, which for integer parameters would
+    mean the closed form is wrong.
+    """
+    if num % den:
+        raise ArithmeticError(f"closed form for {family} is not integral: {num}/{den}")
+    return num // den
+
+
 def count_closed(d: int, family: str, params: tuple = ()) -> int:
     """Closed-form census sizes; OutOfTable where no formula applies."""
     params = tuple(params)
@@ -247,15 +258,13 @@ def count_closed(d: int, family: str, params: tuple = ()) -> int:
     if family == "Tmax":
         i, j = params
         num = d * d - 2 * d * j + 3 * d + 2 * j * j - 4 * j + 2 * i
-        assert num % 2 == 0
-        return num // 2
+        return _exact_quotient(num, 2, family)
     if family == "Ttotal":
         num = (
             14 * d**6 + 30 * d**5 - 40 * d**4 - 330 * d**3
             - 694 * d**2 + 1740 * d - 4320
         )
-        assert num % 720 == 0
-        return num // 720
+        return _exact_quotient(num, 720, family)
     if family == "G1":
         return 6
     if family == "G2":
@@ -264,8 +273,7 @@ def count_closed(d: int, family: str, params: tuple = ()) -> int:
         return d * (d - 3) // 2
     if family == "Gsum":
         num = 120 * d**3 + 360 * d**2 - 1920 * d + 4320
-        assert num % 720 == 0
-        return num // 720
+        return _exact_quotient(num, 720, family)
     raise OutOfTable(f"no closed form for {family!r} at {params}")
 
 

@@ -4,14 +4,38 @@ Works over any of the package's rings with either the graded order or a
 block elimination order.  Supports degree truncation for homogeneous
 input (a truncated basis is a full basis "up to degree k") and wall-clock
 budgets that abort with the partial state attached.
+
+Order data is computed once.  The engine keeps these invariants:
+
+- Leading exponents.  Every polynomial the engine holds sits in a
+  reducer ``(support mask, leading exponent tuple, monic terms)``.  The
+  leading exponent is found once, when the polynomial enters the engine
+  or when reduction changes it, and never again: ``buchberger`` and
+  ``_interreduce`` keep their reducers in a list, and ``GroebnerBasis``
+  builds its own once, so ``normal_form`` reads them.  A remainder from
+  ``_reduce_terms`` lists its terms in descending order, so its first
+  key is its leading exponent.
+- Reduction heap.  ``_reduce_terms`` pops terms in descending order from
+  a heap of ``OrderSpec.descending_key`` entries; each key is computed
+  once, when its term enters the work dict (the argument for the order
+  of the pops is in its docstring).
+- Divisor prefilter.  A leading exponent can divide a monomial only if
+  its support mask is a subset of the monomial's, so the exponent
+  compare runs only for those.  Two leading terms are coprime exactly
+  when their masks are disjoint.
+- Truncation.  With ``max_degree``, a pair whose lcm has higher degree
+  is never pushed; in a degree-2 truncation of quadrics no pair is.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
+from operator import add, le, sub
 
 from .errors import (
     BeyondTruncation,
@@ -21,6 +45,7 @@ from .errors import (
     UnknownVariable,
 )
 from .rings import (
+    Monomial,
     OrderSpec,
     Polynomial,
     Ring,
@@ -29,68 +54,145 @@ from .rings import (
 )
 
 
+@lru_cache(maxsize=None)  # one table per ring width
+def _bit_table(nvars: int) -> tuple:
+    return tuple(1 << p for p in range(nvars))
+
+
+def _support(exps: tuple, bits: tuple) -> int:
+    """Bitmask of the positions where ``exps`` is nonzero."""
+    return sum(compress(bits, exps))
+
+
+def _reducer(terms: dict, lead: tuple, bits: tuple) -> tuple:
+    """The reducer of a polynomial: (support mask, lead, monic terms)."""
+    c = terms[lead]
+    if c != 1:
+        inv = Fraction(1, 1) / c
+        terms = {m: inv * v for m, v in terms.items()}
+    return (_support(lead, bits), lead, terms)
+
+
+def _reducers(polys, order: OrderSpec, leads=None) -> list:
+    """Reducers of nonzero polynomials, finding each lead unless given."""
+    bits = _bit_table(order.ring.nvars)
+    if leads is None:
+        leads = [min(f.terms, key=order.descending_key) for f in polys]
+    return [_reducer(f.terms, lt, bits) for f, lt in zip(polys, leads)]
+
+
+def _degree(terms: dict) -> int:
+    return max(map(sum, terms))
+
+
+def _sort_key(order: OrderSpec):
+    """Deterministic sort of reducers: by degree, then leading monomial."""
+    key = order.key
+    return lambda r: (_degree(r[2]), key(r[1]))
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced (monic, inter-reduced) basis, sorted deterministically.
 
     ``truncation_degree`` is None for a full basis; otherwise normal forms
     are only valid for homogeneous input of degree at most that bound.
+    ``leads`` optionally gives the leading exponent tuples of the
+    elements.  ``reducers`` is derived once from the elements and takes
+    no part in equality or hashing.
     """
 
     order: OrderSpec
     elements: tuple
     truncation_degree: int | None = None
+    leads: InitVar[tuple | None] = None
+    reducers: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, leads):
+        object.__setattr__(
+            self, "reducers", tuple(_reducers(self.elements, self.order, leads))
+        )
 
     def leading_monomials(self) -> list:
-        return [f.leading(self.order)[1] for f in self.elements]
+        ring = self.order.ring
+        return [Monomial(ring, lt) for _, lt, _ in self.reducers]
+
+
+def _basis(order: OrderSpec, reducers, truncation_degree) -> GroebnerBasis:
+    ring = order.ring
+    return GroebnerBasis(
+        order,
+        tuple(Polynomial(ring, terms) for _, _, terms in reducers),
+        truncation_degree,
+        tuple(lt for _, lt, _ in reducers),
+    )
 
 
 def _lcm(e1: tuple, e2: tuple) -> tuple:
-    return tuple(a if a > b else b for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
 
 
 def _divides(e1: tuple, e2: tuple) -> bool:
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
-def _coprime(e1: tuple, e2: tuple) -> bool:
-    return all(a == 0 or b == 0 for a, b in zip(e1, e2))
+def _reduce_terms(terms: dict, order: OrderSpec, reducers, deadline=None) -> dict:
+    """Full normal form of a term dict against monic reducers.
 
+    ``reducers`` is a sequence of (support mask, leading exponents, monic
+    terms); the first one whose lead divides a term reduces it.  Returns
+    a new dict with its terms in descending order.
 
-def _monic(f: Polynomial, order: OrderSpec) -> Polynomial:
-    c, _ = f.leading(order)
-    return f if c == 1 else f.scale(Fraction(1, 1) / c)
-
-
-def _reduce_terms(terms: dict, ring: Ring, key, basis_data, deadline=None):
-    """Full normal form of a term dict against monic basis elements.
-
-    ``basis_data`` is a list of (lt_exps, terms_dict).  Returns a new dict.
+    Terms are taken greatest first from a heap keyed by the order's
+    ``descending_key``, computed once per term when it enters ``work``.
+    This is sound: reducing the popped term m by a reducer with lead lt
+    adds the terms q*b, where q = m/lt and b runs over the reducer's
+    other terms.  Each b < lt, and the order is multiplicative, so
+    q*b < q*lt = m: every term a step adds is smaller than the term it
+    popped.  So the pops come out in descending order, the same order in
+    which ``max(work)`` would pick them, and no popped term comes back.
+    A term that cancels out of ``work`` leaves its heap entry behind: an
+    entry whose term is no longer in ``work`` is stale and is skipped,
+    and a term that cancels and comes back is pushed again, its entries
+    popping one after the other.
     """
+    dkey = order.descending_key
+    bits = _bit_table(order.ring.nvars)
+    heappush, heappop = heapq.heappush, heapq.heappop
     result: dict = {}
     work = dict(terms)
+    heap = [(dkey(m), m) for m in work]
+    heapq.heapify(heap)
     nticks = 0
-    while work:
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:  # stale entry
+            continue
         nticks += 1
         if deadline is not None and nticks % 64 == 0 and time.monotonic() > deadline:
             raise BudgetExceeded("time budget exhausted during reduction")
-        m = max(work, key=key)
-        c = work.pop(m)
-        for lt, bterms in basis_data:
-            if _divides(lt, m):
-                q = tuple(a - b for a, b in zip(m, lt))
-                for bm, bc in bterms.items():
-                    t = tuple(a + b for a, b in zip(q, bm))
-                    if t == m:
-                        # the divisor is monic: its leading term cancels c
-                        continue
-                    acc = work.get(t)
-                    s = -c * bc if acc is None else acc - c * bc
+        outside = ~_support(m, bits)
+        for lmask, lt, bterms in reducers:
+            if lmask & outside or not _divides(lt, m):
+                continue
+            q = tuple(map(sub, m, lt))
+            for bm, bc in bterms.items():
+                t = tuple(map(add, q, bm))
+                if t == m:
+                    # the divisor is monic: its leading term cancels c
+                    continue
+                acc = work.get(t)
+                if acc is None:
+                    work[t] = -c * bc
+                    heappush(heap, (dkey(t), t))
+                else:
+                    s = acc - c * bc
                     if s:
                         work[t] = s
-                    elif acc is not None:
+                    else:
                         del work[t]
-                break
+            break
         else:
             result[m] = c
     return result
@@ -109,37 +211,44 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
             f"degree {f.degree()} input against a basis truncated at "
             f"{gb.truncation_degree}"
         )
-    data = [
-        (g.leading(gb.order)[1].exps, g.terms) for g in gb.elements
-    ]
-    terms = _reduce_terms(f.terms, f.ring, gb.order.key, data)
-    return Polynomial(f.ring, terms)
+    return Polynomial(f.ring, _reduce_terms(f.terms, gb.order, gb.reducers))
 
 
-def _interreduce(elems: list, order: OrderSpec) -> list:
-    """Make a list of polynomials monic and fully inter-reduced."""
-    elems = [_monic(f, order) for f in elems if not f.is_zero]
-    key = order.key
+# Stands in for an element that must not reduce: -1 has every bit set, so
+# the mask test rejects it for every monomial.
+_NO_REDUCER = (-1, (), {})
+
+
+def _interreduce(reducers: list, order: OrderSpec, deadline=None) -> list:
+    """Fully inter-reduce monic reducers; return them sorted by degree and
+    leading monomial.
+
+    Each element is reduced against all the others, in list order, until
+    a pass changes nothing.  A lead is recomputed only for an element
+    that reduction changed, as the first key of its remainder.  Whether
+    a term is reducible depends only on the other elements' leads, so
+    after a pass in which no lead changed every element is reduced and
+    the next pass would change nothing: it is skipped.
+    """
+    reducers = list(reducers)
+    bits = _bit_table(order.ring.nvars)
     changed = True
     while changed:
         changed = False
-        for i in range(len(elems)):
-            f = elems[i]
-            if f is None:
+        for i, own in enumerate(reducers):
+            if own is _NO_REDUCER:  # reduced to zero
                 continue
-            data = [
-                (g.leading(order)[1].exps, g.terms)
-                for j, g in enumerate(elems)
-                if j != i and g is not None
-            ]
-            terms = _reduce_terms(f.terms, order.ring, key, data)
-            h = Polynomial(order.ring, terms)
-            if h.terms != f.terms:
-                elems[i] = None if h.is_zero else _monic(h, order)
-                changed = True
-        elems = [f for f in elems if f is not None]
-    elems.sort(key=lambda f: (f.degree(), key(f.leading(order)[1].exps)))
-    return elems
+            reducers[i] = _NO_REDUCER  # an element does not reduce itself
+            terms = _reduce_terms(own[2], order, reducers, deadline)
+            if terms == own[2]:
+                reducers[i] = own
+            elif terms:
+                lead = next(iter(terms))
+                reducers[i] = _reducer(terms, lead, bits)
+                changed = changed or lead != own[1]
+    reducers = [r for r in reducers if r is not _NO_REDUCER]
+    reducers.sort(key=_sort_key(order))
+    return reducers
 
 
 def buchberger(
@@ -152,8 +261,11 @@ def buchberger(
 
     With ``max_degree`` the computation discards S-pairs above that degree,
     which is sound only for homogeneous input; inhomogeneous input raises.
-    A ``time_budget`` (seconds) aborts with BudgetExceeded carrying the
-    inter-reduced partial basis in ``.partial``.
+    A ``time_budget`` (seconds) aborts with BudgetExceeded.  Its
+    ``.partial`` holds the monic basis elements found so far (the monic
+    generators if the seed was not yet inter-reduced), sorted by degree
+    and leading monomial.  It is not reduced: no further work is done
+    once the budget is spent.
     """
     ring = order.ring
     gens = [g for g in gens if not g.is_zero]
@@ -166,80 +278,71 @@ def buchberger(
         )
     deadline = None if time_budget is None else time.monotonic() + time_budget
     key = order.key
+    bits = _bit_table(ring.nvars)
 
-    basis: list = []
-    lts: list = []  # exponent tuples of leading monomials, parallel to basis
-
-    def add(f: Polynomial):
-        f = _monic(f, order)
-        basis.append(f)
-        lts.append(f.leading(order)[1].exps)
-
+    basis: list = []  # reducers (mask, lead, monic terms), in the order found
     pairs: list = []  # heap of (lcm degree, key(lcm), i, j)
     done = set()
 
-    def push_pairs(j: int):
+    def add_element(r: tuple):
+        j = len(basis)
+        basis.append(r)
+        lj = r[1]
         for i in range(j):
-            l = _lcm(lts[i], lts[j])
-            heapq.heappush(pairs, (sum(l), key(l), i, j))
+            l = _lcm(basis[i][1], lj)
+            ldeg = sum(l)
+            if max_degree is None or ldeg <= max_degree:
+                heapq.heappush(pairs, (ldeg, key(l), i, j))
 
-    seed = _interreduce(list(gens), order)
-    if max_degree is not None:
-        seed = [g for g in seed if g.degree() <= max_degree]
-    for g in seed:
-        add(g)
-        push_pairs(len(basis) - 1)
+    try:
+        for r in _interreduce(_reducers(gens, order), order, deadline):
+            if max_degree is None or _degree(r[2]) <= max_degree:
+                add_element(r)
 
-    while pairs:
-        if deadline is not None and time.monotonic() > deadline:
-            partial = GroebnerBasis(
-                order, tuple(_interreduce(basis, order)), max_degree
-            )
-            err = BudgetExceeded("time budget exhausted in Buchberger loop")
-            err.partial = partial
-            raise err
-        ldeg, lkey, i, j = heapq.heappop(pairs)
-        done.add((i, j))
-        if max_degree is not None and ldeg > max_degree:
-            continue
-        li, lj = lts[i], lts[j]
-        l = _lcm(li, lj)
-        if _coprime(li, lj):
-            continue
-        # chain criterion: some k with lt_k | lcm and both pairs handled
-        skip = False
-        for k, lk in enumerate(lts):
-            if k in (i, j) or not _divides(lk, l):
+        while pairs:
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded("time budget exhausted in Buchberger loop")
+            _, _, i, j = heapq.heappop(pairs)
+            done.add((i, j))
+            mi, li, fi = basis[i]
+            mj, lj, fj = basis[j]
+            if not mi & mj:  # coprime leading terms
                 continue
-            p1 = (min(i, k), max(i, k))
-            p2 = (min(j, k), max(j, k))
-            if p1 in done and p2 in done:
-                skip = True
-                break
-        if skip:
-            continue
-        fi, fj = basis[i], basis[j]
-        qi = tuple(a - b for a, b in zip(l, li))
-        qj = tuple(a - b for a, b in zip(l, lj))
-        sterms: dict = {}
-        for m, c in fi.terms.items():
-            sterms[tuple(a + b for a, b in zip(qi, m))] = c
-        for m, c in fj.terms.items():
-            t = tuple(a + b for a, b in zip(qj, m))
-            acc = sterms.get(t)
-            s = -c if acc is None else acc - c
-            if s:
-                sterms[t] = s
-            elif acc is not None:
-                del sterms[t]
-        rem = _reduce_terms(
-            sterms, ring, key, list(zip(lts, (f.terms for f in basis))), deadline
-        )
-        if rem:
-            add(Polynomial(ring, rem))
-            push_pairs(len(basis) - 1)
+            l = _lcm(li, lj)
+            # chain criterion: some k with lt_k | lcm and both pairs handled
+            outside = ~(mi | mj)
+            skip = False
+            for k, (mk, lk, _) in enumerate(basis):
+                if mk & outside or k == i or k == j or not _divides(lk, l):
+                    continue
+                p1 = (min(i, k), max(i, k))
+                p2 = (min(j, k), max(j, k))
+                if p1 in done and p2 in done:
+                    skip = True
+                    break
+            if skip:
+                continue
+            qi = tuple(map(sub, l, li))
+            qj = tuple(map(sub, l, lj))
+            sterms = {tuple(map(add, qi, m)): c for m, c in fi.items()}
+            for m, c in fj.items():
+                t = tuple(map(add, qj, m))
+                acc = sterms.get(t)
+                s = -c if acc is None else acc - c
+                if s:
+                    sterms[t] = s
+                elif acc is not None:
+                    del sterms[t]
+            rem = _reduce_terms(sterms, order, basis, deadline)
+            if rem:
+                add_element(_reducer(rem, next(iter(rem)), bits))
 
-    return GroebnerBasis(order, tuple(_interreduce(basis, order)), max_degree)
+        reduced = _interreduce(basis, order, deadline)
+    except BudgetExceeded as err:
+        found = sorted(basis or _reducers(gens, order), key=_sort_key(order))
+        err.partial = _basis(order, found, max_degree)
+        raise
+    return _basis(order, reduced, max_degree)
 
 
 def transport(f: Polynomial, target: Ring) -> Polynomial:
@@ -298,7 +401,7 @@ def kernel_of_hom(
     kept = eliminate(gens, joint, frozenset(target.vars), time_budget)
     back = [transport(f, source) for f in kept]
     order = omega_order(source)
-    return GroebnerBasis(order, tuple(_interreduce(back, order)), None)
+    return _basis(order, _interreduce(_reducers(back, order), order), None)
 
 
 def ideal_contains(gb: GroebnerBasis, gens) -> bool:
@@ -307,7 +410,16 @@ def ideal_contains(gb: GroebnerBasis, gens) -> bool:
 
 
 def ideal_equal(gens_a, gens_b, order: OrderSpec, time_budget=None) -> bool:
-    """Exact ideal equality via the canonical reduced bases."""
+    """Exact ideal equality via the canonical reduced bases.
+
+    The two ``buchberger`` calls share one budget: the second gets only
+    the time the first left.
+    """
+    start = time.monotonic()
     gba = buchberger(gens_a, order, time_budget=time_budget)
+    if time_budget is not None:
+        time_budget -= time.monotonic() - start
+        if time_budget <= 0:
+            raise BudgetExceeded("time budget exhausted after the first basis")
     gbb = buchberger(gens_b, order, time_budget=time_budget)
     return list(gba.elements) == list(gbb.elements)

@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from math import comb, gcd
 
-from .errors import NotHomogeneous, OutOfTable
+from .errors import NotHomogeneous, OutOfTable, RingMismatch
 from .rings import Monomial, OrderSpec, Ring, omega_order
 
 
@@ -109,6 +109,8 @@ def hf_exact(gens, k: int) -> int:
         return 0
     ring = gens[0].ring
     for g in gens:
+        if g.ring is not ring:
+            raise RingMismatch(f"generators over {ring.name} and {g.ring.name}")
         if not g.is_homogeneous():
             raise NotHomogeneous(f"inhomogeneous generator: {g!r}")
     order = omega_order(ring)

@@ -11,10 +11,11 @@ pair variables ascending by (max index, min index):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import (
     BadIndex,
@@ -256,11 +257,24 @@ class OrderSpec:
     ``blocks`` lists variable positions per block; earlier blocks are
     eliminated first (compare greater).  Inside each block the comparison
     is graded reverse lexicographic over the ring's ascending sequence.
+
+    ``descending_key(exps)`` is a cheaper key that lists monomials from
+    greatest to least: ``descending_key(a) < descending_key(b)`` exactly
+    when ``key(a) > key(b)``.  Per block, ``key`` compares (degree, negated
+    exponents); ``descending_key`` compares (-degree, exponents), which is
+    the reverse order and needs no negated copy of the tuple.  It is built
+    once per order, with a slice for each block of consecutive positions.
     """
 
     kind: str
     ring: Ring
     blocks: tuple
+    descending_key: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "descending_key", _descending_key(self.blocks, self.ring.nvars)
+        )
 
     def key(self, exps: tuple):
         return tuple(
@@ -277,6 +291,30 @@ class OrderSpec:
                 f"monomial over {m.ring.name} compared under {self.ring.name} order"
             )
         return self.key(m.exps)
+
+
+def _block_view(blk: tuple):
+    """A getter for one block's exponents, as a tuple in position order."""
+    start = blk[0] if blk else 0
+    if blk == tuple(range(start, start + len(blk))):
+        return itemgetter(slice(start, start + len(blk)))
+    return itemgetter(*blk)  # two or more scattered positions: a tuple
+
+
+def _descending_key(blocks: tuple, nvars: int):
+    """Build ``OrderSpec.descending_key`` for the given blocks."""
+    if blocks == (tuple(range(nvars)),):
+        return lambda exps: (-sum(exps), exps)
+    views = [_block_view(blk) for blk in blocks]
+
+    def blockwise(exps):
+        out = []
+        for view in views:
+            part = view(exps)
+            out += (-sum(part), part)
+        return tuple(out)
+
+    return blockwise
 
 
 @lru_cache(maxsize=None)

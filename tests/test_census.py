@@ -1,5 +1,7 @@
 """Tests for the monomial census: K sets, S sets, T partitions, G families."""
 
+from fractions import Fraction
+
 import pytest
 
 from fiberforge.census import (
@@ -123,6 +125,29 @@ class TestClosedFormGuards:
     def test_bad_d(self):
         with pytest.raises(BadParams):
             enum_census(3, "K0")
+
+    def test_divisible_for_integer_parameters(self):
+        for d in range(4, 40):
+            assert isinstance(count_closed(d, "Ttotal"), int)
+            assert isinstance(count_closed(d, "Gsum"), int)
+            for j in range(4, d + 1):
+                for i in range(1, j + 1):
+                    assert isinstance(count_closed(d, "Tmax", (i, j)), int)
+
+    # Each divided closed form is integral for every integer input, so
+    # only a half-integer parameter reaches the failing side of its guard.
+    @pytest.mark.parametrize(
+        "d, family, params",
+        [
+            (6, "Tmax", (Fraction(1, 2), 4)),
+            (Fraction(9, 2), "Ttotal", ()),
+            (Fraction(9, 2), "Gsum", ()),
+        ],
+        ids=["Tmax", "Ttotal", "Gsum"],
+    )
+    def test_non_integral_closed_form_raises(self, d, family, params):
+        with pytest.raises(ArithmeticError):
+            count_closed(d, family, params)
 
 
 class TestVerify:

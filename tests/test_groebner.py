@@ -1,8 +1,16 @@
 """Tests for Buchberger's algorithm, normal forms, and elimination."""
 
-import pytest
+import hashlib
+import json
+import time
 from fractions import Fraction
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fiberforge import groebner
+from fiberforge.candidate import generators_lambda, hom_catalog
 from fiberforge.errors import (
     BeyondTruncation,
     BudgetExceeded,
@@ -10,6 +18,7 @@ from fiberforge.errors import (
     TruncationNeedsHomogeneous,
 )
 from fiberforge.groebner import (
+    GroebnerBasis,
     buchberger,
     eliminate,
     ideal_contains,
@@ -25,6 +34,8 @@ from fiberforge.rings import (
     VarKind,
     elimination_order,
     omega_order,
+    poly_to_json,
+    ring_R,
     ring_W,
     wvar,
     xvar,
@@ -131,6 +142,119 @@ class TestBudget:
             buchberger(gens, omega_order(ring_W(6)), time_budget=1e-9)
         assert info.value.partial is not None
         assert info.value.partial.elements
+
+    def test_budget_bounds_wall_time(self):
+        order = omega_order(ring_W(6))
+        gens = [rec.value for rec in generators_lambda(6, "all")]
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded) as info:
+            buchberger(gens, order, time_budget=1e-9)
+        assert time.monotonic() - start < 2.0
+        # the partial state is monic and sorted, but not reduced further
+        elements = info.value.partial.elements
+        leads = [f.leading(order) for f in elements]
+        assert all(c == 1 for c, _ in leads)
+        sort_keys = [(f.degree(), order.key(m.exps)) for f, (_, m) in zip(elements, leads)]
+        assert sort_keys == sorted(sort_keys)
+
+    def _spy(self, monkeypatch, pause):
+        """Record the budget of each ``buchberger`` call; each call first
+        sleeps for ``pause`` seconds."""
+        budgets = []
+        real = groebner.buchberger
+
+        def spy(gens, order, max_degree=None, time_budget=None):
+            budgets.append(time_budget)
+            time.sleep(pause)
+            return real(gens, order, max_degree, time_budget)
+
+        monkeypatch.setattr(groebner, "buchberger", spy)
+        return budgets
+
+    def test_ideal_equal_shares_one_budget(self, monkeypatch):
+        budgets = self._spy(monkeypatch, 0.05)
+        gens = [_wpoly((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]))]
+        assert ideal_equal(gens, gens, OMEGA4, time_budget=30.0)
+        assert budgets[0] == 30.0
+        assert budgets[1] <= 30.0 - 0.05
+
+    def test_ideal_equal_second_basis_gets_no_fresh_budget(self, monkeypatch):
+        budgets = self._spy(monkeypatch, 0.05)
+        gens = [_wpoly((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]))]
+        with pytest.raises(BudgetExceeded):
+            ideal_equal(gens, gens, OMEGA4, time_budget=0.01)
+        assert budgets == [0.01]
+
+
+def _digest(gb):
+    blob = json.dumps([poly_to_json(f) for f in gb.elements], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@lru_cache(maxsize=None)
+def _lambda_basis(d):
+    gens = [rec.value for rec in generators_lambda(d, "all")]
+    return buchberger(gens, omega_order(ring_W(d)))
+
+
+class TestPinnedBases:
+    """sha256 prefixes of reduced bases as the engine gave them before it
+    cached order data; the reduced basis is unique, so they must not move."""
+
+    @pytest.mark.parametrize(
+        "d, digest, size", [(4, "c09b1a090a056243", 24), (5, "f4e6dbb7220bb512", 61)]
+    )
+    def test_lambda_basis(self, d, digest, size):
+        gb = _lambda_basis(d)
+        assert (_digest(gb), len(gb.elements)) == (digest, size)
+
+    def test_phi_w_kernel_d4(self):
+        gb = kernel_of_hom(ring_W(4), ring_R(4), hom_catalog(4).phi_W)
+        assert (_digest(gb), len(gb.elements)) == ("c09b1a090a056243", 24)
+
+    def test_cached_order_data_not_in_equality(self):
+        gb = _lambda_basis(4)
+        bare = GroebnerBasis(gb.order, gb.elements, gb.truncation_degree)
+        assert bare == gb and hash(bare) == hash(gb)
+        assert bare.reducers == gb.reducers
+        assert [m.exps for m in gb.leading_monomials()] == [
+            f.leading(OMEGA4)[1].exps for f in gb.elements
+        ]
+
+
+# one term of a W4 combination: (generator index, multiplier variables,
+# coefficient); Lambda has 12 generators at d=4
+_combo_terms = st.lists(
+    st.tuples(
+        st.integers(0, 11),
+        st.lists(st.integers(0, W4.nvars - 1), max_size=2),
+        st.integers(-3, 3).filter(bool),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestBasisProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_generator_order_does_not_matter(self, rng):
+        gens = [rec.value for rec in generators_lambda(4, "all")]
+        rng.shuffle(gens)
+        assert buchberger(gens, OMEGA4).elements == _lambda_basis(4).elements
+
+    @settings(max_examples=50, deadline=None)
+    @given(_combo_terms)
+    def test_combination_of_generators_reduces_to_zero(self, terms):
+        gens = [rec.value for rec in generators_lambda(4, "all")]
+        combo = W4.zero()
+        for index, positions, coeff in terms:
+            exps = [0] * W4.nvars
+            for p in positions:
+                exps[p] += 1
+            multiplier = Polynomial(W4, {tuple(exps): Fraction(coeff)})
+            combo = combo + multiplier * gens[index]
+        assert normal_form(combo, _lambda_basis(4)).is_zero
 
 
 class TestElimination:

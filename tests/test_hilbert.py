@@ -7,7 +7,7 @@ from math import comb
 from hypothesis import given, settings, strategies as st
 
 from fiberforge.candidate import generators_lambda
-from fiberforge.errors import NotHomogeneous, OutOfTable
+from fiberforge.errors import NotHomogeneous, OutOfTable, RingMismatch
 from fiberforge.hilbert import (
     echelon,
     hf_closed,
@@ -65,6 +65,15 @@ class TestExactValues:
 
     def test_empty_gens(self):
         assert hf_exact([W4.zero()], 2) == 0
+
+    def test_mixed_rings_rejected(self):
+        W5 = ring_W(5)
+        f = W4.variable(wvar(1, 2))
+        g = W5.variable(wvar(1, 2))
+        with pytest.raises(RingMismatch):
+            hf_exact([f, g], 2)
+        with pytest.raises(RingMismatch):
+            hf_exact([W4.zero(), g, f], 1)
 
 
 # small rational matrices as sparse rows {column: value}, zeros left out

@@ -15,6 +15,7 @@ from fiberforge.errors import (
 )
 from fiberforge.rings import (
     Monomial,
+    OrderSpec,
     Polynomial,
     apply_hom,
     cmp_monomials,
@@ -243,3 +244,38 @@ class TestEliminationOrder:
         m1 = R.monomial_of(xvar(1))
         m2 = R.monomial_of(xvar(2), xvar(3), xvar(4))
         assert cmp_monomials(order, m1, m2) == 1
+
+
+def _orders_w4():
+    """Orders over W4 covering every shape of block: the whole ring, two
+    contiguous blocks, scattered and single-variable blocks, an empty
+    eliminated block, and three blocks."""
+    v = W4.vars
+    return [
+        OMEGA4,
+        elimination_order(W4, frozenset(v[:3])),
+        elimination_order(W4, frozenset(v[1::3])),
+        elimination_order(W4, frozenset(v[-1:])),
+        elimination_order(W4, frozenset()),
+        OrderSpec("three_blocks", W4, ((0, 5), (1, 2, 3), (4, 6, 7, 8))),
+    ]
+
+
+_exps_w4 = st.lists(
+    st.integers(min_value=0, max_value=3), min_size=W4.nvars, max_size=W4.nvars
+).map(tuple)
+
+
+class TestDescendingKey:
+    @given(_exps_w4, _exps_w4)
+    @settings(max_examples=200)
+    def test_reverses_key(self, a, b):
+        for order in _orders_w4():
+            ka, kb = order.key(a), order.key(b)
+            da, db = order.descending_key(a), order.descending_key(b)
+            assert (da < db) == (ka > kb)
+            assert (da == db) == (a == b)
+
+    def test_not_part_of_equality(self):
+        order = OrderSpec("omega_grevlex", W4, OMEGA4.blocks)
+        assert order == OMEGA4 and hash(order) == hash(OMEGA4)
