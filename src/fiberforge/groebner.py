@@ -12,9 +12,9 @@ Order data is computed once.  The engine keeps these invariants:
   leading exponent is found once, when the polynomial enters the engine
   or when reduction changes it, and never again: ``buchberger`` and
   ``_interreduce`` keep their reducers in a list, and ``GroebnerBasis``
-  builds its own once, so ``normal_form`` reads them.  A remainder from
-  ``_reduce_terms`` lists its terms in descending order, so its first
-  key is its leading exponent.
+  builds its own once from its elements, so ``normal_form`` reads them.
+  A remainder from ``_reduce_terms`` lists its terms in descending
+  order, so its first key is its leading exponent.
 - Reduction heap.  ``_reduce_terms`` pops terms in descending order from
   a heap of ``OrderSpec.descending_key`` entries; each key is computed
   once, when its term enters the work dict (the argument for the order
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -73,12 +73,11 @@ def _reducer(terms: dict, lead: tuple, bits: tuple) -> tuple:
     return (_support(lead, bits), lead, terms)
 
 
-def _reducers(polys, order: OrderSpec, leads=None) -> list:
-    """Reducers of nonzero polynomials, finding each lead unless given."""
+def _reducers(polys, order: OrderSpec) -> list:
+    """Reducers of nonzero polynomials, finding each lead once."""
     bits = _bit_table(order.ring.nvars)
-    if leads is None:
-        leads = [min(f.terms, key=order.descending_key) for f in polys]
-    return [_reducer(f.terms, lt, bits) for f, lt in zip(polys, leads)]
+    dkey = order.descending_key
+    return [_reducer(f.terms, min(f.terms, key=dkey), bits) for f in polys]
 
 
 def _degree(terms: dict) -> int:
@@ -97,21 +96,18 @@ class GroebnerBasis:
 
     ``truncation_degree`` is None for a full basis; otherwise normal forms
     are only valid for homogeneous input of degree at most that bound.
-    ``leads`` optionally gives the leading exponent tuples of the
-    elements.  ``reducers`` is derived once from the elements and takes
-    no part in equality or hashing.
+    ``reducers`` is derived once from the elements and takes no part in
+    equality or hashing.
     """
 
     order: OrderSpec
     elements: tuple
     truncation_degree: int | None = None
-    leads: InitVar[tuple | None] = None
     reducers: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, leads):
-        object.__setattr__(
-            self, "reducers", tuple(_reducers(self.elements, self.order, leads))
-        )
+    def __post_init__(self):
+        reducers = tuple(_reducers(self.elements, self.order))
+        object.__setattr__(self, "reducers", reducers)
 
     def leading_monomials(self) -> list:
         ring = self.order.ring
@@ -124,7 +120,6 @@ def _basis(order: OrderSpec, reducers, truncation_degree) -> GroebnerBasis:
         order,
         tuple(Polynomial(ring, terms) for _, _, terms in reducers),
         truncation_degree,
-        tuple(lt for _, lt, _ in reducers),
     )
 
 
