@@ -338,6 +338,12 @@ def verify_census(d: int) -> CensusReport:
                 char_ok = False
     checks.append(("S membership characterization", True, char_ok, char_ok))
 
+    # every T-set, built once per factor pair (w_ij, w_kl) with w_kl in S_ij
+    tsets = {
+        (ij, v.index): t_set(d, ij, v.index)
+        for ij in _nonempty_s_pairs(d)
+        for v in svals[ij]
+    }
     for i, j in _nonempty_s_pairs(d):
         mx = max(svals[(i, j)], key=_vkey)
         expect = wvar(j - 1, j - 1) if i == 1 else wvar(i, j)
@@ -345,14 +351,14 @@ def verify_census(d: int) -> CensusReport:
         check(
             f"|Tmax_{i}{j}|",
             count_closed(d, "Tmax", (i, j)),
-            len(t_set(d, (i, j), mx.index)),
+            len(tsets[((i, j), mx.index)]),
         )
 
     all_t = []
     total = 0
     for i, j in _nonempty_s_pairs(d):
         sij = sorted(svals[(i, j)], key=_vkey, reverse=True)
-        sizes = [len(t_set(d, (i, j), v.index)) for v in sij]
+        sizes = [len(tsets[((i, j), v.index)]) for v in sij]
         tmax = count_closed(d, "Tmax", (i, j))
         check(
             f"T_{i}{j} consecutive sizes",
@@ -365,8 +371,7 @@ def verify_census(d: int) -> CensusReport:
             sum(sizes),
         )
         total += sum(sizes)
-        for v in sij:
-            all_t.append(t_set(d, (i, j), v.index))
+        all_t.extend(tsets[((i, j), v.index)] for v in sij)
 
     check("|T| closed form", count_closed(d, "Ttotal"), total)
     union = set().union(*all_t) if all_t else set()

@@ -2,8 +2,13 @@
 
 The rank route is deliberately independent of the Groebner engine: the
 degree-k slice of an ideal is spanned by generator multiples, and its
-dimension is the rank of the coefficient matrix.  Closed forms for the
-same numbers live in ``hf_closed`` so the two can be compared.
+dimension is the rank of the coefficient matrix.  ``hf_exact`` builds that
+slice degree by degree, from the identity I_j = R_1 * I_{j-1} +
+span{g : deg g = j} for homogeneous generators: the rows of degree j are
+an echelon basis of I_{j-1} times each variable, plus the generators of
+degree j, so no row is carried for every multiple of every generator.
+Closed forms for the same numbers live in ``hf_closed`` so the two can be
+compared.
 
 One exact kernel serves every linear-algebra computation in the package:
 ``echelon`` is a fraction-free sparse elimination on integer rows, used
@@ -16,6 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, gcd
+from operator import add
 
 from .errors import NotHomogeneous, OutOfTable, RingMismatch
 from .rings import Monomial, OrderSpec, Ring, omega_order
@@ -24,15 +30,20 @@ from .rings import Monomial, OrderSpec, Ring, omega_order
 def monomials_of_degree(ring: Ring, k: int, order: OrderSpec | None = None):
     """All degree-k monomials of the ring, descending under the order."""
     order = order or omega_order(ring)
-    n = ring.nvars
+    out = _exponents_of_degree(ring.nvars, k)
+    out.sort(key=order.key, reverse=True)
+    return [Monomial(ring, e) for e in out]
+
+
+def _exponents_of_degree(n: int, k: int) -> list:
+    """The exponent tuples of all degree-k monomials in n variables."""
     out = []
     for combo in itertools.combinations_with_replacement(range(n), k):
         exps = [0] * n
         for p in combo:
             exps[p] += 1
         out.append(tuple(exps))
-    out.sort(key=order.key, reverse=True)
-    return [Monomial(ring, e) for e in out]
+    return out
 
 
 def echelon(rows) -> dict:
@@ -103,7 +114,22 @@ def _primitive(row: dict) -> dict:
 
 
 def hf_exact(gens, k: int) -> int:
-    """Dimension of the degree-k slice of the ideal generated by ``gens``."""
+    """Dimension of the degree-k slice of the ideal generated by ``gens``.
+
+    The slices are built degree by degree.  For homogeneous generators,
+
+        I_j = R_1 * I_{j-1} + span{g : deg g = j},
+
+    because a multiple m * g with deg m = j - deg g > 0 factors as
+    x * (m' * g) with x a variable and m' * g in I_{j-1}.  Any basis of
+    I_{j-1} may stand in for I_{j-1} in that sum, so the rows of degree j
+    are the ``echelon`` pivot rows of degree j - 1, each multiplied by
+    every variable, plus the generators of degree j.  The recursion starts
+    at the lowest generator degree, where the slice is spanned by the
+    generators of that degree alone, and ends at k.  Every step is exact
+    over Q, so the returned rank is dim I_k itself.  Generators of degree
+    above k do not enter.
+    """
     gens = [g for g in gens if not g.is_zero]
     if not gens or k < 0:
         return 0
@@ -113,20 +139,47 @@ def hf_exact(gens, k: int) -> int:
             raise RingMismatch(f"generators over {ring.name} and {g.ring.name}")
         if not g.is_homogeneous():
             raise NotHomogeneous(f"inhomogeneous generator: {g!r}")
-    order = omega_order(ring)
-    basis = monomials_of_degree(ring, k, order)
-    colindex = {m.exps: p for p, m in enumerate(basis)}
-    rows = []
+    by_degree: dict = {}
     for g in gens:
-        e = g.degree()
-        if e > k:
-            continue
-        for m in monomials_of_degree(ring, k - e, order):
-            rows.append({
-                colindex[tuple(a + b for a, b in zip(m.exps, t))]: c
-                for t, c in g.terms.items()
-            })
-    return len(echelon(rows))
+        by_degree.setdefault(g.degree(), []).append(g)
+    low = min(by_degree)
+    if low > k:
+        return 0
+    order = omega_order(ring)
+    pivots: dict = {}
+    prev = None
+    for j in range(low, k + 1):
+        cols = [m.exps for m in monomials_of_degree(ring, j, order)]
+        colindex = {e: p for p, e in enumerate(cols)}
+        rows = [
+            {colindex[t]: c for t, c in g.terms.items()}
+            for g in by_degree.get(j, ())
+        ]
+        if pivots:
+            for shift in _variable_shifts(prev, colindex):
+                rows.extend(
+                    {shift[c]: v for c, v in row.items()} for row in pivots.values()
+                )
+        pivots = echelon(rows)
+        prev = cols
+    return len(pivots)
+
+
+def _variable_shifts(cols, colindex) -> list:
+    """Per variable x, the column of x * m for the monomial m of each column.
+
+    ``cols`` lists the exponent tuples of one degree in column order,
+    ``colindex`` numbers the columns of the next degree.
+    """
+    shifts = []
+    for p in range(len(cols[0])):
+        shift = []
+        for e in cols:
+            up = list(e)
+            up[p] += 1
+            shift.append(colindex[tuple(up)])
+        shifts.append(shift)
+    return shifts
 
 
 def hf_closed(which: str, d: int, k: int | None = None) -> int:
@@ -164,9 +217,15 @@ def initial_monomials(gens, k: int, order: OrderSpec | None = None):
     ring = gens[0].ring
     order = order or omega_order(ring)
     gb = buchberger(gens, order, max_degree=k)
-    lts = [m.exps for m in gb.leading_monomials()]
+    multipliers: dict = {}
     out = set()
-    for m in monomials_of_degree(ring, k, order):
-        if any(all(a <= b for a, b in zip(lt, m.exps)) for lt in lts):
-            out.add(m)
+    for lt in gb.leading_monomials():
+        e = lt.degree
+        if e > k:
+            continue
+        if e not in multipliers:
+            multipliers[e] = _exponents_of_degree(ring.nvars, k - e)
+        out.update(
+            Monomial(ring, tuple(map(add, lt.exps, m))) for m in multipliers[e]
+        )
     return out

@@ -2,6 +2,7 @@
 
 import pytest
 from fractions import Fraction
+import random
 from math import comb
 
 from hypothesis import given, settings, strategies as st
@@ -16,9 +17,10 @@ from fiberforge.hilbert import (
     monomials_of_degree,
     rref,
 )
-from fiberforge.rings import Polynomial, omega_order, ring_W, wvar
+from fiberforge.rings import Polynomial, omega_order, ring_R, ring_W, wvar, xvar
 
 W4 = ring_W(4)
+R4 = ring_R(4)
 
 
 def _lambda_gens(d):
@@ -98,6 +100,71 @@ def _reduce(row, reduced):
                 row[j] = row.get(j, 0) - f * v
             row = {j: v for j, v in row.items() if v}
     return row
+
+
+def _rank_from_all_multiples(gens, k):
+    """dim I_k from every generator times every monomial of degree k - deg g."""
+    cols = {m.exps: p for p, m in enumerate(monomials_of_degree(R4, k))}
+    rows = []
+    for g in gens:
+        if g.is_zero or g.degree() > k:
+            continue
+        for m in monomials_of_degree(R4, k - g.degree()):
+            rows.append({
+                cols[tuple(a + b for a, b in zip(m.exps, t))]: c
+                for t, c in g.terms.items()
+            })
+    return len(echelon(rows))
+
+
+# homogeneous polynomials over R4 of degree 1 to 3 with small coefficients
+_r4_poly = st.integers(1, 3).flatmap(
+    lambda e: st.dictionaries(
+        st.sampled_from([m.exps for m in monomials_of_degree(R4, e)]),
+        st.integers(-2, 2).filter(bool).map(Fraction),
+        min_size=1,
+        max_size=3,
+    )
+).map(lambda terms: Polynomial(R4, terms))
+
+
+def _x(*indices):
+    return Polynomial(R4, {R4.monomial_of(*map(xvar, indices)).exps: Fraction(1)})
+
+
+class TestDegreeByDegree:
+    """hf_exact builds I_k from a basis of I_{k-1}; these pin it to I_k itself."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_r4_poly, min_size=1, max_size=4), st.integers(0, 4))
+    def test_agrees_with_all_multiples_and_initial_ideal(self, gens, k):
+        rank = hf_exact(gens, k)
+        assert rank == _rank_from_all_multiples(gens, k)
+        assert rank == len(initial_monomials(gens, k))
+
+    def test_gap_degree(self):
+        # degree-1 and degree-3 generators only: I_2 comes from x1 alone
+        gens = [_x(1), _x(2, 3, 4) + _x(2, 2, 2)]
+        assert hf_exact(gens, 2) == 4
+        assert hf_exact(gens, 3) == _rank_from_all_multiples(gens, 3) == 10 + 1
+
+    def test_generator_above_k_ignored(self):
+        gens = [_x(1, 2), _x(3, 3, 4)]
+        assert hf_exact(gens, 2) == 1
+        assert hf_exact(gens, 1) == 0
+        assert hf_exact([_x(3, 3, 4)], 2) == 0
+
+    def test_nonzero_constant_gives_whole_ring(self):
+        one = R4.one().scale(Fraction(-3))
+        for k in range(4):
+            assert hf_exact([one, _x(1, 2)], k) == comb(k + 3, 3)
+
+    def test_shuffle_invariant_d6(self):
+        gens = _lambda_gens(6)
+        for seed in (11, 12):
+            shuffled = list(gens)
+            random.Random(seed).shuffle(shuffled)
+            assert hf_exact(shuffled, 3) == hf_closed("IX3", 6)
 
 
 class TestEchelonKernel:
