@@ -146,7 +146,7 @@ def cmd_hf(args) -> int:
             ring_W(args.d),
             ring_R(args.d),
             candidate.hom_catalog(args.d).phi_W,
-            args.time_budget_seconds,
+            args.deadline,
         )
         gens = list(ker.elements)
     else:
@@ -334,15 +334,15 @@ def _check_rees_membership(report: VerifyReport, d: int, args):
     report.add("rees-J-in-kernel-by-substitution", 0, bad)
 
 
-def _fiber_oracle_check(report: VerifyReport, d: int, budget, required: bool):
+def _fiber_oracle_check(report: VerifyReport, d: int, deadline, required: bool):
     name = f"fiber-oracle-equality-d{d}"
     try:
         t0 = time.monotonic()
         ker = groebner.kernel_of_hom(
-            ring_W(d), ring_R(d), candidate.hom_catalog(d).phi_W, budget
+            ring_W(d), ring_R(d), candidate.hom_catalog(d).phi_W, deadline
         )
         eq = groebner.ideal_equal(
-            _lambda_values(d), list(ker.elements), omega_order(ring_W(d)), budget
+            _lambda_values(d), list(ker.elements), omega_order(ring_W(d)), deadline
         )
         report.add(name, True, eq, time.monotonic() - t0)
     except BudgetExceeded:
@@ -353,13 +353,13 @@ def _fiber_oracle_check(report: VerifyReport, d: int, budget, required: bool):
             report.skip(name, "time budget exceeded")
 
 
-def _rees_oracle_check(report: VerifyReport, d: int, budget):
+def _rees_oracle_check(report: VerifyReport, d: int, deadline):
     name = f"rees-oracle-equality-d{d}"
     try:
         t0 = time.monotonic()
-        ker = rees.rees_kernel_oracle(d, budget)
+        ker = rees.rees_kernel_oracle(d, deadline)
         eq = groebner.ideal_equal(
-            rees.rees_ideal(d), ker, omega_order(ring_S(d)), budget
+            rees.rees_ideal(d), ker, omega_order(ring_S(d)), deadline
         )
         report.add(name, True, eq, time.monotonic() - t0)
     except BudgetExceeded:
@@ -387,13 +387,11 @@ def cmd_verify(args) -> int:
         _CHECKS[name](report, args.d, args)
     if args.check == "all":
         if args.d == 4:
-            _fiber_oracle_check(report, 4, args.time_budget_seconds, required=True)
+            _fiber_oracle_check(report, 4, args.deadline, required=True)
         if args.deep:
             if args.d >= 5:
-                _fiber_oracle_check(
-                    report, args.d, args.time_budget_seconds, required=False
-                )
-            _rees_oracle_check(report, args.d, args.time_budget_seconds)
+                _fiber_oracle_check(report, args.d, args.deadline, required=False)
+            _rees_oracle_check(report, args.d, args.deadline)
     _emit(args, report.to_text(), report.to_json())
     return report.exit_code
 
@@ -401,11 +399,9 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     report = VerifyReport(args.d)
     if args.which == "fiber":
-        _fiber_oracle_check(
-            report, args.d, args.time_budget_seconds, required=(args.d == 4)
-        )
+        _fiber_oracle_check(report, args.d, args.deadline, required=(args.d == 4))
     else:
-        _rees_oracle_check(report, args.d, args.time_budget_seconds)
+        _rees_oracle_check(report, args.d, args.deadline)
     _emit(args, report.to_text(), report.to_json())
     return report.exit_code
 
@@ -448,6 +444,18 @@ def cmd_rees(args) -> int:
     return 0
 
 
+def _deadline(text: str) -> float:
+    """``--time-budget-seconds`` as one ``time.monotonic()`` deadline for
+    the whole invocation, taken when the command line is parsed."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = float("nan")
+    if not 0 < seconds < float("inf"):  # false for nan too
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return time.monotonic() + seconds
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fiberforge",
@@ -459,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out")
-        p.add_argument("--time-budget-seconds", type=float, default=None)
+        p.add_argument("--time-budget-seconds", type=_deadline, dest="deadline")
         p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("gens", help="dump candidate-ideal generators")

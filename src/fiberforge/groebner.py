@@ -2,8 +2,8 @@
 
 Works over any of the package's rings with either the graded order or a
 block elimination order.  Supports degree truncation for homogeneous
-input (a truncated basis is a full basis "up to degree k") and wall-clock
-budgets that abort with the partial state attached.
+input (a truncated basis is a full basis "up to degree k") and
+``time.monotonic()`` deadlines that abort with the partial state attached.
 
 Order data is computed once.  The engine keeps these invariants:
 
@@ -166,7 +166,7 @@ def _reduce_terms(terms: dict, order: OrderSpec, reducers, deadline=None) -> dic
             continue
         nticks += 1
         if deadline is not None and nticks % 64 == 0 and time.monotonic() > deadline:
-            raise BudgetExceeded("time budget exhausted during reduction")
+            raise BudgetExceeded("deadline passed during reduction")
         outside = ~_support(m, bits)
         for lmask, lt, bterms in reducers:
             if lmask & outside or not _divides(lt, m):
@@ -250,17 +250,17 @@ def buchberger(
     gens,
     order: OrderSpec,
     max_degree: int | None = None,
-    time_budget: float | None = None,
+    deadline: float | None = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     With ``max_degree`` the computation discards S-pairs above that degree,
     which is sound only for homogeneous input; inhomogeneous input raises.
-    A ``time_budget`` (seconds) aborts with BudgetExceeded.  Its
-    ``.partial`` holds the monic basis elements found so far (the monic
-    generators if the seed was not yet inter-reduced), sorted by degree
-    and leading monomial.  It is not reduced: no further work is done
-    once the budget is spent.
+    Once ``time.monotonic()`` passes ``deadline`` the call aborts with
+    BudgetExceeded.  Its ``.partial`` holds the monic basis elements found
+    so far (the monic generators if the seed was not yet inter-reduced),
+    sorted by degree and leading monomial.  It is not reduced: no further
+    work is done once the deadline has passed.
     """
     ring = order.ring
     gens = [g for g in gens if not g.is_zero]
@@ -271,7 +271,6 @@ def buchberger(
         raise TruncationNeedsHomogeneous(
             "degree truncation requires homogeneous generators"
         )
-    deadline = None if time_budget is None else time.monotonic() + time_budget
     key = order.key
     bits = _bit_table(ring.nvars)
 
@@ -296,7 +295,7 @@ def buchberger(
 
         while pairs:
             if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceeded("time budget exhausted in Buchberger loop")
+                raise BudgetExceeded("deadline passed in Buchberger loop")
             _, _, i, j = heapq.heappop(pairs)
             done.add((i, j))
             mi, li, fi = basis[i]
@@ -362,30 +361,31 @@ def eliminate(
     gens,
     joint: Ring,
     eliminated: frozenset,
-    time_budget: float | None = None,
+    deadline: float | None = None,
 ) -> list:
     """Generators of the elimination ideal (those free of ``eliminated``)."""
     order = elimination_order(joint, eliminated)
-    gb = buchberger(gens, order, time_budget=time_budget)
+    gb = buchberger(gens, order, None, deadline)
     dropped = {joint.position(v) for v in eliminated}
-    kept = []
-    for f in gb.elements:
-        if all(all(e[p] == 0 for p in dropped) for e in f.terms):
-            kept.append(f)
-    return kept
+    return [f for f in gb.elements if not any(e[p] for e in f.terms for p in dropped)]
 
 
 def kernel_of_hom(
     source: Ring,
     target: Ring,
     images: dict,
-    time_budget: float | None = None,
+    deadline: float | None = None,
 ) -> GroebnerBasis:
     """Kernel of the map sending each source variable to its image.
 
     Standard elimination: in the joint ring with the target block greatest,
-    compute the basis of (v - image(v) : v in source) and intersect with
-    the source subring.  Returns a reduced basis over the source ring.
+    compute the reduced basis of (v - image(v) : v in source) and keep the
+    elements free of the target block.  They are the reduced basis of the
+    kernel, already sorted.  On source monomials the elimination order is
+    ``omega_order(source)``: its second block is the source variables in
+    order.  So by the elimination theorem they are a Groebner basis under
+    it; as part of a reduced basis they are monic and inter-reduced; and
+    they keep the whole basis's order by degree and lead.
     """
     joint = Ring(f"{target.name}+{source.name}", target.vars + source.vars, target.d)
     gens = []
@@ -393,10 +393,8 @@ def kernel_of_hom(
         gens.append(
             transport(source.variable(v), joint) - transport(images[v], joint)
         )
-    kept = eliminate(gens, joint, frozenset(target.vars), time_budget)
-    back = [transport(f, source) for f in kept]
-    order = omega_order(source)
-    return _basis(order, _interreduce(_reducers(back, order), order), None)
+    kept = eliminate(gens, joint, frozenset(target.vars), deadline)
+    return GroebnerBasis(omega_order(source), tuple(transport(f, source) for f in kept))
 
 
 def ideal_contains(gb: GroebnerBasis, gens) -> bool:
@@ -404,17 +402,9 @@ def ideal_contains(gb: GroebnerBasis, gens) -> bool:
     return all(normal_form(f, gb).is_zero for f in gens)
 
 
-def ideal_equal(gens_a, gens_b, order: OrderSpec, time_budget=None) -> bool:
-    """Exact ideal equality via the canonical reduced bases.
-
-    The two ``buchberger`` calls share one budget: the second gets only
-    the time the first left.
-    """
-    start = time.monotonic()
-    gba = buchberger(gens_a, order, time_budget=time_budget)
-    if time_budget is not None:
-        time_budget -= time.monotonic() - start
-        if time_budget <= 0:
-            raise BudgetExceeded("time budget exhausted after the first basis")
-    gbb = buchberger(gens_b, order, time_budget=time_budget)
+def ideal_equal(gens_a, gens_b, order: OrderSpec, deadline=None) -> bool:
+    """Exact ideal equality via the canonical reduced bases, both computed
+    under the same ``deadline``."""
+    gba = buchberger(gens_a, order, None, deadline)
+    gbb = buchberger(gens_b, order, None, deadline)
     return list(gba.elements) == list(gbb.elements)

@@ -142,17 +142,17 @@ def rees_substitution(d: int) -> dict:
     return hom
 
 
-def rees_kernel_oracle(d: int, time_budget: float | None = None) -> list:
+def rees_kernel_oracle(d: int, deadline: float | None = None) -> list:
     """Kernel of S -> R[t] by eliminating t from (w_ij - t*g_ij).
 
-    Raises BudgetExceeded (with partial state) if the budget runs out.
+    Raises BudgetExceeded (with partial state) once ``deadline`` passes.
     """
     T = ring_Rees(d)
     t = T.variable(tvar())
     gens = []
     for v in ring_W(d).vars:
         gens.append(T.variable(v) - t * transport(quadric_image(d, *v.index), T))
-    kept = eliminate(gens, T, frozenset({tvar()}), time_budget)
+    kept = eliminate(gens, T, frozenset({tvar()}), deadline)
     return [transport(f, ring_S(d)) for f in kept]
 
 

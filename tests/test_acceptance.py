@@ -175,11 +175,11 @@ class TestCriterion6Oracles:
         try:
             ker = groebner.kernel_of_hom(
                 ring_W(d), ring_R(d), candidate.hom_catalog(d).phi_W,
-                time_budget=1800.0,
+                deadline=time.monotonic() + 1800.0,
             )
             ok = groebner.ideal_equal(
                 _lambda_gens(d), list(ker.elements), omega_order(ring_W(d)),
-                time_budget=1800.0,
+                deadline=time.monotonic() + 1800.0,
             )
         except BudgetExceeded:
             print("criterion-6b candidate ideal = fiber kernel, d=5: SKIPPED")
@@ -199,10 +199,10 @@ class TestCriterion6Oracles:
     def test_rees_kernel_equality_d4_budgeted(self):
         d = 4
         try:
-            oracle = rees.rees_kernel_oracle(d, time_budget=3600.0)
+            oracle = rees.rees_kernel_oracle(d, deadline=time.monotonic() + 3600.0)
             ok = groebner.ideal_equal(
                 rees.rees_ideal(d), oracle, omega_order(ring_S(d)),
-                time_budget=3600.0,
+                deadline=time.monotonic() + 3600.0,
             )
         except BudgetExceeded:
             print("criterion-6d Rees ideal = elimination kernel, d=4: SKIPPED")

@@ -1,11 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
+import time
+from types import SimpleNamespace
 
 import pytest
+
+from fiberforge import cli, groebner, rees
+from fiberforge.errors import BudgetExceeded
 
 CMD = [sys.executable, "-m", "fiberforge"]
 
@@ -21,7 +27,15 @@ class TestExitCodes:
         assert run("gens").returncode == 2  # missing --d
 
     def test_domain_error(self):
-        for argv in (("gens", "--d", "3"), ("hf", "--d", "4", "--degree", "-1")):
+        bad_budgets = (
+            ("oracle", "--d", "4", "--which", "fiber", "--time-budget-seconds", v)
+            for v in ("nan", "inf", "0", "-1")
+        )
+        for argv in (
+            ("gens", "--d", "3"),
+            ("hf", "--d", "4", "--degree", "-1"),
+            *bad_budgets,
+        ):
             r = run(*argv)
             assert r.returncode == 2, (argv, r.stderr)
             assert "Traceback" not in r.stderr
@@ -39,6 +53,64 @@ class TestExitCodes:
                 "--time-budget-seconds", "0.01")
         assert r.returncode == 0
         assert "SKIPPED" in r.stdout
+
+
+class TestOneDeadline:
+    """``--time-budget-seconds`` is turned into one deadline when the command
+    line is parsed, and every budgeted call of the invocation gets it.
+
+    The spies record the deadline they receive.  The kernel spies return
+    an empty kernel and ``ideal_equal`` raises BudgetExceeded, so every
+    oracle check reaches both of its calls and then stops at once."""
+
+    @pytest.mark.parametrize(
+        "argv, calls, code",
+        [
+            (
+                ("oracle", "--d", "4", "--which", "fiber"),
+                ["kernel_of_hom", "ideal_equal"],
+                3,  # the d=4 fiber check is required
+            ),
+            (
+                ("verify", "--d", "5", "--deep"),
+                ["kernel_of_hom", "ideal_equal", "rees_kernel_oracle", "ideal_equal"],
+                0,  # both oracle checks are optional at d=5 and are skipped
+            ),
+            (
+                ("hf", "--d", "4", "--degree", "2", "--ideal", "oracle"),
+                ["kernel_of_hom"],
+                1,  # the empty kernel misses the closed form
+            ),
+        ],
+    )
+    def test_budgeted_calls_share_one_deadline(
+        self, monkeypatch, capsys, argv, calls, code
+    ):
+        seen = []
+
+        def spy(module, name, result):
+            signature = inspect.signature(getattr(module, name))
+
+            def call(*args, **kwargs):
+                bound = signature.bind(*args, **kwargs)
+                seen.append((name, bound.arguments.get("deadline")))
+                if result is None:
+                    raise BudgetExceeded("stopped by the test")
+                return result
+
+            monkeypatch.setattr(module, name, call)
+
+        spy(groebner, "kernel_of_hom", SimpleNamespace(elements=()))
+        spy(rees, "rees_kernel_oracle", [])
+        spy(groebner, "ideal_equal", None)
+        start = time.monotonic()
+        assert cli.main([*argv, "--time-budget-seconds", "100"]) == code
+        end = time.monotonic()
+        assert [name for name, _ in seen] == calls
+        deadlines = {deadline for _, deadline in seen}
+        assert len(deadlines) == 1
+        (deadline,) = deadlines
+        assert start + 100 <= deadline <= end + 100
 
 
 class TestGens:

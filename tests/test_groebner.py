@@ -139,7 +139,7 @@ class TestBudget:
 
         gens = [rec.value for rec in generators_lambda(6, "all")]
         with pytest.raises(BudgetExceeded) as info:
-            buchberger(gens, omega_order(ring_W(6)), time_budget=1e-9)
+            buchberger(gens, omega_order(ring_W(6)), deadline=time.monotonic() + 1e-9)
         assert info.value.partial is not None
         assert info.value.partial.elements
 
@@ -148,7 +148,7 @@ class TestBudget:
         gens = [rec.value for rec in generators_lambda(6, "all")]
         start = time.monotonic()
         with pytest.raises(BudgetExceeded) as info:
-            buchberger(gens, order, time_budget=1e-9)
+            buchberger(gens, order, deadline=time.monotonic() + 1e-9)
         assert time.monotonic() - start < 2.0
         # the partial state is monic and sorted, but not reduced further
         elements = info.value.partial.elements
@@ -158,32 +158,36 @@ class TestBudget:
         assert sort_keys == sorted(sort_keys)
 
     def _spy(self, monkeypatch, pause):
-        """Record the budget of each ``buchberger`` call; each call first
+        """Record the deadline of each ``buchberger`` call; each call first
         sleeps for ``pause`` seconds."""
-        budgets = []
+        deadlines = []
         real = groebner.buchberger
 
-        def spy(gens, order, max_degree=None, time_budget=None):
-            budgets.append(time_budget)
+        def spy(gens, order, max_degree=None, deadline=None):
+            deadlines.append(deadline)
             time.sleep(pause)
-            return real(gens, order, max_degree, time_budget)
+            return real(gens, order, max_degree, deadline)
 
         monkeypatch.setattr(groebner, "buchberger", spy)
-        return budgets
+        return deadlines
 
     def test_ideal_equal_shares_one_budget(self, monkeypatch):
-        budgets = self._spy(monkeypatch, 0.05)
+        deadlines = self._spy(monkeypatch, 0.05)
         gens = [_wpoly((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]))]
-        assert ideal_equal(gens, gens, OMEGA4, time_budget=30.0)
-        assert budgets[0] == 30.0
-        assert budgets[1] <= 30.0 - 0.05
+        deadline = time.monotonic() + 30.0
+        assert ideal_equal(gens, gens, OMEGA4, deadline)
+        assert deadlines == [deadline, deadline]
 
     def test_ideal_equal_second_basis_gets_no_fresh_budget(self, monkeypatch):
-        budgets = self._spy(monkeypatch, 0.05)
+        deadlines = self._spy(monkeypatch, 0.05)
+        # one binomial: its basis polls the deadline too rarely to notice
+        # that it has passed; Lambda's Buchberger loop polls before each pair
         gens = [_wpoly((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]))]
+        lam = [rec.value for rec in generators_lambda(4, "all")]
+        deadline = time.monotonic() + 0.01
         with pytest.raises(BudgetExceeded):
-            ideal_equal(gens, gens, OMEGA4, time_budget=0.01)
-        assert budgets == [0.01]
+            ideal_equal(gens, lam, OMEGA4, deadline)
+        assert deadlines == [deadline, deadline]
 
 
 def _digest(gb):
@@ -255,6 +259,21 @@ class TestBasisProperties:
             multiplier = Polynomial(W4, {tuple(exps): Fraction(coeff)})
             combo = combo + multiplier * gens[index]
         assert normal_form(combo, _lambda_basis(4)).is_zero
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+            min_size=12,
+            max_size=12,
+        ),
+    )
+    def test_ideal_equal_reflexive_under_shuffle_and_scaling(self, rng, scales):
+        gens = [rec.value for rec in generators_lambda(4, "all")]
+        scaled = [g.scale(c) for g, c in zip(gens, scales)]
+        rng.shuffle(scaled)
+        assert ideal_equal(gens, scaled, OMEGA4)
 
 
 class TestElimination:
