@@ -5,10 +5,6 @@ class FiberForgeError(Exception):
     """Base class for all package errors."""
 
 
-class IncomparableVariables(FiberForgeError):
-    """Variables from different rings (or non-pair variables) were compared."""
-
-
 class UnknownVariable(FiberForgeError):
     """A monomial mentions a variable outside the order's universe."""
 

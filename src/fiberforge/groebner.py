@@ -25,6 +25,32 @@ Order data is computed once.  The engine keeps these invariants:
   when their masks are disjoint.
 - Truncation.  With ``max_degree``, a pair whose lcm has higher degree
   is never pushed; in a degree-2 truncation of quadrics no pair is.
+- Pair queue.  A pair whose leading terms are coprime is marked handled
+  when it is created and never pushed (Buchberger's product criterion):
+  its S-polynomial has a standard representation whatever the basis
+  holds later.  The chain criterion at pop time consults only handled
+  pairs, never pending ones, so counting a coprime pair as handled
+  early is sound and cannot make two pairs vouch for each other.  The
+  other pairs pop in the order (lcm degree, i, j): within one degree,
+  those of older basis elements first, with no order key computed.
+  The chain criterion drops (i, j) through an element k whose lead
+  divides its lcm L; the lcms of (i, k) and (j, k) then divide L, so
+  each either has lower degree, and pops before (i, j) in any
+  degree-first order, or equals L, and then both this order and an
+  order by (degree, key(lcm), i, j) take it by (i, j).  So within one
+  degree the order does not change which of the existing pairs the
+  criterion finds handled, and truncation still cuts by degree.  The
+  heap entry carries the lcm, so a pop recomputes nothing.
+- Integer coefficients.  Inside the engine a coefficient whose
+  denominator is 1 is an ``int``; ``_basis`` turns every coefficient
+  back into a ``Fraction``.  This is the same exact arithmetic over Q:
+  ``int`` and ``Fraction`` operations are exact and promote to
+  ``Fraction`` when mixed, ``n == Fraction(n)`` and both hash alike,
+  so dict lookups, zero tests and comparisons of terms are unchanged;
+  only the cost of integral arithmetic falls.  ``normal_form`` of a
+  polynomial with ``Fraction`` coefficients returns ``Fraction``s: a
+  value enters its work dict as an input coefficient or as -c*b or
+  acc - c*b for a popped coefficient c, which is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -65,11 +91,15 @@ def _support(exps: tuple, bits: tuple) -> int:
 
 
 def _reducer(terms: dict, lead: tuple, bits: tuple) -> tuple:
-    """The reducer of a polynomial: (support mask, lead, monic terms)."""
+    """The reducer of a polynomial: (support mask, lead, monic terms).
+
+    A coefficient with denominator 1 is stored as an ``int``.
+    """
     c = terms[lead]
     if c != 1:
         inv = Fraction(1, 1) / c
         terms = {m: inv * v for m, v in terms.items()}
+    terms = {m: v.numerator if v.denominator == 1 else v for m, v in terms.items()}
     return (_support(lead, bits), lead, terms)
 
 
@@ -118,7 +148,10 @@ def _basis(order: OrderSpec, reducers, truncation_degree) -> GroebnerBasis:
     ring = order.ring
     return GroebnerBasis(
         order,
-        tuple(Polynomial(ring, terms) for _, _, terms in reducers),
+        tuple(
+            Polynomial(ring, {m: Fraction(c) for m, c in terms.items()})
+            for _, _, terms in reducers
+        ),
         truncation_degree,
     )
 
@@ -271,22 +304,24 @@ def buchberger(
         raise TruncationNeedsHomogeneous(
             "degree truncation requires homogeneous generators"
         )
-    key = order.key
     bits = _bit_table(ring.nvars)
 
     basis: list = []  # reducers (mask, lead, monic terms), in the order found
-    pairs: list = []  # heap of (lcm degree, key(lcm), i, j)
-    done = set()
+    pairs: list = []  # heap of (lcm degree, i, j, lcm)
+    done = set()  # handled pairs (i, j), i < j
 
     def add_element(r: tuple):
         j = len(basis)
         basis.append(r)
-        lj = r[1]
-        for i in range(j):
-            l = _lcm(basis[i][1], lj)
+        mj, lj, _ = r
+        for i, (mi, li, _) in enumerate(basis[:j]):
+            if not mi & mj:  # product criterion: coprime leading terms
+                done.add((i, j))
+                continue
+            l = _lcm(li, lj)
             ldeg = sum(l)
             if max_degree is None or ldeg <= max_degree:
-                heapq.heappush(pairs, (ldeg, key(l), i, j))
+                heapq.heappush(pairs, (ldeg, i, j, l))
 
     try:
         for r in _interreduce(_reducers(gens, order), order, deadline):
@@ -296,13 +331,10 @@ def buchberger(
         while pairs:
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceeded("deadline passed in Buchberger loop")
-            _, _, i, j = heapq.heappop(pairs)
+            _, i, j, l = heapq.heappop(pairs)
             done.add((i, j))
             mi, li, fi = basis[i]
             mj, lj, fj = basis[j]
-            if not mi & mj:  # coprime leading terms
-                continue
-            l = _lcm(li, lj)
             # chain criterion: some k with lt_k | lcm and both pairs handled
             outside = ~(mi | mj)
             skip = False
@@ -395,11 +427,6 @@ def kernel_of_hom(
         )
     kept = eliminate(gens, joint, frozenset(target.vars), deadline)
     return GroebnerBasis(omega_order(source), tuple(transport(f, source) for f in kept))
-
-
-def ideal_contains(gb: GroebnerBasis, gens) -> bool:
-    """True iff every polynomial in ``gens`` lies in the basis's ideal."""
-    return all(normal_form(f, gb).is_zero for f in gens)
 
 
 def ideal_equal(gens_a, gens_b, order: OrderSpec, deadline=None) -> bool:

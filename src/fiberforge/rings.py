@@ -19,7 +19,6 @@ from operator import itemgetter
 
 from .errors import (
     BadIndex,
-    IncomparableVariables,
     PartialHomomorphism,
     RingMismatch,
     UnknownVariable,
@@ -56,10 +55,6 @@ class VariableId:
             if i < 1:
                 raise BadIndex(f"x index out of range: {i}")
 
-    @property
-    def is_pair(self) -> bool:
-        return self.kind in (VarKind.W, VarKind.U)
-
     def __repr__(self):
         if self.kind is VarKind.T:
             return "t"
@@ -91,15 +86,6 @@ def uvar(i: int, j: int, d: int | None = None) -> VariableId:
 
 def tvar() -> VariableId:
     return VariableId(VarKind.T, ())
-
-
-def cmp_vars_omega(a: VariableId, b: VariableId) -> int:
-    """Compare two pair variables in the omega sequence; -1, 0 or 1."""
-    if a.kind is not b.kind or not a.is_pair or not b.is_pair:
-        raise IncomparableVariables(f"cannot compare {a!r} and {b!r} under omega")
-    ka = (max(a.index), min(a.index))
-    kb = (max(b.index), min(b.index))
-    return (ka > kb) - (ka < kb)
 
 
 def _pair_sort_key(v: VariableId):
@@ -285,13 +271,6 @@ class OrderSpec:
             for blk in self.blocks
         )
 
-    def monomial_key(self, m: Monomial):
-        if m.ring is not self.ring:
-            raise UnknownVariable(
-                f"monomial over {m.ring.name} compared under {self.ring.name} order"
-            )
-        return self.key(m.exps)
-
 
 def _block_view(blk: tuple):
     """A getter for one block's exponents, as a tuple in position order."""
@@ -331,11 +310,6 @@ def elimination_order(ring: Ring, eliminated: frozenset) -> OrderSpec:
     return OrderSpec("block_elimination", ring, (first, second))
 
 
-def cmp_monomials(order: OrderSpec, m1: Monomial, m2: Monomial) -> int:
-    k1, k2 = order.monomial_key(m1), order.monomial_key(m2)
-    return (k1 > k2) - (k1 < k2)
-
-
 class Polynomial:
     """A sparse polynomial: ring plus {exponent tuple: Fraction} terms.
 
@@ -348,22 +322,6 @@ class Polynomial:
     def __init__(self, ring: Ring, terms: dict):
         self.ring = ring
         self.terms = terms
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def from_items(ring: Ring, items) -> "Polynomial":
-        terms = {}
-        for exps, c in items:
-            c = Fraction(c)
-            if c:
-                acc = terms.get(exps)
-                c = c if acc is None else acc + c
-                if c:
-                    terms[exps] = c
-                else:
-                    del terms[exps]
-        return Polynomial(ring, terms)
 
     # -- predicates ------------------------------------------------------
 

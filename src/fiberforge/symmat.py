@@ -73,31 +73,6 @@ def principal_minor(mat: SymMatrix, i: int, j: int) -> Minor2:
     return minor2(mat, (i, j), (i, j))
 
 
-def _ambient_four_sets(base: frozenset, d: int):
-    """All 4-subsets of 1..d containing ``base``, ascending."""
-    rest = [i for i in range(1, d + 1) if i not in base]
-    need = 4 - len(base)
-    for extra in itertools.combinations(rest, need):
-        yield tuple(sorted(base | set(extra)))
-
-
-def complements_of(m: Minor2, mat: SymMatrix) -> list:
-    """All complements of m inside 4x4 principal submatrices of ``mat``.
-
-    The complement within an ambient index set P uses the rows P minus
-    m's rows and the columns P minus m's columns, each taken ascending.
-    """
-    base = frozenset(m.rows) | frozenset(m.cols)
-    if len(base) > 4:
-        raise BadIndex("not a 2x2 minor selection")
-    out = []
-    for P in _ambient_four_sets(base, mat.d):
-        rows = tuple(sorted(set(P) - set(m.rows)))
-        cols = tuple(sorted(set(P) - set(m.cols)))
-        out.append(minor2(mat, rows, cols))
-    return out
-
-
 def delta(m: Minor2) -> int:
     """0 if the unique diagonal entry of an A1 minor sits on its main
     diagonal, 1 if on the antidiagonal."""

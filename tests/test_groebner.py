@@ -21,12 +21,12 @@ from fiberforge.groebner import (
     GroebnerBasis,
     buchberger,
     eliminate,
-    ideal_contains,
     ideal_equal,
     kernel_of_hom,
     normal_form,
     transport,
 )
+from fiberforge.rees import rees_kernel_oracle
 from fiberforge.rings import (
     Polynomial,
     Ring,
@@ -190,8 +190,8 @@ class TestBudget:
         assert deadlines == [deadline, deadline]
 
 
-def _digest(gb):
-    blob = json.dumps([poly_to_json(f) for f in gb.elements], sort_keys=True)
+def _digest(polys):
+    blob = json.dumps([poly_to_json(f) for f in polys], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -203,18 +203,31 @@ def _lambda_basis(d):
 
 class TestPinnedBases:
     """sha256 prefixes of reduced bases as the engine gave them before it
-    cached order data; the reduced basis is unique, so they must not move."""
+    cached order data (Lambda, phi_W at d=4) or before it changed its pair
+    order (phi_W at d=5, the Rees oracle); the reduced basis is unique, so
+    they must not move."""
 
     @pytest.mark.parametrize(
         "d, digest, size", [(4, "c09b1a090a056243", 24), (5, "f4e6dbb7220bb512", 61)]
     )
     def test_lambda_basis(self, d, digest, size):
         gb = _lambda_basis(d)
-        assert (_digest(gb), len(gb.elements)) == (digest, size)
+        assert (_digest(gb.elements), len(gb.elements)) == (digest, size)
 
     def test_phi_w_kernel_d4(self):
         gb = kernel_of_hom(ring_W(4), ring_R(4), hom_catalog(4).phi_W)
-        assert (_digest(gb), len(gb.elements)) == ("c09b1a090a056243", 24)
+        assert (_digest(gb.elements), len(gb.elements)) == ("c09b1a090a056243", 24)
+
+    def test_phi_w_kernel_d5(self):
+        gb = kernel_of_hom(ring_W(5), ring_R(5), hom_catalog(5).phi_W)
+        assert (_digest(gb.elements), len(gb.elements)) == ("f4e6dbb7220bb512", 61)
+
+    @pytest.mark.parametrize(
+        "d, digest, size", [(4, "d383c7fb63196080", 49), (5, "0896f846db2488a1", 109)]
+    )
+    def test_rees_kernel_oracle(self, d, digest, size):
+        kept = rees_kernel_oracle(d)
+        assert (_digest(kept), len(kept)) == (digest, size)
 
     def test_cached_order_data_not_in_equality(self):
         gb = _lambda_basis(4)
@@ -276,6 +289,126 @@ class TestBasisProperties:
         assert ideal_equal(gens, scaled, OMEGA4)
 
 
+R4 = ring_R(4)
+# omega and an elimination order over R4; the random polynomials below use
+# x1, x2, x3, and the elimination order eliminates x1
+_R4_ORDERS = [omega_order(R4), elimination_order(R4, frozenset({xvar(1)}))]
+
+
+def _exponents(positions):
+    exps = [0] * R4.nvars
+    for p in positions:
+        exps[p] += 1
+    return tuple(exps)
+
+
+def _r4_term(degree):
+    """A term over x1..x3 of R4: (exponents, nonzero integer coefficient),
+    its degree drawn from ``degree``."""
+    return st.tuples(
+        degree.flatmap(
+            lambda k: st.lists(st.integers(0, 2), min_size=k, max_size=k)
+        ).map(_exponents),
+        st.integers(-3, 3).filter(bool),
+    )
+
+
+def _r4_poly(terms):
+    f = R4.zero()
+    for exps, c in terms:
+        f = f + Polynomial(R4, {exps: Fraction(c)})
+    return f
+
+
+# two to four generators of two or three terms each: fewer rarely leave
+# a pair for the criteria to act on
+_inhomogeneous = st.lists(
+    st.lists(_r4_term(st.integers(0, 2)), min_size=2, max_size=3).map(_r4_poly),
+    min_size=2,
+    max_size=4,
+)
+_homogeneous = st.integers(1, 2).flatmap(
+    lambda k: st.lists(
+        st.lists(_r4_term(st.just(k)), min_size=2, max_size=3).map(_r4_poly),
+        min_size=2,
+        max_size=4,
+    )
+)
+
+
+def _s_polynomial(f, g, order):
+    """S(f, g) and the degree of the lcm of their leading terms."""
+    cf, mf = f.leading(order)
+    cg, mg = g.leading(order)
+    lcm = tuple(map(max, mf.exps, mg.exps))
+    qf = Polynomial(f.ring, {tuple(a - b for a, b in zip(lcm, mf.exps)): 1 / cf})
+    qg = Polynomial(g.ring, {tuple(a - b for a, b in zip(lcm, mg.exps)): 1 / cg})
+    return qf * f - qg * g, sum(lcm)
+
+
+def _assert_certified(gens, gb, max_degree=None):
+    """Buchberger's test with no criteria: every S-pair of the output and
+    every generator reduces to zero against the output (up to
+    ``max_degree`` for a truncated basis)."""
+    bound = float("inf") if max_degree is None else max_degree
+    elements = gb.elements
+    for a, f in enumerate(elements):
+        for g in elements[a + 1:]:
+            s, lcm_degree = _s_polynomial(f, g, gb.order)
+            if lcm_degree <= bound:
+                assert normal_form(s, gb).is_zero
+    for g in gens:
+        if not g.is_zero and g.degree() <= bound:
+            assert normal_form(g, gb).is_zero
+
+
+class TestCriterionFreeCertificate:
+    """The criteria and the pair order only skip or schedule work: the
+    output must pass Buchberger's test without any of them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_inhomogeneous, st.sampled_from(_R4_ORDERS))
+    def test_full_basis(self, gens, order):
+        _assert_certified(gens, buchberger(gens, order), None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_homogeneous, st.sampled_from(_R4_ORDERS), st.integers(2, 4))
+    def test_truncated_basis(self, gens, order, max_degree):
+        gb = buchberger(gens, order, max_degree)
+        _assert_certified(gens, gb, max_degree)
+
+    @pytest.mark.parametrize("max_degree", [3, None])
+    def test_chain_criterion_consults_handled_pairs_only(self, max_degree):
+        # the three leads share variables pairwise: a chain criterion that
+        # also trusted pending pairs drops a needed cubic S-pair here
+        x = [R4.variable(xvar(i)) for i in range(1, 5)]
+        gens = [
+            x[0] * x[1] + x[0] * x[0],
+            x[0] * x[2] + x[0] * x[0],
+            x[1] * x[2] + x[0] * x[0],
+        ]
+        gb = buchberger(gens, omega_order(R4), max_degree)
+        _assert_certified(gens, gb, max_degree)
+
+    def test_coprime_leads_push_no_pair(self, monkeypatch):
+        # leads x4^2, x3^2, x2^3 under omega: pairwise coprime, so the
+        # product criterion settles every pair and no lcm is computed
+        x = [R4.variable(xvar(i)) for i in range(1, 5)]
+        gens = [
+            x[3] * x[3] + x[0] * x[1],
+            x[2] * x[2] - x[0],
+            x[1] * x[1] * x[1] + x[0] * x[0],
+        ]
+        order = omega_order(R4)
+        lcms = []
+        real = groebner._lcm
+        monkeypatch.setattr(groebner, "_lcm", lambda a, b: lcms.append(1) or real(a, b))
+        gb = buchberger(gens, order)
+        assert lcms == []
+        assert sorted(map(hash, gb.elements)) == sorted(map(hash, gens))
+        _assert_certified(gens, gb)
+
+
 class TestElimination:
     def test_elimination_order_blocks(self):
         order = elimination_order(W4, frozenset({wvar(1, 1)}))
@@ -316,5 +449,5 @@ class TestIdealPredicates:
         gen = _wpoly((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]))
         gb = buchberger([gen], OMEGA4)
         w11 = W4.variable(wvar(1, 1))
-        assert ideal_contains(gb, [gen * w11])
-        assert not ideal_contains(gb, [w11])
+        assert normal_form(gen * w11, gb).is_zero
+        assert not normal_form(w11, gb).is_zero

@@ -1,12 +1,13 @@
 """Symbolic symmetric matrices: minors, complements, delta, PCM pairs."""
 
+import itertools
+
 import pytest
 
 from fiberforge.errors import BadIndex, NotA1
 from fiberforge.rings import VarKind, ring_W, wvar
 from fiberforge.symmat import (
     SymMatrix,
-    complements_of,
     delta,
     minor2,
     pcm_pairs,
@@ -53,24 +54,21 @@ class TestMinor2:
 
 
 class TestComplements:
-    def test_a0_complement_unique(self):
-        m = minor2(M4, (1, 2), (3, 4))
-        comps = complements_of(m, M4)
-        assert len(comps) == 1
-        assert comps[0].rows == (3, 4) and comps[0].cols == (1, 2)
-
-    def test_a1_complement_per_ambient(self):
-        m = minor2(M4, (1, 2), (1, 3))
-        comps = complements_of(m, M4)
-        assert len(comps) == 1  # only one 4-set contains {1,2,3} at d=4
-        assert comps[0].rows == (3, 4) and comps[0].cols == (2, 4)
-
     def test_class_is_stable_under_complement(self):
+        # the complement of a minor inside a 4x4 principal submatrix P takes
+        # the rows P minus its rows and the columns P minus its columns
         M5 = SymMatrix(5, VarKind.W)
         for rows in ((1, 2), (1, 3)):
             for cols in ((3, 4), (2, 4), (1, 4)):
                 m = minor2(M5, rows, cols)
-                for n in complements_of(m, M5):
+                for P in itertools.combinations(range(1, 6), 4):
+                    if not set(rows) | set(cols) <= set(P):
+                        continue
+                    n = minor2(
+                        M5,
+                        tuple(sorted(set(P) - set(rows))),
+                        tuple(sorted(set(P) - set(cols))),
+                    )
                     assert n.a_class == m.a_class
 
 
