@@ -22,7 +22,6 @@ from functools import lru_cache
 
 from .errors import BadParams, DimensionTooSmall
 from .rings import (
-    Monomial,
     Polynomial,
     VarKind,
     apply_hom,
@@ -43,7 +42,7 @@ class GeneratorRecord:
     indices: tuple
     provenance: str
     value: Polynomial
-    leading: Monomial
+    leading: tuple  # exponents over ring_W(d)
 
 
 def _sign_normalized(f: Polynomial) -> Polynomial:
@@ -214,7 +213,7 @@ class CatalogEntry:
     key: str
     params: tuple
     value: Polynomial
-    claimed_leading: Monomial
+    claimed_leading: tuple  # exponents over ring_W(d)
 
 
 def _signed_bracket(mat: SymMatrix, ambient, rows, cols) -> Polynomial:
@@ -226,7 +225,7 @@ def _signed_bracket(mat: SymMatrix, ambient, rows, cols) -> Polynomial:
     return minor2(mat, rows, cols).value.scale(sign)
 
 
-def _wmono(d, *pairs) -> Monomial:
+def _wmono(d, *pairs) -> tuple:
     return ring_W(d).monomial_of(*(wvar(i, j) for i, j in pairs))
 
 

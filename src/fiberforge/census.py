@@ -8,6 +8,14 @@ Degree 2: K0 (four distinct indices), K1 (one shared index), K2 (squares).
 Degree 3: the T-sets partition the multiples of the degree-2 census by
 their tau-greatest factorization; the G-families are the listed monomials
 not divisible by any degree-2 census element.
+
+A monomial is its exponent tuple over ``ring_W(d)``.  The census orders
+variables by tau, the key (max index, min index) of w_ij, and a factor
+pair (w_ij, w_kl) with w_kl <= w_ij by (tau(w_ij), tau(w_kl))
+lexicographically.  It compares positions in ``ring_W(d)`` instead:
+that ring lists its variables sorted by tau, and no two variables share
+a key (the key determines the index pair), so tau(a) <= tau(b) exactly
+when pos(a) <= pos(b), and pairs compare as their positions do.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import BadParams, NotInS, OutOfTable
-from .rings import Monomial, omega_order, ring_W, wvar
+from .rings import omega_order, ring_W, wvar
 
 
 @dataclass(frozen=True)
@@ -30,12 +38,16 @@ class CensusSet:
     expected: int | None = None
 
 
-def _wm(d, *vids) -> Monomial:
+def _wm(d, *vids) -> tuple:
     return ring_W(d).monomial_of(*vids)
 
 
-def _vkey(v):
-    return (max(v.index), min(v.index))
+def _mono(n: int, *positions) -> tuple:
+    """The exponent tuple, over n variables, of a product of positions."""
+    exps = [0] * n
+    for p in positions:
+        exps[p] += 1
+    return tuple(exps)
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +80,7 @@ def _k1(d):
             else:
                 m1 = _wm(d, wvar(j, l), wvar(i, l))
                 m2 = _wm(d, wvar(i, j), wvar(l, l))
-                out.add(m1 if key(m1.exps) > key(m2.exps) else m2)
+                out.add(m1 if key(m1) > key(m2) else m2)
     return out
 
 
@@ -81,39 +93,22 @@ def _k2(d):
 
 
 @lru_cache(maxsize=None)
+def _census_pairs(d: int) -> frozenset:
+    """The degree-2 census as position pairs (p, q) with p <= q."""
+    return frozenset(
+        tuple(p for p, e in enumerate(m) for _ in range(e)) for m in census_degree2(d)
+    )
+
+
+@lru_cache(maxsize=None)
 def s_set(d: int, i: int, j: int) -> frozenset:
     """Variables w_kl with w_kl * w_ij in the degree-2 census, w_kl <= w_ij."""
     if not (1 <= i <= j <= d) or (i, j) == (d, d):
         raise BadParams(f"S needs a valid variable pair, got {(i, j)}")
-    census = census_degree2(d)
-    vij = wvar(i, j)
-    out = set()
-    for v in ring_W(d).vars:
-        if _vkey(v) <= _vkey(vij) and _wm(d, v, vij) in census:
-            out.add(v)
-    return frozenset(out)
-
-
-def _factorizations(d: int, m: Monomial, census, s_cache):
-    """All ((i,j),(k,l)) with w_kl in S_ij and w_ij*w_kl dividing m."""
-    vs = m.variables()
-    mults = m.exponents
-    out = []
-    for vij in set(vs):
-        for vkl in set(vs):
-            if vij == vkl and mults[vij] < 2:
-                continue
-            if _vkey(vkl) > _vkey(vij):
-                continue
-            if _wm(d, vij, vkl) not in census:
-                continue
-            sij = s_cache.get(vij.index)
-            if sij is None:
-                sij = s_set(d, *vij.index)
-                s_cache[vij.index] = sij
-            if vkl in sij:
-                out.append((vij.index, vkl.index))
-    return out
+    W = ring_W(d)
+    q = W.position(wvar(i, j))
+    pairs = _census_pairs(d)
+    return frozenset(W.vars[p] for p in range(q + 1) if (p, q) in pairs)
 
 
 def t_set(d: int, ij: tuple, kl: tuple) -> frozenset:
@@ -121,35 +116,28 @@ def t_set(d: int, ij: tuple, kl: tuple) -> frozenset:
 
     A multiple of the degree-2 census belongs to the tau-greatest pair
     that divides it; this makes the T-sets a partition of those multiples.
+    The pairs are the census elements w_kl * w_ij, w_kl <= w_ij (so
+    w_kl is in S_ij).  As positions (p, q), p <= q, they compare by q,
+    then p; a monomial at positions x <= y <= z has the factor pairs
+    (y, z) >= (x, z) >= (x, y), so it belongs to the first in the census.
     """
-    i, j = ij
-    sij = s_set(d, i, j)
-    vkl = wvar(*kl)
-    if vkl not in sij:
+    if wvar(*kl) not in s_set(d, *ij):
         raise NotInS(f"w{kl} is not in S_{ij} at d={d}")
-    census = census_degree2(d)
-    s_cache: dict = {}
-    vij = wvar(i, j)
-    target = (_vkey(vij), _vkey(vkl))
+    W = ring_W(d)
+    target = (W.position(wvar(*kl)), W.position(wvar(*ij)))
+    pairs = _census_pairs(d)
     out = set()
-    for vab in ring_W(d).vars:
-        m = _wm(d, vab, vkl, vij)
-        facs = _factorizations(d, m, census, s_cache)
-        best = max((_vkey(wvar(*a)), _vkey(wvar(*b))) for a, b in facs)
-        if best == target:
-            out.add(m)
+    for p in range(W.nvars):
+        x, y, z = sorted((p, *target))
+        if next(f for f in ((y, z), (x, z), (x, y)) if f in pairs) == target:
+            out.add(_mono(W.nvars, x, y, z))
     return frozenset(out)
 
 
 def t_total(d: int) -> frozenset:
     """All degree-3 monomials divisible by a degree-2 census element."""
-    census = census_degree2(d)
-    W = ring_W(d)
-    out = set()
-    for c in census:
-        for v in W.vars:
-            out.add(_wm(d, v) * c)
-    return frozenset(out)
+    n = ring_W(d).nvars
+    return frozenset(_mono(n, p, q, r) for p, q in _census_pairs(d) for r in range(n))
 
 
 def _g1(d):
@@ -206,7 +194,7 @@ def enum_census(d: int, family: str, params: tuple = ()) -> CensusSet:
         sij = s_set(d, i, j)
         if not sij:
             raise NotInS(f"S_{params} is empty at d={d}")
-        members = t_set(d, (i, j), max(sij, key=_vkey).index)
+        members = t_set(d, (i, j), max(sij, key=ring_W(d).position).index)
     elif family == "Ttotal":
         members = t_total(d)
     elif family == "G1":
@@ -301,6 +289,7 @@ class CensusReport:
 
 def verify_census(d: int) -> CensusReport:
     """Every closed-form count and structural claim, as one report."""
+    W = ring_W(d)
     checks = []
 
     def check(name, expected, actual):
@@ -324,7 +313,7 @@ def verify_census(d: int) -> CensusReport:
     # membership characterizations by largest variable divisor
     char_ok = True
     for (i, j), sij in svals.items():
-        for v in ring_W(d).vars:
+        for v in W.vars:
             k, l = v.index
             if i == 1 and 1 < j:
                 expect = 1 < k and 2 < l < j
@@ -345,7 +334,7 @@ def verify_census(d: int) -> CensusReport:
         for v in svals[ij]
     }
     for i, j in _nonempty_s_pairs(d):
-        mx = max(svals[(i, j)], key=_vkey)
+        mx = max(svals[(i, j)], key=W.position)
         expect = wvar(j - 1, j - 1) if i == 1 else wvar(i, j)
         check(f"max S_{i}{j}", expect, mx)
         check(
@@ -357,7 +346,7 @@ def verify_census(d: int) -> CensusReport:
     all_t = []
     total = 0
     for i, j in _nonempty_s_pairs(d):
-        sij = sorted(svals[(i, j)], key=_vkey, reverse=True)
+        sij = sorted(svals[(i, j)], key=W.position, reverse=True)
         sizes = [len(tsets[((i, j), v.index)]) for v in sij]
         tmax = count_closed(d, "Tmax", (i, j))
         check(

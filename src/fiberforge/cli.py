@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from . import candidate, census, groebner, hilbert, rees
 from .errors import BadParams, BudgetExceeded, FiberForgeError
 from .rings import (
+    format_monomial,
     omega_order,
     poly_to_json,
     ring_R,
@@ -121,7 +122,7 @@ def cmd_gens(args) -> int:
                 "part": r.part,
                 "indices": list(r.indices),
                 "provenance": r.provenance,
-                "leading": repr(r.leading),
+                "leading": format_monomial(ring_W(args.d), r.leading),
                 "value": poly_to_json(r.value),
             }
             for r in records
@@ -204,7 +205,7 @@ def _parse_params(family: str, raw: str | None):
 def cmd_census(args) -> int:
     params = _parse_params(args.family, args.params)
     cs = census.enum_census(args.d, args.family, params)
-    members = sorted(repr(m) for m in cs.members)
+    members = _formatted(args.d, cs.members)
     status = None
     if cs.expected is not None:
         status = PASS if len(cs.members) == cs.expected else FAIL
@@ -226,11 +227,16 @@ def cmd_census(args) -> int:
     return 0 if status in (None, PASS) else 1
 
 
+def _formatted(d: int, monomials) -> list:
+    """Monomials over ring_W(d) as sorted text."""
+    return sorted(format_monomial(ring_W(d), m) for m in monomials)
+
+
 def _check_counts(report: VerifyReport, d: int, args):
     r = census.verify_census(d)
     for name, expected, actual, ok in r.checks:
         if isinstance(expected, (set, frozenset)):
-            expected, actual = sorted(map(repr, expected)), sorted(map(repr, actual))
+            expected, actual = _formatted(d, expected), _formatted(d, actual)
         report.add(f"counts/{name}", expected, actual)
 
 
@@ -238,32 +244,20 @@ def _check_hf(report: VerifyReport, d: int, args):
     gens = _maybe_shuffle(args, _lambda_values(d))
     t0 = time.monotonic()
     report.add("HF2", hilbert.hf_closed("IX2", d), hilbert.hf_exact(gens, 2), time.monotonic() - t0)
-    if d <= 6:
-        t0 = time.monotonic()
-        report.add(
-            "HF3", hilbert.hf_closed("IX3", d), hilbert.hf_exact(gens, 3), time.monotonic() - t0
-        )
-    else:
-        report.skip("HF3", f"degree-3 rank not run at d={d} (criterion covers d<=6)")
+    t0 = time.monotonic()
+    report.add("HF3", hilbert.hf_closed("IX3", d), hilbert.hf_exact(gens, 3), time.monotonic() - t0)
 
 
 def _check_initial(report: VerifyReport, d: int, args):
-    if d > 6:
-        report.skip("initial-degree-2", f"not run at d={d} (criterion covers d<=6)")
-        return
     gens = _maybe_shuffle(args, _lambda_values(d))
     got = hilbert.initial_monomials(gens, 2)
-    expected = set(census.census_degree2(d))
-    report.add("initial-degree-2", sorted(map(repr, expected)), sorted(map(repr, got)))
+    report.add("initial-degree-2", _formatted(d, census.census_degree2(d)), _formatted(d, got))
 
 
 def _check_membership(report: VerifyReport, d: int, args):
     records = candidate.generators_lambda(d)
     bad = [r.provenance for r in records if not candidate.phi_W(r.value).is_zero]
     report.add("phiW-kills-all-generators", [], bad)
-    if d > 6:
-        report.skip("criterion-c", f"not run at d={d} (criterion covers d<=6)")
-        return
     gb = groebner.buchberger(
         candidate.minor_ideal_U(d), omega_order(ring_U(d)), max_degree=2
     )
@@ -283,17 +277,15 @@ def _check_catalogue(report: VerifyReport, d: int, args):
         if e.key not in candidate.DOCUMENTED_ERRATA_KEYS
     ]
     report.add("catalogue-undocumented-errata", [], undocumented)
+    W = ring_W(d)
     for e, lead in bad:
         report.errata.append(
-            f"{e.key}{e.params}: claimed leading {e.claimed_leading!r},"
-            f" machine expansion leads with {lead!r}"
+            f"{e.key}{e.params}: claimed leading {format_monomial(W, e.claimed_leading)},"
+            f" machine expansion leads with {format_monomial(W, lead)}"
         )
 
 
 def _check_powers(report: VerifyReport, d: int, args):
-    if d > 6:
-        report.skip("powers", f"not run at d={d} (criterion covers d<=6)")
-        return
     report.add("power-check-k1-negative-control", False, rees.power_check(d, 1))
     report.add("power-check-I2-eq-m4", True, rees.power_check(d, 2))
     report.add("power-check-I3-eq-m6", True, rees.power_check(d, 3))
@@ -301,19 +293,19 @@ def _check_powers(report: VerifyReport, d: int, args):
 
 def _check_identities(report: VerifyReport, d: int, args):
     ok = True
-    for d in range(4, 51):
-        hf2 = hilbert.hf_closed("IX2", d)
-        hf3 = hilbert.hf_closed("IX3", d)
-        if hilbert.hf_closed("W", d, 2) - hilbert.hf_closed("fiber", d, 2) != hf2:
+    for n in range(4, 51):
+        hf2 = hilbert.hf_closed("IX2", n)
+        hf3 = hilbert.hf_closed("IX3", n)
+        if hilbert.hf_closed("W", n, 2) - hilbert.hf_closed("fiber", n, 2) != hf2:
             ok = False
-        if hilbert.hf_closed("W", d, 3) - hilbert.hf_closed("fiber", d, 3) != hf3:
+        if hilbert.hf_closed("W", n, 3) - hilbert.hf_closed("fiber", n, 3) != hf3:
             ok = False
-        if census.count_closed(d, "Ttotal") + census.count_closed(d, "Gsum") != hf3:
+        if census.count_closed(n, "Ttotal") + census.count_closed(n, "Gsum") != hf3:
             ok = False
         lhs = (
-            census.count_closed(d, "K0")
-            + census.count_closed(d, "K1")
-            + census.count_closed(d, "K2")
+            census.count_closed(n, "K0")
+            + census.count_closed(n, "K1")
+            + census.count_closed(n, "K2")
         )
         if lhs != hf2:
             ok = False

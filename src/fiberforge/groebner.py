@@ -71,7 +71,6 @@ from .errors import (
     UnknownVariable,
 )
 from .rings import (
-    Monomial,
     OrderSpec,
     Polynomial,
     Ring,
@@ -140,8 +139,7 @@ class GroebnerBasis:
         object.__setattr__(self, "reducers", reducers)
 
     def leading_monomials(self) -> list:
-        ring = self.order.ring
-        return [Monomial(ring, lt) for _, lt, _ in self.reducers]
+        return [lt for _, lt, _ in self.reducers]
 
 
 def _basis(order: OrderSpec, reducers, truncation_degree) -> GroebnerBasis:

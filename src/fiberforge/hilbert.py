@@ -24,25 +24,20 @@ from math import comb, gcd
 from operator import add
 
 from .errors import NotHomogeneous, OutOfTable, RingMismatch
-from .rings import Monomial, OrderSpec, Ring, omega_order
+from .rings import OrderSpec, Ring, omega_order
 
 
-def monomials_of_degree(ring: Ring, k: int, order: OrderSpec | None = None):
-    """All degree-k monomials of the ring, descending under the order."""
-    order = order or omega_order(ring)
-    out = _exponents_of_degree(ring.nvars, k)
-    out.sort(key=order.key, reverse=True)
-    return [Monomial(ring, e) for e in out]
-
-
-def _exponents_of_degree(n: int, k: int) -> list:
-    """The exponent tuples of all degree-k monomials in n variables."""
+def monomials_of_degree(ring: Ring, k: int, order: OrderSpec | None = None) -> list:
+    """The exponent tuples of all degree-k monomials of the ring,
+    descending under the order."""
+    n = ring.nvars
     out = []
     for combo in itertools.combinations_with_replacement(range(n), k):
         exps = [0] * n
         for p in combo:
             exps[p] += 1
         out.append(tuple(exps))
+    out.sort(key=(order or omega_order(ring)).descending_key)
     return out
 
 
@@ -149,7 +144,7 @@ def hf_exact(gens, k: int) -> int:
     pivots: dict = {}
     prev = None
     for j in range(low, k + 1):
-        cols = [m.exps for m in monomials_of_degree(ring, j, order)]
+        cols = monomials_of_degree(ring, j, order)
         colindex = {e: p for p, e in enumerate(cols)}
         rows = [
             {colindex[t]: c for t, c in g.terms.items()}
@@ -208,7 +203,8 @@ def hf_closed(which: str, d: int, k: int | None = None) -> int:
 
 
 def initial_monomials(gens, k: int, order: OrderSpec | None = None):
-    """All degree-k monomials of the initial ideal, via a truncated basis."""
+    """All degree-k monomials of the initial ideal, as exponent tuples, via a
+    truncated basis."""
     from .groebner import buchberger
 
     gens = [g for g in gens if not g.is_zero]
@@ -220,12 +216,10 @@ def initial_monomials(gens, k: int, order: OrderSpec | None = None):
     multipliers: dict = {}
     out = set()
     for lt in gb.leading_monomials():
-        e = lt.degree
+        e = sum(lt)
         if e > k:
             continue
         if e not in multipliers:
-            multipliers[e] = _exponents_of_degree(ring.nvars, k - e)
-        out.update(
-            Monomial(ring, tuple(map(add, lt.exps, m))) for m in multipliers[e]
-        )
+            multipliers[e] = monomials_of_degree(ring, k - e, order)
+        out.update(tuple(map(add, lt, m)) for m in multipliers[e])
     return out

@@ -53,7 +53,7 @@ def power_check(d: int, k: int) -> bool:
     ideal = build_ideal_I(d)
     R = ring_R(d)
     basis = monomials_of_degree(R, 2 * k)
-    colindex = {m.exps: p for p, m in enumerate(basis)}
+    colindex = {m: p for p, m in enumerate(basis)}
     rows = []
     for combo in itertools.combinations_with_replacement(ideal.gens, k):
         p = combo[0]
@@ -82,13 +82,13 @@ def linear_syzygies(d: int) -> SyzygyMatrix:
     R = ring_R(d)
     lin = monomials_of_degree(R, 1)
     cubics = monomials_of_degree(R, 3)
-    colindex = {m.exps: p for p, m in enumerate(cubics)}
+    colindex = {m: p for p, m in enumerate(cubics)}
     # unknowns: (generator, linear monomial) pairs
     unknowns = [(gi, m) for gi in range(len(ideal.gens)) for m in lin]
     rows = [{} for _ in cubics]
     for uidx, (gi, m) in enumerate(unknowns):
         for t, c in ideal.gens[gi].terms.items():
-            prod = tuple(a + b for a, b in zip(m.exps, t))
+            prod = tuple(a + b for a, b in zip(m, t))
             rows[colindex[prod]][uidx] = c
     reduced = rref(rows)
     free = [c for c in range(len(unknowns)) if c not in reduced]
@@ -104,7 +104,7 @@ def linear_syzygies(d: int) -> SyzygyMatrix:
             for li, m in enumerate(lin):
                 c = vec.get(gi * len(lin) + li)
                 if c:
-                    form = form + Polynomial(R, {m.exps: c})
+                    form = form + Polynomial(R, {m: c})
             col.append(form)
         columns.append(tuple(col))
     return SyzygyMatrix(d, tuple(columns))
@@ -174,15 +174,12 @@ def integrality_witness(d: int) -> IntegralityWitness:
     W, R, U = ring_W(d), ring_R(d), ring_U(d)
     wmons = monomials_of_degree(W, 2)
     quartics = monomials_of_degree(R, 4)
-    rowindex = {m.exps: p for p, m in enumerate(quartics)}
+    rowindex = {m: p for p, m in enumerate(quartics)}
     images = []
     for m in wmons:
-        vs = m.variables()
-        if len(vs) == 1:
-            img = quadric_image(d, *vs[0].index) * quadric_image(d, *vs[0].index)
-        else:
-            img = quadric_image(d, *vs[0].index) * quadric_image(d, *vs[1].index)
-        images.append(img)
+        support = [p for p, e in enumerate(m) if e]  # one position for a square
+        a, b = (W.vars[p].index for p in (support[0], support[-1]))
+        images.append(quadric_image(d, *a) * quadric_image(d, *b))
     xd4 = tuple(4 if v.index == (d,) else 0 for v in R.vars)
     rhs = len(wmons)
     rows = [{} for _ in quartics]
@@ -196,7 +193,7 @@ def integrality_witness(d: int) -> IntegralityWitness:
     sol = {pc: prow[rhs] for pc, prow in reduced.items() if rhs in prow}
     combo = W.zero()
     for col, coeff in sorted(sol.items()):
-        combo = combo + Polynomial(W, {wmons[col].exps: coeff})
+        combo = combo + Polynomial(W, {wmons[col]: coeff})
     udd2 = U.monomial_of(uvar(d, d), uvar(d, d))
-    h = Polynomial(U, {udd2.exps: Fraction(1)}) - epsilon(combo)
+    h = Polynomial(U, {udd2: Fraction(1)}) - epsilon(combo)
     return IntegralityWitness(d, combo, h)

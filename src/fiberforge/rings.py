@@ -2,9 +2,10 @@
 
 Variables come in four flavours: ambient ``x_i``, fiber ``w_ij`` (symmetric
 pair indices, no ``w_dd``), Veronese ``u_ij`` (symmetric, ``u_dd`` present)
-and a single Rees variable ``t``.  Monomials are exponent tuples over a
-fixed ring; the graded reverse lexicographic order used throughout sorts
-pair variables ascending by (max index, min index):
+and a single Rees variable ``t``.  A monomial is a plain exponent tuple
+over a ring the caller knows, printed by ``format_monomial``; the graded
+reverse lexicographic order used throughout sorts pair variables
+ascending by (max index, min index):
 
     w_11 < w_12 < w_22 < w_13 < w_23 < w_33 < w_14 < ...
 """
@@ -125,15 +126,12 @@ class Ring:
     def one(self) -> "Polynomial":
         return Polynomial(self, {(0,) * self.nvars: Fraction(1)})
 
-    def monomial(self, exps) -> "Monomial":
-        return Monomial(self, tuple(exps))
-
-    def monomial_of(self, *variables) -> "Monomial":
-        """Monomial from a list of VariableIds (with multiplicity)."""
+    def monomial_of(self, *variables) -> tuple:
+        """The exponent tuple of a product of VariableIds (with multiplicity)."""
         exps = [0] * self.nvars
         for v in variables:
             exps[self.position(v)] += 1
-        return Monomial(self, tuple(exps))
+        return tuple(exps)
 
     def __repr__(self):
         return f"Ring({self.name}, {self.nvars} vars)"
@@ -181,59 +179,6 @@ def ring_S(d: int) -> Ring:
 def ring_Rees(d: int) -> Ring:
     """S[t], used by the Rees elimination oracle (t listed last)."""
     return Ring(f"Rees{d}", ring_S(d).vars + (tvar(),), d)
-
-
-class Monomial:
-    """An exponent tuple over a fixed ring."""
-
-    __slots__ = ("ring", "exps", "_hash")
-
-    def __init__(self, ring: Ring, exps: tuple):
-        if len(exps) != ring.nvars:
-            raise UnknownVariable("exponent tuple length does not match ring")
-        self.ring = ring
-        self.exps = exps
-        self._hash = hash((ring.name, exps))
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    @property
-    def exponents(self) -> dict:
-        return {v: e for v, e in zip(self.ring.vars, self.exps) if e}
-
-    def variables(self):
-        return [v for v, e in zip(self.ring.vars, self.exps) if e]
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.ring is not other.ring:
-            raise RingMismatch("monomials over different rings")
-        return Monomial(self.ring, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Monomial)
-            and self.ring is other.ring
-            and self.exps == other.exps
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        if not any(self.exps):
-            return "1"
-        parts = []
-        for v, e in zip(self.ring.vars, self.exps):
-            if e == 1:
-                parts.append(repr(v))
-            elif e > 1:
-                parts.append(f"{v!r}^{e}")
-        return "*".join(parts)
 
 
 @dataclass(frozen=True)
@@ -398,17 +343,17 @@ class Polynomial:
     # -- order-aware views -------------------------------------------------
 
     def sorted_terms(self, order: OrderSpec | None = None):
-        """Terms as (coefficient, Monomial), descending by the order."""
+        """Terms as (coefficient, exponent tuple), descending by the order."""
         order = order or omega_order(self.ring)
         exps = sorted(self.terms, key=order.key, reverse=True)
-        return [(self.terms[m], Monomial(self.ring, m)) for m in exps]
+        return [(self.terms[m], m) for m in exps]
 
     def leading(self, order: OrderSpec | None = None):
         if not self.terms:
             raise ZeroPolynomial("the zero polynomial has no leading term")
         order = order or omega_order(self.ring)
         m = max(self.terms, key=order.key)
-        return self.terms[m], Monomial(self.ring, m)
+        return self.terms[m], m
 
     def __repr__(self):
         return format_poly(self)
@@ -453,14 +398,21 @@ def apply_hom(f: Polynomial, hom: dict, target: Ring) -> Polynomial:
 # -- serialization ---------------------------------------------------------
 
 
-def _var_token(v: VariableId) -> str:
-    return repr(v)
-
-
 def _exp_key(v: VariableId) -> str:
     if v.kind is VarKind.T:
         return "t"
     return ",".join(str(i) for i in v.index)
+
+
+def format_monomial(ring: Ring, exps: tuple) -> str:
+    """Text form of a monomial over ``ring``: `w[i,j]^e*...`, or "1"."""
+    factors = []
+    for v, e in zip(ring.vars, exps):
+        if e == 1:
+            factors.append(repr(v))
+        elif e > 1:
+            factors.append(f"{v!r}^{e}")
+    return "*".join(factors) or "1"
 
 
 def format_poly(f: Polynomial, order: OrderSpec | None = None) -> str:
@@ -469,17 +421,11 @@ def format_poly(f: Polynomial, order: OrderSpec | None = None) -> str:
         return "0"
     parts = []
     for c, m in f.sorted_terms(order):
-        sign = "+" if c > 0 else "-"
-        factors = []
+        text = format_monomial(f.ring, m)
         a = abs(c)
-        if a != 1 or not any(m.exps):
-            factors.append(str(a))
-        for v, e in zip(f.ring.vars, m.exps):
-            if e == 1:
-                factors.append(_var_token(v))
-            elif e > 1:
-                factors.append(f"{_var_token(v)}^{e}")
-        parts.append(sign + "*".join(factors))
+        if a != 1:
+            text = f"{a}*{text}" if any(m) else str(a)
+        parts.append(("+" if c > 0 else "-") + text)
     return "".join(parts)
 
 
@@ -488,7 +434,7 @@ def poly_to_json(f: Polynomial, order: OrderSpec | None = None) -> dict:
     terms = []
     for c, m in f.sorted_terms(order):
         exp = {
-            _exp_key(v): e for v, e in zip(f.ring.vars, m.exps) if e
+            _exp_key(v): e for v, e in zip(f.ring.vars, m) if e
         }
         terms.append({"coeff": str(c), "exp": exp})
     return {"ring": f.ring.name, "terms": terms}

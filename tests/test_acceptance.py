@@ -38,8 +38,11 @@ class TestCriterion1CensusTableD4:
             census.enum_census(d, "Tmax", (i, j)).members
         )
 
+        def tau(v):
+            return (max(v.index), min(v.index))
+
         def t_row(i, j):
-            vs = sorted(census.s_set(d, i, j), key=census._vkey, reverse=True)
+            vs = sorted(census.s_set(d, i, j), key=tau, reverse=True)
             return tuple(len(census.t_set(d, (i, j), v.index)) for v in vs)
 
         ok = (
@@ -129,8 +132,8 @@ class TestCriterion3HilbertFunctions:
 class TestCriterion4InitialIdealDegree2:
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_initial_degree2_equals_census(self, d):
-        got = {m.exps for m in hilbert.initial_monomials(_lambda_gens(d), 2)}
-        want = {m.exps for m in census.census_degree2(d)}
+        got = hilbert.initial_monomials(_lambda_gens(d), 2)
+        want = census.census_degree2(d)
         _report(f"criterion-4 degree-2 initial monomials = census, d={d}",
                 got == want)
 

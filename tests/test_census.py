@@ -1,5 +1,6 @@
 """Tests for the monomial census: K sets, S sets, T partitions, G families."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,10 @@ from fiberforge.rings import ring_W, wvar
 
 def _wm(d, *pairs):
     return ring_W(d).monomial_of(*(wvar(i, j) for i, j in pairs))
+
+
+def _tau(v):
+    return (max(v.index), min(v.index))
 
 
 class TestDegree2Census:
@@ -89,6 +94,33 @@ class TestTSets:
                         total += len(part)
             assert seen == t_total(d)
             assert total == count_closed(d, "Ttotal")
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_members_match_brute_force(self, d):
+        # charge every census multiple to its tau-greatest factor pair,
+        # comparing the factors' index keys rather than ring positions
+        W = ring_W(d)
+        census = census_degree2(d)
+        want = {}
+        for m in t_total(d):
+            factors = [v for v, e in zip(W.vars, m) for _ in range(e)]
+            best = max(
+                (_tau(hi), _tau(lo), hi.index, lo.index)
+                for hi, lo in (
+                    sorted(pair, key=_tau, reverse=True)
+                    for pair in itertools.combinations(factors, 2)
+                )
+                if W.monomial_of(hi, lo) in census
+            )
+            want.setdefault(best[2:], set()).add(m)
+        got = {
+            ((i, j), v.index): t_set(d, (i, j), v.index)
+            for j in range(1, d + 1)
+            for i in range(1, j + 1)
+            if (i, j) != (d, d)
+            for v in s_set(d, i, j)
+        }
+        assert {k: v for k, v in got.items() if v} == want
 
     def test_tmax_size(self):
         assert len(enum_census(4, "Tmax", (2, 4)).members) == count_closed(

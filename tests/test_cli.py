@@ -221,6 +221,22 @@ class TestRees:
         assert r.returncode == 0
         assert hashlib.sha256(r.stdout.encode()).hexdigest()[:16] == digest
 
+    # Outputs that print monomials: the census members, the generators'
+    # leading monomials and the catalogue errata (first 16 hex digits of
+    # the sha256 of stdout).
+    @pytest.mark.parametrize("argv, digest", [
+        (("verify", "--d", "6", "--seed", "3", "--format", "json"), "f3e44cc0d7051936"),
+        (("verify", "--d", "8", "--seed", "3", "--format", "json"), "34a4664c79bc3f70"),
+        (("gens", "--d", "5", "--format", "json"), "8f54a541c22d9c82"),
+        (("verify", "--d", "4", "--check", "catalogue"), "81ee976433bf2b87"),
+        (("census", "--d", "6", "--family", "Ttotal", "--format", "json"), "c10e6ef1022b0883"),
+        (("census", "--d", "6", "--family", "G2", "--format", "json"), "22daae6712f6d2f7"),
+    ], ids=["verify-d6", "verify-d8", "gens-d5", "catalogue-d4", "Ttotal-d6", "G2-d6"])
+    def test_monomial_output_pinned(self, argv, digest):
+        r = run(*argv)
+        assert r.returncode == 0, r.stderr
+        assert hashlib.sha256(r.stdout.encode()).hexdigest()[:16] == digest
+
     def test_out_file(self, tmp_path):
         dest = tmp_path / "j.json"
         r = run("rees", "--d", "4", "--emit", "J", "--format", "json",

@@ -32,7 +32,7 @@ def _xpoly(d, *terms):
     f = R.zero()
     for coeff, idxs in terms:
         mono = R.monomial_of(*(xvar(i) for i in idxs))
-        f = f + Polynomial(R, {mono.exps: Fraction(coeff)})
+        f = f + Polynomial(R, {mono: Fraction(coeff)})
     return f
 
 

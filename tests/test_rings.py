@@ -13,11 +13,11 @@ from fiberforge.errors import (
     ZeroPolynomial,
 )
 from fiberforge.rings import (
-    Monomial,
     OrderSpec,
     Polynomial,
     apply_hom,
     elimination_order,
+    format_monomial,
     format_poly,
     omega_order,
     poly_to_json,
@@ -38,7 +38,7 @@ def wm(*pairs):
 
 
 def key(m, order=OMEGA4):
-    return order.key(m.exps)
+    return order.key(m)
 
 
 class TestVariableId:
@@ -79,6 +79,12 @@ class TestOmegaVariableOrder:
             (1, 4), (2, 4), (3, 4),
         ]
         assert [v.index for v in W4.vars] == expected
+        # every W ring is sorted by (max index, min index) with no two
+        # variables sharing that key, so the census may compare positions
+        for d in range(4, 11):
+            keys = [(max(v.index), min(v.index)) for v in ring_W(d).vars]
+            assert keys == sorted(set(keys)), d
+            assert len(keys) == d * (d + 1) // 2 - 1, d
 
 
 class TestMonomialOrder:
@@ -103,9 +109,9 @@ class TestPolynomialArithmetic:
     def test_sub_cancels_term(self):
         f = wm((1, 3), (2, 4))
         g = wm((1, 4), (2, 3))
-        p = Polynomial(W4, {f.exps: Fraction(1), g.exps: Fraction(-1)})
-        q = Polynomial(W4, {f.exps: Fraction(1)})
-        assert (p - q).terms == {g.exps: Fraction(-1)}
+        p = Polynomial(W4, {f: Fraction(1), g: Fraction(-1)})
+        q = Polynomial(W4, {f: Fraction(1)})
+        assert (p - q).terms == {g: Fraction(-1)}
 
     def test_mixed_ring_rejected(self):
         with pytest.raises(RingMismatch):
@@ -121,8 +127,8 @@ class TestLeadingTerm:
         f = Polynomial(
             W4,
             {
-                wm((2, 3), (1, 4)).exps: Fraction(-1),
-                wm((1, 2), (3, 4)).exps: Fraction(1),
+                wm((2, 3), (1, 4)): Fraction(-1),
+                wm((1, 2), (3, 4)): Fraction(1),
             },
         )
         c, m = f.leading(OMEGA4)
@@ -158,7 +164,7 @@ class TestApplyHom:
         x = [None] + [R.variable(xvar(i)) for i in range(1, 5)]
         f = wm((1, 1), (2, 2))
         g = wm((1, 2), (1, 2))
-        p = Polynomial(W4, {f.exps: Fraction(1), g.exps: Fraction(-1)})
+        p = Polynomial(W4, {f: Fraction(1), g: Fraction(-1)})
         expected = (x[1] * x[1] - x[4] * x[4]) * (x[2] * x[2] - x[4] * x[4]) - (
             x[1] * x[2] * x[1] * x[2]
         )
@@ -170,8 +176,8 @@ class TestSerialization:
         p = Polynomial(
             W4,
             {
-                wm((1, 2), (3, 4)).exps: Fraction(1),
-                wm((1, 3), (2, 4)).exps: Fraction(-2),
+                wm((1, 2), (3, 4)): Fraction(1),
+                wm((1, 3), (2, 4)): Fraction(-2),
             },
         )
         assert format_poly(p) == "-2*w[1,3]*w[2,4]+w[1,2]*w[3,4]"
@@ -185,6 +191,12 @@ class TestSerialization:
 
     def test_zero(self):
         assert format_poly(W4.zero()) == "0"
+
+    def test_monomial_text(self):
+        assert format_monomial(W4, wm((3, 4), (1, 2), (1, 2))) == "w[1,2]^2*w[3,4]"
+        assert format_monomial(W4, wm()) == "1"
+        assert format_poly(W4.one()) == "+1"
+        assert format_poly(W4.one().scale(-3) + W4.variable(wvar(1, 1))) == "+w[1,1]-3"
 
 
 def _poly_strategy(ring):
@@ -224,7 +236,7 @@ class TestProperties:
         prod = f * g
         if not prod.is_zero:
             _, mp = prod.leading(OMEGA4)
-            assert key(mp) <= key(mf * mg)
+            assert key(mp) <= key(tuple(a + b for a, b in zip(mf, mg)))
 
     @given(_poly_strategy(W4), _poly_strategy(W4))
     @settings(max_examples=40)

@@ -43,8 +43,8 @@ class TestMinor2:
     def test_value_written_order(self):
         m = minor2(M4, (1, 2), (3, 4))
         w = {e: c for e, c in m.value.terms.items()}
-        assert w[wm((1, 3), (2, 4)).exps] == 1
-        assert w[wm((1, 4), (2, 3)).exps] == -1
+        assert w[wm((1, 3), (2, 4))] == 1
+        assert w[wm((1, 4), (2, 3))] == -1
 
     def test_corner_vanishes_in_value(self):
         # [34] = w_33*w_44 - w_34^2 with w_44 = 0
