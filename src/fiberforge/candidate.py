@@ -33,7 +33,7 @@ from .rings import (
     wvar,
     xvar,
 )
-from .symmat import SymMatrix, delta, minor2, pcm_pairs, principal_minor
+from .symmat import SymMatrix, delta, minor2, pcm_pairs
 
 
 @dataclass(frozen=True)
@@ -45,32 +45,31 @@ class GeneratorRecord:
     leading: tuple  # exponents over ring_W(d)
 
 
-def _sign_normalized(f: Polynomial) -> Polynomial:
-    c, _ = f.leading()
-    return -f if c < 0 else f
-
-
 def _record(part, indices, provenance, value) -> GeneratorRecord:
-    value = _sign_normalized(value)
-    _, lead = value.leading()
-    return GeneratorRecord(part, indices, provenance, value, lead)
+    """The generator with a positive leading coefficient."""
+    c, lead = value.leading()
+    return GeneratorRecord(part, indices, provenance, -value if c < 0 else value, lead)
 
 
-def generators_lambda(d: int, part="all") -> list:
-    """Degree-2 generators of the candidate ideal, deterministic order."""
+def generators_lambda(d: int, part="all") -> tuple:
+    """Degree-2 generators of the candidate ideal, deterministic order.
+
+    Built once per (d, part) and process, however ``part`` is passed; a
+    tuple, so callers copy before they reorder."""
+    return _generators(d, part)
+
+
+@lru_cache(maxsize=None)
+def _generators(d: int, part) -> tuple:
     if d < 4:
         raise DimensionTooSmall(f"need d >= 4, got {d}")
     if part not in (0, 1, 2, "all"):
         raise BadParams(f"part must be 0, 1, 2 or 'all', got {part!r}")
+    builders = (_part0, _part1, _part2)
+    if part != "all":
+        builders = (builders[part],)
     mat = SymMatrix(d, VarKind.W)
-    records = []
-    if part in (0, "all"):
-        records.extend(_part0(mat))
-    if part in (1, "all"):
-        records.extend(_part1(mat))
-    if part in (2, "all"):
-        records.extend(_part2(mat))
-    return records
+    return tuple(record for build in builders for record in build(mat))
 
 
 def _part0(mat: SymMatrix) -> list:
@@ -84,23 +83,34 @@ def _part0(mat: SymMatrix) -> list:
 
 
 def _part1(mat: SymMatrix) -> list:
+    """m - (-1)^(delta m + delta n) n for each A1 minor m = [rows|cols] inside
+    a four-set P, with n = [crows|ccols] on the complements in P.
+
+    The selections (rows, cols), (cols, rows), (crows, ccols) and
+    (ccols, crows) give one generator up to sign: the matrix is symmetric,
+    so transposing both minors changes neither value nor delta, and
+    swapping m with n multiplies the difference by -(-1)^(delta m + delta n).
+    Their first components are four distinct pairs: a pair is not its
+    complement, and rows and cols share exactly one index, which lies in
+    neither complement.  The loop meets selections in lexicographic order,
+    so the first of the four is the one with the least first component:
+    (rows, cols) is kept exactly when rows < min(cols, crows, ccols), and
+    the other three are never built.
+    """
     out = []
-    seen = set()
     for P in itertools.combinations(range(1, mat.d + 1), 4):
         for rows in itertools.combinations(P, 2):
+            crows = tuple(x for x in P if x not in rows)
             for cols in itertools.combinations(P, 2):
                 if len(set(rows) & set(cols)) != 1:
                     continue
+                ccols = tuple(x for x in P if x not in cols)
+                if rows > min(cols, crows, ccols):
+                    continue
                 m = minor2(mat, rows, cols)
-                crows = tuple(sorted(set(P) - set(rows)))
-                ccols = tuple(sorted(set(P) - set(cols)))
                 n = minor2(mat, crows, ccols)
                 sign = (-1) ** (delta(m) + delta(n))
                 value = m.value - n.value.scale(sign)
-                key = frozenset(_sign_normalized(value).terms.items())
-                if key in seen:
-                    continue
-                seen.add(key)
                 out.append(
                     _record(1, P, f"{m.bracket()} ~ {n.bracket()}", value)
                 )
@@ -108,17 +118,16 @@ def _part1(mat: SymMatrix) -> list:
 
 
 def _part2(mat: SymMatrix) -> list:
+    """(m1 + n1) - (m2 + n2) for each two of the three splittings of a
+    four-set into two principal minors.  No two coincide, even up to sign:
+    the w_ab^2 terms of [a b] = w_aa w_bb - w_ab^2 never cancel, and they
+    name the four-set and both splittings."""
     out = []
-    seen = set()
     for P in itertools.combinations(range(1, mat.d + 1), 4):
         for pcm in pcm_pairs(P, mat):
             m1, n1 = pcm.pair1
             m2, n2 = pcm.pair2
             value = (m1.value + n1.value) - (m2.value + n2.value)
-            key = frozenset(_sign_normalized(value).terms.items())
-            if key in seen:
-                continue
-            seen.add(key)
             prov = (
                 f"({m1.bracket()}+{n1.bracket()})-({m2.bracket()}+{n2.bracket()})"
             )
@@ -206,6 +215,19 @@ def minor_ideal_U(d: int) -> list:
 
 
 # -- named generator catalogue ------------------------------------------------
+#
+# One table, key -> (parameter domain, expansion).  A domain maps d to the
+# parameter tuples the key takes, in catalogue order.
+#
+# A quadric (f, g, h) lives on the principal submatrix [1 2 i j], with
+# 3 <= i < j <= d.  Its expansion is written by position 1..4 in [1 2 i j]:
+# brackets (sign, rows, cols), and the claimed leading pairs.  Each bracket
+# also carries its positional sign (-1)^(sum of positions) inside the
+# submatrix, so a principal minor [a b] carries +1.
+#
+# A cubic (G) maps (d, *params) to its terms (sign, w pair, quadric,
+# ambient), meaning sign * w_pair * (the quadric on the principal submatrix
+# [ambient]), and its claimed leading pairs.
 
 
 @dataclass(frozen=True)
@@ -216,230 +238,148 @@ class CatalogEntry:
     claimed_leading: tuple  # exponents over ring_W(d)
 
 
-def _signed_bracket(mat: SymMatrix, ambient, rows, cols) -> Polynomial:
-    """Minor with the positional sign it carries inside [ambient;]."""
-    pos = {idx: p + 1 for p, idx in enumerate(sorted(ambient))}
-    sign = (-1) ** (
-        pos[rows[0]] + pos[rows[1]] + pos[cols[0]] + pos[cols[1]]
-    )
-    return minor2(mat, rows, cols).value.scale(sign)
+def _no_params(d):
+    return [()]
 
 
-def _wmono(d, *pairs) -> tuple:
-    return ring_W(d).monomial_of(*(wvar(i, j) for i, j in pairs))
+def _pairs_from(lo):
+    """The pairs lo <= i < j <= d."""
+    return lambda d: list(itertools.combinations(range(lo, d + 1), 2))
 
 
-def _require(cond, key, params):
-    if not cond:
-        raise BadParams(f"invalid parameters {params} for catalogue key {key}")
+def _above_3(d):
+    return [(j,) for j in range(4, d + 1)]
 
 
-def _base_entry(mat: SymMatrix, key: str, i: int, j: int):
-    """The f/g/h families over the principal submatrix on {1,2,i,j}."""
-    d = mat.d
-    amb = (1, 2, i, j)
-
-    def br(rows, cols):
-        return _signed_bracket(mat, amb, rows, cols)
-
-    if key == "f1":
-        return br((1, 2), (i, j)), _wmono(d, (1, i), (2, j))
-    if key == "f2":
-        return br((1, i), (2, j)), _wmono(d, (2, i), (1, j))
-    if key == "f3":
-        return br((1, j), (2, i)), _wmono(d, (1, i), (2, j))
-    if key == "g1":
-        return br((2, i), (2, j)) - br((1, j), (1, i)), _wmono(d, (2, i), (2, j))
-    if key == "g2":
-        return br((i, j), (2, i)) + br((1, 2), (1, j)), _wmono(d, (i, i), (2, j))
-    if key == "g3":
-        return br((i, j), (2, j)) - br((1, 2), (1, i)), _wmono(d, (2, j), (i, j))
-    if key == "g4":
-        return br((i, j), (1, i)) - br((1, 2), (2, j)), _wmono(d, (i, i), (1, j))
-    if key == "g5":
-        return br((1, 2), (2, i)) + br((i, j), (1, j)), _wmono(d, (1, j), (i, j))
-    if key == "g6":
-        return br((2, j), (1, j)) - br((1, i), (2, i)), _wmono(d, (1, j), (2, j))
-
-    def pm(a, b):
-        return principal_minor(mat, a, b).value
-
-    if key == "h1":
-        return (pm(1, j) + pm(2, i)) - (pm(1, 2) + pm(i, j)), _wmono(d, (i, j), (i, j))
-    if key == "h2":
-        return (pm(1, j) + pm(2, i)) - (pm(1, i) + pm(2, j)), _wmono(d, (2, j), (2, j))
-    raise BadParams(f"unknown catalogue key {key}")
+def _below_d(d):
+    return [(i,) for i in range(3, d)]
 
 
-_BASE_KEYS = ("f1", "f2", "f3", "g1", "g2", "g3", "g4", "g5", "g6", "h1", "h2")
+def _g2f1_params(d):
+    """The triples 3 <= i <= j < k <= d."""
+    return [
+        (i, j, k)
+        for i, j in itertools.combinations_with_replacement(range(3, d + 1), 2)
+        for k in range(j + 1, d + 1)
+    ]
+
+
+_CATALOGUE = {
+    "f1": (_pairs_from(3), ([(1, (1, 2), (3, 4))], [(1, 3), (2, 4)])),
+    "f2": (_pairs_from(3), ([(1, (1, 3), (2, 4))], [(2, 3), (1, 4)])),
+    "f3": (_pairs_from(3), ([(1, (1, 4), (2, 3))], [(1, 3), (2, 4)])),
+    "g1": (_pairs_from(3), ([(1, (2, 3), (2, 4)), (-1, (1, 4), (1, 3))], [(2, 3), (2, 4)])),
+    "g2": (_pairs_from(3), ([(1, (3, 4), (2, 3)), (1, (1, 2), (1, 4))], [(3, 3), (2, 4)])),
+    "g3": (_pairs_from(3), ([(1, (3, 4), (2, 4)), (-1, (1, 2), (1, 3))], [(2, 4), (3, 4)])),
+    "g4": (_pairs_from(3), ([(1, (3, 4), (1, 3)), (-1, (1, 2), (2, 4))], [(3, 3), (1, 4)])),
+    "g5": (_pairs_from(3), ([(1, (1, 2), (2, 3)), (1, (3, 4), (1, 4))], [(1, 4), (3, 4)])),
+    "g6": (_pairs_from(3), ([(1, (2, 4), (1, 4)), (-1, (1, 3), (2, 3))], [(1, 4), (2, 4)])),
+    "h1": (_pairs_from(3), ([(1, (1, 4), (1, 4)), (1, (2, 3), (2, 3)),
+                             (-1, (1, 2), (1, 2)), (-1, (3, 4), (3, 4))], [(3, 4), (3, 4)])),
+    "h2": (_pairs_from(3), ([(1, (1, 4), (1, 4)), (1, (2, 3), (2, 3)),
+                             (-1, (1, 3), (1, 3)), (-1, (2, 4), (2, 4))], [(2, 4), (2, 4)])),
+    "G1.F1": (_no_params, lambda d: (
+        [(-1, (2, d), "f2", (1, 2, 3, d)), (-1, (2, 3), "g6", (1, 2, 3, d))],
+        [(1, 3), (2, 3), (2, 3)])),
+    "G1.F2": (_no_params, lambda d: (
+        [(-1, (1, d), "f3", (1, 2, 3, d)), (-1, (1, 3), "g6", (1, 2, 3, d))],
+        [(1, 3), (1, 3), (2, 3)])),
+    "G1.F3": (_no_params, lambda d: (
+        [(1, (3, d), "f2", (1, 2, 3, d)), (-1, (2, 3), "g5", (1, 2, 3, d))],
+        [(2, 2), (1, 3), (2, 3)])),
+    "G1.F4": (_no_params, lambda d: (
+        [(1, (1, d), "f2", (1, 2, 3, d)), (1, (2, d), "g1", (1, 2, 3, d)),
+         (-1, (2, 3), "h2", (1, 2, 3, d))],
+        [(2, 3), (2, 3), (2, 3)])),
+    "G1.F5": (_no_params, lambda d: (
+        [(1, (3, d), "f3", (1, 2, 3, d)), (1, (1, 3), "g3", (1, 2, 3, d)),
+         (-1, (1, 2), "h1", (1, 2, 3, d))],
+        [(1, 2), (1, d), (1, d)])),
+    "G1.F6": (_no_params, lambda d: (
+        [(-1, (3, d), "g1", (1, 2, 3, d)), (1, (2, 3), "g3", (1, 2, 3, d)),
+         (1, (1, 3), "g5", (1, 2, 3, d)), (-1, (2, 2), "h1", (1, 2, 3, d))],
+        [(2, 2), (1, d), (1, d)])),
+    "G2.F1": (_g2f1_params, lambda d, i, j, k: (
+        [(1, (2, j), "f3", (1, 2, i, k)), (-1, (1, i), "g1", (1, 2, j, k))],
+        [(1, i), (1, j), (1, k)])),
+    "G2.F2": (_pairs_from(3), lambda d, i, j: (
+        [(-1, (2, j), "f3", (1, 2, i, j)), (-1, (1, i), "h2", (1, 2, i, j))],
+        [(1, i), (1, j), (1, j)])),
+    "G2.F3": (_above_3, lambda d, j: (
+        [(1, (2, j), "g6", (1, 2, 3, j)), (-1, (1, j), "h2", (1, 2, 3, j))],
+        [(1, j), (1, j), (1, j)])),
+    "G2.F4": (_no_params, lambda d: (
+        [(-1, (2, d), "f1", (1, 2, 3, d)), (-1, (2, d), "f2", (1, 2, 3, d)),
+         (-1, (1, d), "g1", (1, 2, 3, d)), (-1, (2, 3), "g6", (1, 2, 3, d)),
+         (1, (1, 3), "h2", (1, 2, 3, d))],
+        [(1, 3), (1, 3), (1, 3)])),
+    "G3.F1": (_pairs_from(4), lambda d, i, j: (
+        [(1, (1, 3), "f3", (2, 3, i, j)), (-1, (3, j), "f3", (1, 2, 3, i))],
+        [(1, 3), (2, 3), (i, j)])),
+    "G3.F2": (_above_3, lambda d, j: (
+        [(-1, (3, 3), "f3", (1, 2, 3, j)), (1, (1, 3), "g2", (1, 2, 3, j))],
+        [(1, 3), (2, 3), (3, j)])),
+    "G3.F3": (_below_d, lambda d, i: (
+        [(1, (1, i), "g3", (1, 2, i, d)), (1, (2, d), "g4", (1, 2, i, d)),
+         (-1, (i, i), "g6", (1, 2, 3, d))],
+        [(1, 3), (2, 3), (i, i)])),
+    "G4.F1": (_pairs_from(4), lambda d, i, j: (
+        [(1, (2, 3), "f2", (2, 3, i, j)), (1, (3, i), "g1", (1, 2, 3, j))],
+        [(2, 3), (2, 3), (i, j)])),
+    "G4.F2": (_above_3, lambda d, j: (
+        [(1, (3, 3), "g1", (1, 2, 3, j)), (1, (2, 3), "g2", (1, 2, 3, j))],
+        [(2, 3), (2, 3), (3, j)])),
+    "G4.F3": (_below_d, lambda d, i: (
+        [(-1, (2, d), "g2", (1, 2, i, d)), (1, (2, i), "g3", (1, 2, i, d)),
+         (-1, (1, d), "g4", (1, 2, i, d)), (1, (1, i), "g5", (1, 2, i, d)),
+         (-1, (i, i), "h2", (1, 2, 3, d))],
+        [(2, 3), (2, 3), (i, i)])),
+}
+
+
+def _quadric(mat: SymMatrix, key: str, ambient: tuple) -> Polynomial:
+    """The quadric ``key`` on the principal submatrix [ambient] (increasing)."""
+    brackets, _ = _CATALOGUE[key][1]
+    value = mat.ring.zero()
+    for sign, rows, cols in brackets:
+        sign *= (-1) ** sum(rows + cols)
+        rows, cols = (tuple(ambient[p - 1] for p in ps) for ps in (rows, cols))
+        value = value + minor2(mat, rows, cols).value.scale(sign)
+    return value
 
 
 def named_generator(key: str, params: tuple, d: int) -> CatalogEntry:
     """Machine expansion of a catalogue element plus its claimed leading."""
     if d < 4:
         raise DimensionTooSmall(f"need d >= 4, got {d}")
-    mat = SymMatrix(d, VarKind.W)
+    if key not in _CATALOGUE:
+        raise BadParams(f"unknown catalogue key {key}")
+    domain, expansion = _CATALOGUE[key]
     params = tuple(params)
-
-    if key in _BASE_KEYS:
-        _require(len(params) == 2, key, params)
-        i, j = params
-        _require(3 <= i < j <= d, key, params)
-        value, lead = _base_entry(mat, key, i, j)
-        return CatalogEntry(key, params, value, lead)
-
-    W = ring_W(d)
-
-    def wv(a, b):
-        return W.variable(wvar(a, b))
-
-    def base(k, i, j):
-        return _base_entry(mat, k, i, j)[0]
-
-    if key.startswith("G1."):
-        _require(params == (), key, params)
-        f2 = base("f2", 3, d)
-        f3 = base("f3", 3, d)
-        g1 = base("g1", 3, d)
-        g3 = base("g3", 3, d)
-        g5 = base("g5", 3, d)
-        g6 = base("g6", 3, d)
-        h1 = base("h1", 3, d)
-        h2 = base("h2", 3, d)
-        table = {
-            "G1.F1": (-wv(2, d) * f2 - wv(2, 3) * g6, ((1, 3), (2, 3), (2, 3))),
-            "G1.F2": (-wv(1, d) * f3 - wv(1, 3) * g6, ((1, 3), (1, 3), (2, 3))),
-            "G1.F3": (wv(3, d) * f2 - wv(2, 3) * g5, ((2, 2), (1, 3), (2, 3))),
-            "G1.F4": (
-                wv(1, d) * f2 + wv(2, d) * g1 - wv(2, 3) * h2,
-                ((2, 3), (2, 3), (2, 3)),
-            ),
-            "G1.F5": (
-                wv(3, d) * f3 + wv(1, 3) * g3 - wv(1, 2) * h1,
-                ((1, 2), (1, d), (1, d)),
-            ),
-            "G1.F6": (
-                -wv(3, d) * g1 + wv(2, 3) * g3 + wv(1, 3) * g5 - wv(2, 2) * h1,
-                ((2, 2), (1, d), (1, d)),
-            ),
-        }
-        if key not in table:
-            raise BadParams(f"unknown catalogue key {key}")
-        value, lead_pairs = table[key]
-        return CatalogEntry(key, params, value, _wmono(d, *lead_pairs))
-
-    if key == "G2.F1":
-        _require(len(params) == 3, key, params)
-        i, j, k = params
-        _require(3 <= i <= j < k <= d, key, params)
-        value = wv(2, j) * base("f3", i, k) - wv(1, i) * base("g1", j, k)
-        return CatalogEntry(key, params, value, _wmono(d, (1, i), (1, j), (1, k)))
-    if key == "G2.F2":
-        _require(len(params) == 2, key, params)
-        i, j = params
-        _require(3 <= i < j <= d, key, params)
-        value = -wv(2, j) * base("f3", i, j) - wv(1, i) * base("h2", i, j)
-        return CatalogEntry(key, params, value, _wmono(d, (1, i), (1, j), (1, j)))
-    if key == "G2.F3":
-        _require(len(params) == 1, key, params)
-        (j,) = params
-        _require(3 < j <= d, key, params)
-        value = wv(2, j) * base("g6", 3, j) - wv(1, j) * base("h2", 3, j)
-        return CatalogEntry(key, params, value, _wmono(d, (1, j), (1, j), (1, j)))
-    if key == "G2.F4":
-        _require(params == (), key, params)
-        value = (
-            -wv(2, d) * base("f1", 3, d)
-            - wv(2, d) * base("f2", 3, d)
-            - wv(1, d) * base("g1", 3, d)
-            - wv(2, 3) * base("g6", 3, d)
-            + wv(1, 3) * base("h2", 3, d)
-        )
-        return CatalogEntry(key, params, value, _wmono(d, (1, 3), (1, 3), (1, 3)))
-
-    if key == "G3.F1":
-        _require(len(params) == 2, key, params)
-        i, j = params
-        _require(3 < i < j <= d, key, params)
-        extra = _signed_bracket(mat, (2, 3, i, j), (2, j), (3, i))
-        value = wv(1, 3) * extra - wv(3, j) * base("f3", 3, i)
-        return CatalogEntry(key, params, value, _wmono(d, (1, 3), (2, 3), (i, j)))
-    if key == "G3.F2":
-        _require(len(params) == 1, key, params)
-        (j,) = params
-        _require(3 < j <= d, key, params)
-        value = -wv(3, 3) * base("f3", 3, j) + wv(1, 3) * base("g2", 3, j)
-        return CatalogEntry(key, params, value, _wmono(d, (1, 3), (2, 3), (3, j)))
-    if key == "G3.F3":
-        _require(len(params) == 1, key, params)
-        (i,) = params
-        _require(3 <= i < d, key, params)
-        value = (
-            wv(1, i) * base("g3", i, d)
-            + wv(2, d) * base("g4", i, d)
-            - wv(i, i) * base("g6", 3, d)
-        )
-        return CatalogEntry(key, params, value, _wmono(d, (1, 3), (2, 3), (i, i)))
-
-    if key == "G4.F1":
-        _require(len(params) == 2, key, params)
-        i, j = params
-        _require(3 < i < j <= d, key, params)
-        extra = _signed_bracket(mat, (2, 3, i, j), (2, i), (3, j))
-        value = wv(2, 3) * extra + wv(3, i) * base("g1", 3, j)
-        return CatalogEntry(key, params, value, _wmono(d, (2, 3), (2, 3), (i, j)))
-    if key == "G4.F2":
-        _require(len(params) == 1, key, params)
-        (j,) = params
-        _require(3 < j <= d, key, params)
-        value = wv(3, 3) * base("g1", 3, j) + wv(2, 3) * base("g2", 3, j)
-        return CatalogEntry(key, params, value, _wmono(d, (2, 3), (2, 3), (3, j)))
-    if key == "G4.F3":
-        _require(len(params) == 1, key, params)
-        (i,) = params
-        _require(3 <= i < d, key, params)
-        value = (
-            -wv(2, d) * base("g2", i, d)
-            + wv(2, i) * base("g3", i, d)
-            - wv(1, d) * base("g4", i, d)
-            + wv(1, i) * base("g5", i, d)
-            - wv(i, i) * base("h2", 3, d)
-        )
-        return CatalogEntry(key, params, value, _wmono(d, (2, 3), (2, 3), (i, i)))
-
-    raise BadParams(f"unknown catalogue key {key}")
+    if params not in domain(d):
+        raise BadParams(f"invalid parameters {params} for catalogue key {key}")
+    mat = SymMatrix(d, VarKind.W)
+    W = mat.ring
+    if callable(expansion):  # a cubic
+        terms, lead = expansion(d, *params)
+        value = W.zero()
+        for sign, (a, b), quadric, ambient in terms:
+            term = W.variable(wvar(a, b)) * _quadric(mat, quadric, ambient)
+            value = value + term.scale(sign)
+    else:
+        ambient = (1, 2, *params)
+        value = _quadric(mat, key, ambient)
+        lead = [(ambient[a - 1], ambient[b - 1]) for a, b in expansion[1]]
+    return CatalogEntry(key, params, value, W.monomial_of(*(wvar(a, b) for a, b in lead)))
 
 
 def catalogue_entries(d: int) -> list:
     """Every catalogue element valid at dimension d, deterministic order."""
-    entries = []
-    for key in _BASE_KEYS:
-        for i in range(3, d):
-            for j in range(i + 1, d + 1):
-                entries.append(named_generator(key, (i, j), d))
-    for n in range(1, 7):
-        entries.append(named_generator(f"G1.F{n}", (), d))
-    for i in range(3, d + 1):
-        for j in range(i, d + 1):
-            for k in range(j + 1, d + 1):
-                entries.append(named_generator("G2.F1", (i, j, k), d))
-    for i in range(3, d):
-        for j in range(i + 1, d + 1):
-            entries.append(named_generator("G2.F2", (i, j), d))
-    for j in range(4, d + 1):
-        entries.append(named_generator("G2.F3", (j,), d))
-    entries.append(named_generator("G2.F4", (), d))
-    for i in range(4, d):
-        for j in range(i + 1, d + 1):
-            entries.append(named_generator("G3.F1", (i, j), d))
-            entries.append(named_generator("G4.F1", (i, j), d))
-    for j in range(4, d + 1):
-        entries.append(named_generator("G3.F2", (j,), d))
-        entries.append(named_generator("G4.F2", (j,), d))
-    for i in range(3, d):
-        entries.append(named_generator("G3.F3", (i,), d))
-        entries.append(named_generator("G4.F3", (i,), d))
-    return entries
+    return [
+        named_generator(key, params, d)
+        for key, (domain, _) in _CATALOGUE.items()
+        for params in domain(d)
+    ]
 
 
 # the two systematic print defects in the source catalogue, kept explicit

@@ -169,9 +169,6 @@ def _g34(d, prefix):
     return out
 
 
-_FAMILIES = ("K0", "K1", "K2", "S", "Tkl", "Tmax", "Ttotal", "G1", "G2", "G3", "G4")
-
-
 def enum_census(d: int, family: str, params: tuple = ()) -> CensusSet:
     """Enumerate one census family; see count_closed for expected sizes."""
     if d < 4:

@@ -189,7 +189,7 @@ def _int_pair(text: str) -> tuple:
 
 def _parse_params(family: str, raw: str | None):
     """``--params`` as the census wants it: an index pair for S and Tmax,
-    two pairs for Tkl; BadParams if it does not parse."""
+    two pairs for Tkl, none for the other families; BadParams otherwise."""
     raw = raw or ""
     try:
         if family == "Tkl":
@@ -197,9 +197,11 @@ def _parse_params(family: str, raw: str | None):
             return _int_pair(ij), _int_pair(kl)
         if family in ("S", "Tmax"):
             return _int_pair(raw)
-        return tuple(int(x) for x in raw.split(",")) if raw else ()
     except ValueError:
         raise BadParams(f"malformed --params {raw!r} for family {family}") from None
+    if raw:
+        raise BadParams(f"family {family} takes no --params, got {raw!r}")
+    return ()
 
 
 def cmd_census(args) -> int:

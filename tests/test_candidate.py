@@ -1,5 +1,8 @@
 """Tests for the candidate-ideal generators and the named catalogue."""
 
+import itertools
+from math import comb
+
 import pytest
 from fractions import Fraction
 
@@ -54,6 +57,23 @@ class TestGeneratorCounts:
 
     def test_counts_grow_with_d(self):
         assert len(generators_lambda(5, "all")) > len(generators_lambda(4, "all"))
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_part_sizes_and_distinct_up_to_sign(self, d):
+        sizes = [len(generators_lambda(d, part)) for part in (0, 1, 2)]
+        assert sizes == [3 * comb(d, 4), 6 * comb(d, 4), 3 * comb(d, 4)]
+        seen = set()
+        for rec in generators_lambda(d):
+            assert rec.value not in seen and -rec.value not in seen, rec.provenance
+            seen.add(rec.value)
+        assert len(seen) == sum(sizes)
+
+    def test_built_once_as_a_tuple(self):
+        gens = generators_lambda(5)
+        assert isinstance(gens, tuple)
+        assert generators_lambda(5) is gens
+        assert generators_lambda(5, "all") is gens
+        assert generators_lambda(d=5, part="all") is gens
 
 
 class TestGeneratorValues:
@@ -132,6 +152,26 @@ class TestCatalogue:
             named_generator("G2.F1", (2, 3, 4), 5)
         with pytest.raises(BadParams):
             named_generator("G3.F1", (3, 4), 5)
+        with pytest.raises(BadParams):
+            named_generator("G5.F1", (), 5)
+        # A key takes a tuple exactly when the catalogue lists it.
+        keys = (
+            [f"{f}{n}" for f, top in (("f", 3), ("g", 6), ("h", 2)) for n in range(1, top + 1)]
+            + [f"G{g}.F{n}" for g, top in ((1, 6), (2, 4), (3, 3), (4, 3))
+               for n in range(1, top + 1)]
+        )
+        for d in (5, 6):
+            listed = {(e.key, e.params) for e in catalogue_entries(d)}
+            assert {key for key, _ in listed} == set(keys)
+            for key in keys:
+                for size in range(4):
+                    for params in itertools.product(range(d + 2), repeat=size):
+                        try:
+                            named_generator(key, params, d)
+                            accepted = True
+                        except BadParams:
+                            accepted = False
+                        assert accepted == ((key, params) in listed), (d, key, params)
 
     def test_catalogue_deterministic(self):
         a = catalogue_entries(5)

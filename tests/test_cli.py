@@ -10,8 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from fiberforge import cli, groebner, rees
+from fiberforge import candidate, cli, groebner, rees
 from fiberforge.errors import BudgetExceeded
+from fiberforge.rings import poly_to_json
 
 CMD = [sys.executable, "-m", "fiberforge"]
 
@@ -162,8 +163,9 @@ class TestCensus:
 
     def test_bad_params(self):
         # out of range, a single index for S, a Tkl without ':', not integers
+        # and --params for a family that takes none
         for family, params in (("S", "9,9"), ("S", "3"), ("Tkl", "2,4"),
-                               ("S", "x,y")):
+                               ("S", "x,y"), ("K0", "1,2")):
             r = run("census", "--d", "4", "--family", family, "--params", params)
             assert r.returncode == 2, (family, params, r.stderr)
             assert "Traceback" not in r.stderr
@@ -227,15 +229,38 @@ class TestRees:
     @pytest.mark.parametrize("argv, digest", [
         (("verify", "--d", "6", "--seed", "3", "--format", "json"), "f3e44cc0d7051936"),
         (("verify", "--d", "8", "--seed", "3", "--format", "json"), "34a4664c79bc3f70"),
+        (("gens", "--d", "4", "--format", "json"), "7e3b7409d0cc66ba"),
         (("gens", "--d", "5", "--format", "json"), "8f54a541c22d9c82"),
+        (("gens", "--d", "6", "--format", "json"), "2d6994c1bc46afae"),
+        (("gens", "--d", "8", "--format", "json"), "18f51defb4f813c3"),
         (("verify", "--d", "4", "--check", "catalogue"), "81ee976433bf2b87"),
         (("census", "--d", "6", "--family", "Ttotal", "--format", "json"), "c10e6ef1022b0883"),
         (("census", "--d", "6", "--family", "G2", "--format", "json"), "22daae6712f6d2f7"),
-    ], ids=["verify-d6", "verify-d8", "gens-d5", "catalogue-d4", "Ttotal-d6", "G2-d6"])
+    ], ids=["verify-d6", "verify-d8", "gens-d4", "gens-d5", "gens-d6", "gens-d8",
+            "catalogue-d4", "Ttotal-d6", "G2-d6"])
     def test_monomial_output_pinned(self, argv, digest):
         r = run(*argv)
         assert r.returncode == 0, r.stderr
         assert hashlib.sha256(r.stdout.encode()).hexdigest()[:16] == digest
+
+    # Every catalogue entry's key, parameters, expansion and claimed lead,
+    # whatever order the catalogue lists them in (first 16 hex digits of the
+    # sha256 of the sorted JSON lines).
+    @pytest.mark.parametrize("d, digest", [
+        (4, "5e1e21bdcb547c47"),
+        (5, "7b8d4000e566e6a9"),
+        (6, "fc1205047c0f3c75"),
+        (7, "dba94de329f918ff"),
+        (8, "95ce149ec962afc9"),
+    ])
+    def test_catalogue_contents_pinned(self, d, digest):
+        lines = sorted(
+            json.dumps([e.key, list(e.params), poly_to_json(e.value),
+                        list(e.claimed_leading)])
+            for e in candidate.catalogue_entries(d)
+        )
+        text = "\n".join(lines)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_out_file(self, tmp_path):
         dest = tmp_path / "j.json"
