@@ -373,13 +373,17 @@ def named_generator(key: str, params: tuple, d: int) -> CatalogEntry:
     return CatalogEntry(key, params, value, W.monomial_of(*(wvar(a, b) for a, b in lead)))
 
 
-def catalogue_entries(d: int) -> list:
-    """Every catalogue element valid at dimension d, deterministic order."""
-    return [
+@lru_cache(maxsize=None)
+def catalogue_entries(d: int) -> tuple:
+    """Every catalogue element valid at dimension d, deterministic order.
+
+    Built once per d and process, as ``generators_lambda`` is; a tuple,
+    so callers copy before they reorder."""
+    return tuple(
         named_generator(key, params, d)
         for key, (domain, _) in _CATALOGUE.items()
         for params in domain(d)
-    ]
+    )
 
 
 # the two systematic print defects in the source catalogue, kept explicit

@@ -47,10 +47,12 @@ Order data is computed once.  The engine keeps these invariants:
   ``int`` and ``Fraction`` operations are exact and promote to
   ``Fraction`` when mixed, ``n == Fraction(n)`` and both hash alike,
   so dict lookups, zero tests and comparisons of terms are unchanged;
-  only the cost of integral arithmetic falls.  ``normal_form`` of a
-  polynomial with ``Fraction`` coefficients returns ``Fraction``s: a
-  value enters its work dict as an input coefficient or as -c*b or
-  acc - c*b for a popped coefficient c, which is a ``Fraction``.
+  only the cost of integral arithmetic falls.  ``normal_form`` returns
+  exact coefficients whatever its input holds (``rings`` builds ``int``
+  ones); for a polynomial with ``Fraction`` coefficients they are
+  ``Fraction``s: a value enters its work dict as an input coefficient or
+  as -c*b or acc - c*b for a popped coefficient c, which is a
+  ``Fraction``.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .candidate import epsilon, generators_lambda, quadric_image
@@ -94,7 +93,7 @@ def linear_syzygies(d: int) -> SyzygyMatrix:
     free = [c for c in range(len(unknowns)) if c not in reduced]
     columns = []
     for fc in free:
-        vec = {fc: Fraction(1)}
+        vec = {fc: 1}
         for pc, prow in reduced.items():
             if fc in prow:
                 vec[pc] = -prow[fc]
@@ -186,7 +185,7 @@ def integrality_witness(d: int) -> IntegralityWitness:
     for col, img in enumerate(images):
         for t, c in img.terms.items():
             rows[rowindex[t]][col] = c
-    rows[rowindex[xd4]][rhs] = Fraction(1)
+    rows[rowindex[xd4]][rhs] = 1
     reduced = rref(rows)
     if rhs in reduced:
         raise ArithmeticError("x_d^4 is not in the span of the quadric products")
@@ -195,5 +194,5 @@ def integrality_witness(d: int) -> IntegralityWitness:
     for col, coeff in sorted(sol.items()):
         combo = combo + Polynomial(W, {wmons[col]: coeff})
     udd2 = U.monomial_of(uvar(d, d), uvar(d, d))
-    h = Polynomial(U, {udd2: Fraction(1)}) - epsilon(combo)
+    h = Polynomial(U, {udd2: 1}) - epsilon(combo)
     return IntegralityWitness(d, combo, h)

@@ -8,6 +8,26 @@ reverse lexicographic order used throughout sorts pair variables
 ascending by (max index, min index):
 
     w_11 < w_12 < w_22 < w_13 < w_23 < w_33 < w_14 < ...
+
+Coefficients are exact rationals: an ``int``, or a ``Fraction`` where the
+value is not integral.  ``Ring.variable`` and ``Ring.one`` store the int 1
+and ``Polynomial.scale`` keeps an int factor an int, so every polynomial
+built from variables, minors and quadric images has int coefficients; a
+``Fraction`` appears only where a caller forms a true quotient
+(``hilbert.rref``, the monic elements of a Groebner basis).  Mixing the
+two types is sound:
+
+- ``int`` and ``Fraction`` arithmetic are both exact, and an operation
+  on one of each promotes to ``Fraction``;
+- ``n == Fraction(n)`` and both hash alike, so ``Polynomial.__eq__``,
+  ``__hash__`` and dict lookups are the same whichever type a
+  coefficient has;
+- ``str(n) == str(Fraction(n))``, so text and JSON output are
+  byte-identical either way;
+- no code in the package applies ``/`` to a coefficient except
+  ``Fraction(1, 1) / c`` in ``groebner._reducer`` (a test walks the
+  source and checks that every ``/`` has a ``Fraction(...)`` call on its
+  left), so no quotient of two ints is ever a ``float``.
 """
 
 from __future__ import annotations
@@ -16,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import (
     BadIndex,
@@ -118,13 +138,13 @@ class Ring:
         p = self.position(v)
         exps = [0] * self.nvars
         exps[p] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial(self, {tuple(exps): 1})
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: Fraction(1)})
+        return Polynomial(self, {(0,) * self.nvars: 1})
 
     def monomial_of(self, *variables) -> tuple:
         """The exponent tuple of a product of VariableIds (with multiplicity)."""
@@ -256,10 +276,12 @@ def elimination_order(ring: Ring, eliminated: frozenset) -> OrderSpec:
 
 
 class Polynomial:
-    """A sparse polynomial: ring plus {exponent tuple: Fraction} terms.
+    """A sparse polynomial: ring plus {exponent tuple: coefficient} terms.
 
-    Values are immutable by convention; all operations return new objects
-    and never keep zero coefficients.
+    A coefficient is an ``int``, or a ``Fraction`` where it is not
+    integral (the module docstring gives the argument that the two mix
+    exactly).  Values are immutable by convention; all operations return
+    new objects and never keep zero coefficients.
     """
 
     __slots__ = ("ring", "terms")
@@ -311,21 +333,17 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                acc = terms.get(m)
-                s = c if acc is None else acc + c
-                if s:
-                    terms[m] = s
-                elif acc is not None:
-                    del terms[m]
-        return Polynomial(self.ring, terms)
+        return Polynomial(self.ring, _product(self.terms, other.terms))
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        """The polynomial times an exact factor, an ``int`` or a ``Fraction``.
+
+        An ``int`` factor stays an ``int``.  A ``float`` (or ``bool``) is
+        refused: ``Fraction(0.1)`` would turn a binary rounding error into
+        an exact-looking 55-bit quotient.
+        """
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+            raise TypeError(f"scale needs an int or a Fraction, got {c!r}")
         if not c:
             return self.ring.zero()
         return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
@@ -359,40 +377,59 @@ class Polynomial:
         return format_poly(self)
 
 
+def _product(t1: dict, t2: dict) -> dict:
+    """The terms of the product of two term dicts, zeros dropped."""
+    terms: dict = {}
+    get = terms.get
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            m = tuple(map(add, m1, m2))
+            terms[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in terms.items() if c}
+
+
 def apply_hom(f: Polynomial, hom: dict, target: Ring) -> Polynomial:
     """Apply a ring homomorphism given by variable images.
 
     ``hom`` maps VariableId -> Polynomial over ``target``.  Every variable
     occurring in ``f`` must have an image.
+
+    All products go into one accumulator dict.  The terms of each image
+    power v^e are computed once per call; a source term c*m adds c times
+    the product of the image powers of m, and zero coefficients are
+    dropped once, at the end, so terms that cancel across source terms
+    leave nothing behind.
     """
-    result = target.zero()
-    pow_cache: dict = {}
-
-    def power(v: VariableId, e: int) -> Polynomial:
-        key = (v, e)
-        got = pow_cache.get(key)
-        if got is not None:
-            return got
-        if e == 1:
-            img = hom.get(v)
-            if img is None:
-                raise PartialHomomorphism(f"no image for {v!r}")
-            if img.ring is not target:
-                raise RingMismatch("homomorphism images in mixed rings")
-            p = img
-        else:
-            p = power(v, e - 1) * power(v, 1)
-        pow_cache[key] = p
-        return p
-
     rvars = f.ring.vars
+    powers: dict = {}  # (position, exponent) -> terms of image^exponent
+
+    def power(pos: int, e: int) -> dict:
+        got = powers.get((pos, e))
+        if got is None:
+            if e == 1:
+                img = hom.get(rvars[pos])
+                if img is None:
+                    raise PartialHomomorphism(f"no image for {rvars[pos]!r}")
+                if img.ring is not target:
+                    raise RingMismatch("homomorphism images in mixed rings")
+                got = img.terms
+            else:
+                got = _product(power(pos, e - 1), power(pos, 1))
+            powers[(pos, e)] = got
+        return got
+
+    one = {(0,) * target.nvars: 1}
+    acc: dict = {}
+    get = acc.get
     for exps, c in f.terms.items():
-        term = Polynomial(target, {(0,) * target.nvars: c})
+        term = one
         for pos, e in enumerate(exps):
             if e:
-                term = term * power(rvars[pos], e)
-        result = result + term
-    return result
+                p = power(pos, e)
+                term = p if term is one else _product(term, p)
+        for m, v in term.items():
+            acc[m] = get(m, 0) + c * v
+    return Polynomial(target, {m: v for m, v in acc.items() if v})
 
 
 # -- serialization ---------------------------------------------------------

@@ -192,6 +192,27 @@ class TestVerify:
         b = run("verify", "--d", "4", "--check", "counts", "--format", "json")
         assert a.stdout == b.stdout
 
+    def test_catalogue_built_once(self, monkeypatch, capsys):
+        # census and the errata check both read the catalogue; one verify
+        # builds each entry exactly once
+        built = []
+        named_generator = candidate.named_generator
+
+        def counting(key, params, d):
+            built.append((key, tuple(params), d))
+            return named_generator(key, params, d)
+
+        monkeypatch.setattr(candidate, "named_generator", counting)
+        candidate.catalogue_entries.cache_clear()
+        try:
+            assert cli.main(["verify", "--d", "5", "--seed", "3"]) == 0
+            entries = candidate.catalogue_entries(5)
+        finally:
+            candidate.catalogue_entries.cache_clear()
+        capsys.readouterr()
+        assert sorted(built) == sorted((e.key, e.params, 5) for e in entries)
+        assert len(set(built)) == len(built) == len(entries) > 0
+
 
 class TestOracle:
     def test_fiber_d4(self):

@@ -1,11 +1,14 @@
 """Ring core: variables, the omega order, arithmetic, homomorphisms."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fiberforge.candidate import hom_catalog
 from fiberforge.errors import (
     BadIndex,
     PartialHomomorphism,
@@ -22,12 +25,15 @@ from fiberforge.rings import (
     omega_order,
     poly_to_json,
     ring_R,
+    ring_Rees,
+    ring_S,
     ring_U,
     ring_W,
     uvar,
     wvar,
     xvar,
 )
+from fiberforge.rees import rees_substitution
 
 W4 = ring_W(4)
 OMEGA4 = omega_order(W4)
@@ -119,6 +125,16 @@ class TestPolynomialArithmetic:
 
     def test_scale_by_zero(self):
         assert W4.one().scale(0).is_zero
+
+    def test_scale_keeps_int(self):
+        f = W4.variable(wvar(1, 2)).scale(-3)
+        assert [type(c) for c in f.terms.values()] == [int]
+        assert f.scale(Fraction(1, 3)).terms == {wm((1, 2)): Fraction(-1)}
+
+    def test_scale_refuses_float(self):
+        for c in (0.1, 2.0, True):
+            with pytest.raises(TypeError):
+                W4.one().scale(c)
 
 
 class TestLeadingTerm:
@@ -247,6 +263,143 @@ class TestProperties:
         R = ring_R(4)
         assert apply_hom(f + g, hom, R) == apply_hom(f, hom, R) + apply_hom(g, hom, R)
         assert apply_hom(f * g, hom, R) == apply_hom(f, hom, R) * apply_hom(g, hom, R)
+
+
+def _apply_hom_reference(f, hom, target):
+    """The term-by-term ``apply_hom``: one Polynomial per source term,
+    added into a copy of the running result.  ``apply_hom`` must equal it."""
+    result = target.zero()
+    pow_cache = {}
+
+    def power(v, e):
+        key = (v, e)
+        got = pow_cache.get(key)
+        if got is not None:
+            return got
+        if e == 1:
+            img = hom.get(v)
+            if img is None:
+                raise PartialHomomorphism(f"no image for {v!r}")
+            if img.ring is not target:
+                raise RingMismatch("homomorphism images in mixed rings")
+            p = img
+        else:
+            p = power(v, e - 1) * power(v, 1)
+        pow_cache[key] = p
+        return p
+
+    rvars = f.ring.vars
+    for exps, c in f.terms.items():
+        term = Polynomial(target, {(0,) * target.nvars: c})
+        for pos, e in enumerate(exps):
+            if e:
+                term = term * power(rvars[pos], e)
+        result = result + term
+    return result
+
+
+def _variable_poly_strategy(ring):
+    """Sums of scaled products of at most three variables, built with
+    ``variable``, ``*``, ``scale`` and ``+`` only.  A factor is an int or
+    a Fraction."""
+    factor = st.one_of(
+        st.integers(-5, 5),
+        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
+    )
+    term = st.tuples(st.lists(st.sampled_from(ring.vars), max_size=3), factor)
+
+    def build(ts):
+        f = ring.zero()
+        for variables, c in ts:
+            m = ring.one()
+            for v in variables:
+                m = m * ring.variable(v)
+            f = f + m.scale(c)
+        return f
+
+    return st.lists(term, max_size=4).map(build)
+
+
+def _exact(f):
+    return all(type(c) in (int, Fraction) for c in f.terms.values())
+
+
+def _integral(f):
+    return all(type(c) is int for c in f.terms.values())
+
+
+def _check_against_reference(f, g, hom, target):
+    """apply_hom equals the reference on f, g and their sum, product and
+    a scale; every coefficient is an int or a Fraction, and int input
+    stays int.  A missing image or an image over another ring still
+    raises."""
+    for h in (f, g, f + g, f * g, f.scale(-2)):
+        assert _exact(h)
+        got = apply_hom(h, hom, target)
+        assert got == _apply_hom_reference(h, hom, target)
+        assert _exact(got)
+        if _integral(h):
+            assert _integral(got)
+    if _integral(f) and _integral(g):
+        assert _integral(f + g) and _integral(f * g) and _integral(f.scale(7))
+    used = sorted({p for m in f.terms for p, e in enumerate(m) if e})
+    if used:
+        v = f.ring.vars[used[0]]
+        partial = {u: img for u, img in hom.items() if u != v}
+        with pytest.raises(PartialHomomorphism):
+            apply_hom(f, partial, target)
+        with pytest.raises(RingMismatch):
+            apply_hom(f, {**hom, v: ring_W(5).one()}, target)
+
+
+_DIAGONAL_DIFFERENCE = W4.variable(wvar(1, 1)) - W4.variable(wvar(2, 2))
+
+
+class TestApplyHomReference:
+    # w_11 - w_22 maps to (x_1^2 - x_4^2) - (x_2^2 - x_4^2) under phi_W and
+    # to (u_11 - u_44) - (u_22 - u_44) under epsilon: the corner term
+    # cancels across the two source terms
+    @given(_variable_poly_strategy(W4), _variable_poly_strategy(W4))
+    @example(_DIAGONAL_DIFFERENCE, W4.zero())
+    @settings(max_examples=60, deadline=None)
+    def test_phi_w_and_epsilon_d4(self, f, g):
+        maps = hom_catalog(4)
+        _check_against_reference(f, g, maps.phi_W, ring_R(4))
+        _check_against_reference(f, g, maps.epsilon, ring_U(4))
+
+    @given(_variable_poly_strategy(ring_S(4)), _variable_poly_strategy(ring_S(4)))
+    @settings(max_examples=40, deadline=None)
+    def test_rees_substitution_d4(self, f, g):
+        _check_against_reference(f, g, rees_substitution(4), ring_Rees(4))
+
+
+_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fiberforge"
+
+
+class TestExactDivision:
+    def test_true_division_only_of_fractions(self):
+        """The left operand of every ``/`` in the package is a
+        ``Fraction(...)`` call, so no quotient of two ``int`` coefficients
+        can become a float."""
+        allowed, refused = [], []
+        paths = sorted(_PACKAGE.glob("*.py"))
+        assert "rings.py" in [p.name for p in paths]
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+                    refused.append(f"{path.name}:{node.lineno}")
+                elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                    left = node.left
+                    exact = (
+                        isinstance(left, ast.Call)
+                        and isinstance(left.func, ast.Name)
+                        and left.func.id == "Fraction"
+                    )
+                    (allowed if exact else refused).append(
+                        f"{path.name}:{node.lineno}"
+                    )
+        assert refused == []
+        assert allowed  # groebner._reducer's Fraction(1, 1) / c
 
 
 class TestEliminationOrder:
