@@ -58,6 +58,7 @@ Order data is computed once.  The engine keeps these invariants:
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -164,12 +165,19 @@ def _divides(e1: tuple, e2: tuple) -> bool:
     return all(map(le, e1, e2))
 
 
-def _reduce_terms(terms: dict, order: OrderSpec, reducers, deadline=None) -> dict:
+def _reduce_terms(
+    terms: dict, order: OrderSpec, reducers, deadline=None, ticks=None
+) -> dict:
     """Full normal form of a term dict against monic reducers.
 
     ``reducers`` is a sequence of (support mask, leading exponents, monic
     terms); the first one whose lead divides a term reduces it.  Returns
     a new dict with its terms in descending order.
+
+    With a ``deadline``, every 64th reduction step polls the clock.  The
+    steps are counted by ``ticks``, an ``itertools.count(1)`` that a
+    caller may share across many calls, so that many short reductions
+    still poll; without one the count starts afresh.
 
     Terms are taken greatest first from a heap keyed by the order's
     ``descending_key``, computed once per term when it enters ``work``.
@@ -191,14 +199,18 @@ def _reduce_terms(terms: dict, order: OrderSpec, reducers, deadline=None) -> dic
     work = dict(terms)
     heap = [(dkey(m), m) for m in work]
     heapq.heapify(heap)
-    nticks = 0
+    if ticks is None:
+        ticks = itertools.count(1)
     while heap:
         m = heappop(heap)[1]
         c = work.pop(m, None)
         if c is None:  # stale entry
             continue
-        nticks += 1
-        if deadline is not None and nticks % 64 == 0 and time.monotonic() > deadline:
+        if (
+            deadline is not None
+            and next(ticks) % 64 == 0
+            and time.monotonic() > deadline
+        ):
             raise BudgetExceeded("deadline passed during reduction")
         outside = ~_support(m, bits)
         for lmask, lt, bterms in reducers:
@@ -247,7 +259,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
 _NO_REDUCER = (-1, (), {})
 
 
-def _interreduce(reducers: list, order: OrderSpec, deadline=None) -> list:
+def _interreduce(reducers: list, order: OrderSpec, deadline=None, ticks=None) -> list:
     """Fully inter-reduce monic reducers; return them sorted by degree and
     leading monomial.
 
@@ -267,7 +279,7 @@ def _interreduce(reducers: list, order: OrderSpec, deadline=None) -> list:
             if own is _NO_REDUCER:  # reduced to zero
                 continue
             reducers[i] = _NO_REDUCER  # an element does not reduce itself
-            terms = _reduce_terms(own[2], order, reducers, deadline)
+            terms = _reduce_terms(own[2], order, reducers, deadline, ticks)
             if terms == own[2]:
                 reducers[i] = own
             elif terms:
@@ -290,10 +302,13 @@ def buchberger(
     With ``max_degree`` the computation discards S-pairs above that degree,
     which is sound only for homogeneous input; inhomogeneous input raises.
     Once ``time.monotonic()`` passes ``deadline`` the call aborts with
-    BudgetExceeded.  Its ``.partial`` holds the monic basis elements found
-    so far (the monic generators if the seed was not yet inter-reduced),
-    sorted by degree and leading monomial.  It is not reduced: no further
-    work is done once the deadline has passed.
+    BudgetExceeded: the loop polls the clock before each pair, and one
+    step counter spans every reduction of the call (seed inter-reduction,
+    S-pairs, final inter-reduction) and polls every 64th step.  Its
+    ``.partial`` holds the monic basis elements found so far (the monic
+    generators if the seed was not yet inter-reduced), sorted by degree
+    and leading monomial.  It is not reduced: no further work is done
+    once the deadline has passed.
     """
     ring = order.ring
     gens = [g for g in gens if not g.is_zero]
@@ -306,6 +321,7 @@ def buchberger(
         )
     bits = _bit_table(ring.nvars)
 
+    ticks = itertools.count(1)  # reduction steps, for the deadline poll
     basis: list = []  # reducers (mask, lead, monic terms), in the order found
     pairs: list = []  # heap of (lcm degree, i, j, lcm)
     done = set()  # handled pairs (i, j), i < j
@@ -324,7 +340,7 @@ def buchberger(
                 heapq.heappush(pairs, (ldeg, i, j, l))
 
     try:
-        for r in _interreduce(_reducers(gens, order), order, deadline):
+        for r in _interreduce(_reducers(gens, order), order, deadline, ticks):
             if max_degree is None or _degree(r[2]) <= max_degree:
                 add_element(r)
 
@@ -359,11 +375,11 @@ def buchberger(
                     sterms[t] = s
                 elif acc is not None:
                     del sterms[t]
-            rem = _reduce_terms(sterms, order, basis, deadline)
+            rem = _reduce_terms(sterms, order, basis, deadline, ticks)
             if rem:
                 add_element(_reducer(rem, next(iter(rem)), bits))
 
-        reduced = _interreduce(basis, order, deadline)
+        reduced = _interreduce(basis, order, deadline, ticks)
     except BudgetExceeded as err:
         found = sorted(basis or _reducers(gens, order), key=_sort_key(order))
         err.partial = _basis(order, found, max_degree)
@@ -431,7 +447,26 @@ def kernel_of_hom(
 
 def ideal_equal(gens_a, gens_b, order: OrderSpec, deadline=None) -> bool:
     """Exact ideal equality via the canonical reduced bases, both computed
-    under the same ``deadline``."""
-    gba = buchberger(gens_a, order, None, deadline)
-    gbb = buchberger(gens_b, order, None, deadline)
+    under the same ``deadline``.
+
+    When every nonzero generator on both sides is homogeneous, both bases
+    are truncated at D, the largest generator degree; otherwise they are
+    full.  This is sound.  For homogeneous input and any monomial order,
+    the D-truncated reduced basis of an ideal is the set of its reduced
+    basis elements of degree at most D: it is determined by the slices
+    A_0, ..., A_D and spans them.  So equal truncated bases give
+    A_k = B_k for every k <= D.  Every generator of either side has degree
+    at most D, so it lies in the other ideal, and A = B.  Conversely,
+    A = B gives equal reduced bases, hence equal truncations.  D is read
+    from the inputs alone, never from a claimed count, so this check
+    stays independent of the rank route.
+    """
+    gens_a, gens_b = list(gens_a), list(gens_b)
+    nonzero = [g for g in gens_a + gens_b if not g.is_zero]
+    bound = None
+    if all(g.is_homogeneous() for g in nonzero):
+        bound = max((g.degree() for g in nonzero), default=None)
+    # positional: wrappers of ``buchberger`` may name the 4th parameter
+    gba = buchberger(gens_a, order, bound, deadline)
+    gbb = buchberger(gens_b, order, bound, deadline)
     return list(gba.elements) == list(gbb.elements)

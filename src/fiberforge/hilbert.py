@@ -11,7 +11,7 @@ Closed forms for the same numbers live in ``hf_closed`` so the two can be
 compared.
 
 One exact kernel serves every linear-algebra computation in the package:
-``echelon`` is a fraction-free sparse elimination on integer rows, used
+``echelon`` is an exact sparse elimination on integer rows, used
 for ranks here and in ``rees.power_check``; ``rref`` back-substitutes its
 result into the unique reduced form, used for the kernels in ``rees``.
 """
@@ -44,26 +44,36 @@ def monomials_of_degree(ring: Ring, k: int, order: OrderSpec | None = None) -> l
 def echelon(rows) -> dict:
     """Row echelon form of sparse rational rows ``{column: value}``.
 
-    Each row is scaled to primitive integers and reduced incrementally,
-    fraction-free, against the pivots found so far; a row's pivot is its
-    smallest column.  Returns ``{pivot column: primitive integer row}``,
-    whose length is the rank.
+    Each row is scaled to integers and reduced incrementally against the
+    pivots found so far, sparsest rows first; a row's pivot is its
+    smallest column.  Against a pivot whose pivot entry is +-1 the row
+    subtracts a multiple of it in place; against any other pivot the step
+    is fraction-free and the result is divided by its content.  A row is
+    made primitive once, when it is stored.  Returns ``{pivot column:
+    primitive integer row}``, whose length is the rank.
     """
     pivots: dict = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         denom = 1
         for v in row.values():
             denom = denom * v.denominator // gcd(denom, v.denominator)
-        row = _primitive(
-            {j: v.numerator * (denom // v.denominator) for j, v in row.items() if v}
-        )
+        row = {j: v.numerator * (denom // v.denominator) for j, v in row.items() if v}
         while row:
             c = min(row)
             piv = pivots.get(c)
             if piv is None:
-                pivots[c] = row
+                pivots[c] = _primitive(row)
                 break
             a, b = piv[c], row[c]
+            if a == 1 or a == -1:
+                f = a * b  # b / a, as 1 / a == a
+                for j, v in piv.items():
+                    s = row.get(j, 0) - f * v
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+                continue
             new = {}
             for j, v in row.items():
                 s = a * v - b * piv.get(j, 0)

@@ -370,7 +370,7 @@ class Polynomial:
         if not self.terms:
             raise ZeroPolynomial("the zero polynomial has no leading term")
         order = order or omega_order(self.ring)
-        m = max(self.terms, key=order.key)
+        m = min(self.terms, key=order.descending_key)
         return self.terms[m], m
 
     def __repr__(self):

@@ -4,12 +4,13 @@ import hashlib
 import json
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiberforge import groebner
+from fiberforge import cli, groebner
 from fiberforge.candidate import generators_lambda, hom_catalog
 from fiberforge.errors import (
     BeyondTruncation,
@@ -188,6 +189,14 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             ideal_equal(gens, lam, OMEGA4, deadline)
         assert deadlines == [deadline, deadline]
+
+    def test_poll_counter_spans_the_whole_call(self):
+        # a degree-2 truncation of Lambda6 has no pairs: the deadline is
+        # noticed only by a step counter shared across the seed's many
+        # short reductions
+        gens = [rec.value for rec in generators_lambda(6, "all")]
+        with pytest.raises(BudgetExceeded):
+            buchberger(gens, omega_order(ring_W(6)), 2, time.monotonic() - 1)
 
 
 def _digest(polys):
@@ -451,3 +460,101 @@ class TestIdealPredicates:
         w11 = W4.variable(wvar(1, 1))
         assert normal_form(gen * w11, gb).is_zero
         assert not normal_form(w11, gb).is_zero
+
+
+def _max_degree_spy(monkeypatch):
+    """Record the ``max_degree`` of each ``buchberger`` call."""
+    bounds = []
+    real = groebner.buchberger
+
+    def spy(gens, order, max_degree=None, deadline=None):
+        bounds.append(max_degree)
+        return real(gens, order, max_degree, deadline)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    return bounds
+
+
+_LAMBDA4 = [rec.value for rec in generators_lambda(4, "all")]
+_w4_variable = st.integers(0, W4.nvars - 1).map(lambda p: W4.variable(W4.vars[p]))
+_nonzero = st.integers(-2, 2).filter(bool)
+_lambda4_subset = st.lists(
+    st.integers(0, len(_LAMBDA4) - 1), min_size=1, max_size=4, unique=True
+)
+
+
+@st.composite
+def _w4_side(draw, base):
+    """Homogeneous W4 generators: the Lambda4 generators numbered in
+    ``base``, random quadric or cubic combinations of them, and perhaps
+    one random quadric or cubic binomial."""
+    gens = [_LAMBDA4[i] for i in base]
+    quadrics = st.sampled_from(list(gens))
+    for _ in range(draw(st.integers(0, 2))):
+        f, g = draw(quadrics), draw(quadrics)
+        if draw(st.booleans()):
+            gens.append(f + g.scale(draw(_nonzero)))
+        else:
+            gens.append(draw(_w4_variable) * f + draw(_w4_variable) * g)
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 3))
+        one, two = (
+            reduce(mul, draw(st.lists(_w4_variable, min_size=k, max_size=k)))
+            for _ in range(2)
+        )
+        gens.append(one + two.scale(draw(_nonzero)))
+    draw(st.randoms(use_true_random=False)).shuffle(gens)
+    return gens
+
+
+@st.composite
+def _w4_side_pair(draw):
+    """Two generator sets, half the time over the same Lambda4 generators."""
+    base_a = draw(_lambda4_subset)
+    base_b = base_a if draw(st.booleans()) else draw(_lambda4_subset)
+    return draw(_w4_side(base_a)), draw(_w4_side(base_b))
+
+
+class TestDegreeBoundedEquality:
+    """``ideal_equal`` truncates both bases at the top generator degree
+    when every generator is homogeneous."""
+
+    def test_extra_cubic_outside_the_ideal(self, monkeypatch):
+        cubic = _wpoly((1, [(1, 1), (1, 1), (1, 1)]))
+        assert not normal_form(cubic, _lambda_basis(4)).is_zero
+        # the degree-2 parts agree, so a bound of 2 could not tell them apart
+        low = buchberger(_LAMBDA4, OMEGA4, 2).elements
+        assert buchberger(_LAMBDA4 + [cubic], OMEGA4, 2).elements == low
+        bounds = _max_degree_spy(monkeypatch)
+        assert not ideal_equal(_LAMBDA4, _LAMBDA4 + [cubic], OMEGA4)
+        assert bounds == [3, 3]
+
+    def test_inhomogeneous_falls_back_to_full_bases(self, monkeypatch):
+        f = _wpoly((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]), (1, [(1, 1)]))
+        g = _wpoly((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]))
+        bounds = _max_degree_spy(monkeypatch)
+        assert ideal_equal([f], [f.scale(Fraction(5))], OMEGA4)
+        assert not ideal_equal([f], [g], OMEGA4)
+        assert bounds == [None] * 4
+
+    def test_one_side_empty(self, monkeypatch):
+        q = _wpoly((1, [(1, 2), (3, 4)]))
+        bounds = _max_degree_spy(monkeypatch)
+        assert not ideal_equal([], [q], OMEGA4)
+        assert not ideal_equal([q, W4.zero()], [W4.zero()], OMEGA4)
+        assert ideal_equal([], [W4.zero()], OMEGA4)
+        assert bounds == [2, 2, 2, 2, None, None]
+
+    def test_fiber_oracle_d4_bounds_both_bases_at_3(self, monkeypatch, capsys):
+        # Lambda4 holds only quadrics, but the kernel's basis has cubics
+        bounds = _max_degree_spy(monkeypatch)
+        assert cli.main(["oracle", "--d", "4", "--which", "fiber"]) == 0
+        capsys.readouterr()
+        assert bounds == [None, 3, 3]  # the elimination, then ideal_equal
+
+    @settings(max_examples=40, deadline=None)
+    @given(_w4_side_pair())
+    def test_agrees_with_full_bases(self, pair):
+        a, b = pair
+        full = buchberger(a, OMEGA4).elements == buchberger(b, OMEGA4).elements
+        assert ideal_equal(a, b, OMEGA4) == full
