@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadParams, DimensionTooSmall
+from .groebner import GroebnerBasis, normal_form
+from .hilbert import monomials_of_degree, rref
 from .rings import (
     Polynomial,
     VarKind,
@@ -196,8 +198,6 @@ def phi_U(f: Polynomial) -> Polynomial:
 def check_criterion_c(f: Polynomial, gbN) -> bool:
     """True iff the image of f under epsilon reduces to zero modulo the
     2x2-minor ideal of the U-matrix (a sufficient membership test)."""
-    from .groebner import normal_form
-
     if f.is_zero:
         return True
     return normal_form(epsilon(f), gbN).is_zero
@@ -212,6 +212,27 @@ def minor_ideal_U(d: int) -> list:
         for cols in pairs[a:]:
             gens.append(minor2(mat, rows, cols).value)
     return [g for g in gens if not g.is_zero]
+
+
+def minor_ideal_U_basis(d: int) -> GroebnerBasis:
+    """The degree-2 truncated reduced Groebner basis of the 2x2-minor
+    ideal N of the U-matrix under ``omega_order``, from one ``rref``.
+
+    Every generator is a quadric, so N_1 = 0 and the basis is the unique
+    monic spanning set of N_2 whose leads are distinct and whose other
+    terms are not leads: the rref of the generators' rows with columns
+    sorted by ``descending_key``, whose pivots are in(N)_2.  Sorted by
+    lead, it equals ``buchberger(minor_ideal_U(d), order, max_degree=2)``.
+    """
+    order = omega_order(ring_U(d))
+    cols = monomials_of_degree(order.ring, 2, order)
+    colindex = {e: p for p, e in enumerate(cols)}
+    rows = rref({colindex[t]: c for t, c in g.terms.items()} for g in minor_ideal_U(d))
+    elements = tuple(
+        Polynomial(order.ring, {cols[j]: v for j, v in rows[c].items()})
+        for c in sorted(rows, key=lambda c: order.key(cols[c]))
+    )
+    return GroebnerBasis(order, elements, truncation_degree=2)
 
 
 # -- named generator catalogue ------------------------------------------------

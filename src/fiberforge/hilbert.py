@@ -1,19 +1,17 @@
-"""Hilbert functions of graded ideals by exact linear algebra.
+"""Hilbert functions and initial ideals of graded ideals by exact linear algebra.
 
 The rank route is deliberately independent of the Groebner engine: the
 degree-k slice of an ideal is spanned by generator multiples, and its
-dimension is the rank of the coefficient matrix.  ``hf_exact`` builds that
-slice degree by degree, from the identity I_j = R_1 * I_{j-1} +
-span{g : deg g = j} for homogeneous generators: the rows of degree j are
-an echelon basis of I_{j-1} times each variable, plus the generators of
-degree j, so no row is carried for every multiple of every generator.
-Closed forms for the same numbers live in ``hf_closed`` so the two can be
-compared.
+dimension is the rank of the coefficient matrix.  ``echelon_leads`` builds
+the slices degree by degree and reads the initial monomials off their
+pivots; ``hf_exact`` counts those of the top degree.  Closed forms for the
+same numbers live in ``hf_closed`` so the two can be compared.
 
 One exact kernel serves every linear-algebra computation in the package:
 ``echelon`` is an exact sparse elimination on integer rows, used
 for ranks here and in ``rees.power_check``; ``rref`` back-substitutes its
-result into the unique reduced form, used for the kernels in ``rees``.
+result into the unique reduced form, used for the kernels in ``rees`` and
+the degree-2 basis of the minor ideal in ``candidate``.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, gcd
-from operator import add
 
 from .errors import NotHomogeneous, OutOfTable, RingMismatch
 from .rings import OrderSpec, Ring, omega_order
@@ -119,25 +116,35 @@ def _primitive(row: dict) -> dict:
 
 
 def hf_exact(gens, k: int) -> int:
-    """Dimension of the degree-k slice of the ideal generated by ``gens``.
+    """Dimension of the degree-k slice of the ideal generated by ``gens``:
+    the number of its initial monomials of degree k (``echelon_leads``)."""
+    return len(echelon_leads(gens, k).get(k, ()))
 
-    The slices are built degree by degree.  For homogeneous generators,
 
-        I_j = R_1 * I_{j-1} + span{g : deg g = j},
+def echelon_leads(gens, k: int) -> dict:
+    """The initial monomials of the ideal generated by ``gens`` under
+    ``omega_order``: ``{j: exponent tuples, descending}`` for j = 0..k.
 
+    For homogeneous generators I_j = R_1 * I_{j-1} + span{g : deg g = j},
     because a multiple m * g with deg m = j - deg g > 0 factors as
     x * (m' * g) with x a variable and m' * g in I_{j-1}.  Any basis of
-    I_{j-1} may stand in for I_{j-1} in that sum, so the rows of degree j
-    are the ``echelon`` pivot rows of degree j - 1, each multiplied by
-    every variable, plus the generators of degree j.  The recursion starts
-    at the lowest generator degree, where the slice is spanned by the
-    generators of that degree alone, and ends at k.  Every step is exact
-    over Q, so the returned rank is dim I_k itself.  Generators of degree
-    above k do not enter.
+    I_{j-1} may stand in for it, so the rows of degree j are the
+    ``echelon`` pivot rows of degree j - 1 times every variable, plus the
+    generators of degree j: no row is carried for every multiple of every
+    generator.  The recursion runs exactly over Q from the lowest
+    generator degree to k, so the rank in degree j is dim I_j.
+
+    The pivots of degree j are in(I)_j, as for any Macaulay matrix with
+    columns in descending order (Lazard, EUROCAL 1983).  The columns are
+    sorted by ``descending_key`` and a row's pivot is its smallest column,
+    so each stored row is an element of I_j whose leading monomial is its
+    pivot.  The pivots are distinct and there are dim I_j = dim in(I)_j of
+    them, so they are exactly in(I)_j.
     """
+    leads: dict = {j: [] for j in range(k + 1)}
     gens = [g for g in gens if not g.is_zero]
     if not gens or k < 0:
-        return 0
+        return leads
     ring = gens[0].ring
     for g in gens:
         if g.ring is not ring:
@@ -147,13 +154,10 @@ def hf_exact(gens, k: int) -> int:
     by_degree: dict = {}
     for g in gens:
         by_degree.setdefault(g.degree(), []).append(g)
-    low = min(by_degree)
-    if low > k:
-        return 0
     order = omega_order(ring)
     pivots: dict = {}
     prev = None
-    for j in range(low, k + 1):
+    for j in range(min(by_degree), k + 1):
         cols = monomials_of_degree(ring, j, order)
         colindex = {e: p for p, e in enumerate(cols)}
         rows = [
@@ -166,8 +170,9 @@ def hf_exact(gens, k: int) -> int:
                     {shift[c]: v for c, v in row.items()} for row in pivots.values()
                 )
         pivots = echelon(rows)
+        leads[j] = [cols[c] for c in sorted(pivots)]
         prev = cols
-    return len(pivots)
+    return leads
 
 
 def _variable_shifts(cols, colindex) -> list:
@@ -210,26 +215,3 @@ def hf_closed(which: str, d: int, k: int | None = None) -> int:
             raise OutOfTable("the fiber closed form holds for k >= 2 only")
         return comb(d + 2 * k - 1, 2 * k)
     raise OutOfTable(f"unknown closed form {which!r}")
-
-
-def initial_monomials(gens, k: int, order: OrderSpec | None = None):
-    """All degree-k monomials of the initial ideal, as exponent tuples, via a
-    truncated basis."""
-    from .groebner import buchberger
-
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return set()
-    ring = gens[0].ring
-    order = order or omega_order(ring)
-    gb = buchberger(gens, order, max_degree=k)
-    multipliers: dict = {}
-    out = set()
-    for lt in gb.leading_monomials():
-        e = sum(lt)
-        if e > k:
-            continue
-        if e not in multipliers:
-            multipliers[e] = monomials_of_degree(ring, k - e, order)
-        out.update(tuple(map(add, lt, m)) for m in multipliers[e])
-    return out

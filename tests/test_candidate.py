@@ -13,6 +13,7 @@ from fiberforge.candidate import (
     errata_report,
     generators_lambda,
     minor_ideal_U,
+    minor_ideal_U_basis,
     named_generator,
     epsilon,
     phi_W,
@@ -116,9 +117,19 @@ class TestHomomorphisms:
             assert check_criterion_c(rec.value, gbN)
 
     def test_epsilon_nonmember(self):
-        gbN = buchberger(minor_ideal_U(4), omega_order(ring_U(4)))
         w12 = W4.variable(wvar(1, 2))
-        assert not check_criterion_c(w12 * w12, gbN)
+        for gbN in (
+            buchberger(minor_ideal_U(4), omega_order(ring_U(4))),
+            minor_ideal_U_basis(4),
+        ):
+            assert not check_criterion_c(w12 * w12, gbN)
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    def test_minor_ideal_basis_is_truncated_buchberger(self, d):
+        got = minor_ideal_U_basis(d)
+        want = buchberger(minor_ideal_U(d), omega_order(ring_U(d)), max_degree=2)
+        assert got.elements == want.elements
+        assert got == want and repr(got) == repr(want)
 
     def test_epsilon_is_a_ring_map(self):
         f = _wpoly(4, (1, [(1, 1), (2, 2)]))

@@ -27,7 +27,7 @@ class TestExitCodes:
     def test_usage_error(self):
         assert run("gens").returncode == 2  # missing --d
 
-    def test_domain_error(self):
+    def test_domain_error(self, tmp_path):
         bad_budgets = (
             ("oracle", "--d", "4", "--which", "fiber", "--time-budget-seconds", v)
             for v in ("nan", "inf", "0", "-1")
@@ -36,6 +36,9 @@ class TestExitCodes:
             ("gens", "--d", "3"),
             ("hf", "--d", "4", "--degree", "-1"),
             *bad_budgets,
+            # --out in a missing directory, and --out naming a directory
+            ("gens", "--d", "4", "--out", str(tmp_path / "missing" / "x")),
+            ("hf", "--d", "4", "--degree", "2", "--out", str(tmp_path)),
         ):
             r = run(*argv)
             assert r.returncode == 2, (argv, r.stderr)
@@ -112,6 +115,37 @@ class TestOneDeadline:
         assert len(deadlines) == 1
         (deadline,) = deadlines
         assert start + 100 <= deadline <= end + 100
+
+
+class TestLayering:
+    """``verify`` calls ``buchberger`` only in its oracle checks; the rank
+    route in ``hilbert`` does not even import the Groebner engine."""
+
+    @pytest.mark.parametrize("argv, oracle", [
+        (("verify", "--d", "5"), False),
+        (("verify", "--d", "4", "--check", "initial"), False),
+        (("verify", "--d", "4", "--check", "membership"), False),
+        (("verify", "--d", "4", "--check", "all"), True),  # the d=4 fiber oracle
+    ], ids=["all-d5", "initial-d4", "membership-d4", "all-d4"])
+    def test_buchberger_only_in_oracles(self, monkeypatch, capsys, argv, oracle):
+        calls = []
+        real = groebner.buchberger
+
+        def spy(gens, order, max_degree=None, deadline=None):
+            calls.append(max_degree)
+            return real(gens, order, max_degree, deadline)
+
+        monkeypatch.setattr(groebner, "buchberger", spy)
+        assert cli.main(list(argv)) == 0
+        capsys.readouterr()
+        assert bool(calls) == oracle, calls
+
+    def test_hilbert_does_not_import_groebner(self):
+        code = "import sys, fiberforge.hilbert; print('fiberforge.groebner' in sys.modules)"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "False\n"
 
 
 class TestGens:

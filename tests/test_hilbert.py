@@ -4,16 +4,19 @@ import pytest
 from fractions import Fraction
 import random
 from math import comb
+from operator import add
 
 from hypothesis import given, settings, strategies as st
 
 from fiberforge.candidate import generators_lambda
+from fiberforge.census import census_degree2
 from fiberforge.errors import NotHomogeneous, OutOfTable, RingMismatch
+from fiberforge.groebner import buchberger
 from fiberforge.hilbert import (
     echelon,
+    echelon_leads,
     hf_closed,
     hf_exact,
-    initial_monomials,
     monomials_of_degree,
     rref,
 )
@@ -25,6 +28,23 @@ R4 = ring_R(4)
 
 def _lambda_gens(d):
     return [rec.value for rec in generators_lambda(d, "all")]
+
+
+def _groebner_leads(gens, k):
+    """The degree-k initial monomials by the Groebner route: every degree-k
+    multiple of a lead of the k-truncated ``buchberger`` basis.  A
+    reference for ``echelon_leads``, which takes them from the rank route."""
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return set()
+    ring = gens[0].ring
+    out = set()
+    for lt in buchberger(gens, omega_order(ring), max_degree=k).leading_monomials():
+        if sum(lt) <= k:
+            out.update(
+                tuple(map(add, lt, m)) for m in monomials_of_degree(ring, k - sum(lt))
+            )
+    return out
 
 
 class TestMonomialEnumeration:
@@ -140,7 +160,10 @@ class TestDegreeByDegree:
     def test_agrees_with_all_multiples_and_initial_ideal(self, gens, k):
         rank = hf_exact(gens, k)
         assert rank == _rank_from_all_multiples(gens, k)
-        assert rank == len(initial_monomials(gens, k))
+        leads = echelon_leads(gens, k)
+        assert sorted(leads) == list(range(k + 1))
+        assert set(leads[k]) == _groebner_leads(gens, k)
+        assert len(set(leads[k])) == rank  # distinct pivots, one per dimension
 
     def test_gap_degree(self):
         # degree-1 and degree-3 generators only: I_2 comes from x1 alone
@@ -222,16 +245,20 @@ class TestClosedForms:
 
 class TestInitialIdeal:
     def test_initial_count_equals_hf(self):
+        # the rank route's pivots against the Groebner route's leads
         gens = _lambda_gens(4)
+        leads = echelon_leads(gens, 3)
         for k in (2, 3):
-            assert len(initial_monomials(gens, k)) == hf_exact(gens, k)
+            assert len(leads[k]) == hf_exact(gens, k)
+            assert set(leads[k]) == _groebner_leads(gens, k)
 
     def test_degree_one_empty(self):
-        assert initial_monomials(_lambda_gens(4), 1) == set()
+        assert echelon_leads(_lambda_gens(4), 1) == {0: [], 1: []}
+        assert echelon_leads(_lambda_gens(4), -1) == {}
 
     def test_initial_degree2_is_census(self):
-        from fiberforge.census import census_degree2
-
-        got = initial_monomials(_lambda_gens(4), 2)
+        got = echelon_leads(_lambda_gens(4), 2)[2]
         want = census_degree2(4)
-        assert got == want
+        assert set(got) == want
+        order = omega_order(W4)
+        assert got == sorted(want, key=order.descending_key)
