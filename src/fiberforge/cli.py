@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -92,6 +93,22 @@ class VerifyReport:
             lines.append(f"erratum: {e}")
         lines.append(f"exit code {self.exit_code}")
         return "\n".join(lines) + "\n"
+
+
+def _probe_out(path: str):
+    """Refuse an ``--out`` that cannot be written before any work is done.
+
+    Opening for appending creates a missing file and leaves an existing
+    one as it is; a file the probe created is removed again, so a run
+    that stops before ``_emit`` leaves no trace.
+    """
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise BadParams(f"cannot write --out {path!r}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _emit(args, text: str, payload: dict):
@@ -509,6 +526,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.out:
+            _probe_out(args.out)
         return args.func(args)
     except BudgetExceeded:
         sys.stderr.write("budget exceeded on a required computation\n")

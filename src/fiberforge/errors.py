@@ -66,3 +66,7 @@ class BudgetExceeded(FiberForgeError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+class MonomialOverflow(FiberForgeError):
+    """An exponent or block degree does not fit its packed field."""

@@ -7,22 +7,57 @@ input (a truncated basis is a full basis "up to degree k") and
 
 Order data is computed once.  The engine keeps these invariants:
 
+- Packed monomials.  Inside the engine a monomial is one ``int``, laid
+  out by ``_Layout`` from the ``OrderSpec``: one field of ``_FIELD_BITS``
+  bits per position of each block, the block's degree in a field above
+  them, blocks most significant first.  The top bit of every field is a
+  guard bit and holds 0; G is the int with every guard bit set.  While
+  no field reaches its guard, the product of two monomials is the sum of
+  their ints, a | b exactly when ``((b | G) - a) & G == G`` (field by
+  field, b + guard - a keeps the guard iff a <= b, and never borrows
+  from the next field), and ``m - 2*(m & DEGMASK)`` sorts as
+  ``OrderSpec.descending_key``: it is the mixed-radix number whose
+  digits are (-degree, exponents) per block, most significant first,
+  each smaller in size than half the radix, so it compares as that
+  digit tuple, which is ``descending_key``.  ``_reducers`` packs on
+  entry; ``_basis``, ``normal_form`` and ``leading_monomials`` unpack on
+  exit.
+- Overflow is an error, never a wrap.  ``_Layout.pack`` refuses a block
+  degree (hence an exponent) that reaches the guard.  Every other
+  monomial the engine creates is a lcm or a sum q + b with q and b
+  packed and each field of both below the guard: q is a packed
+  monomial or m - lt for lt | m, whose fields are m's minus lt's and so
+  are non-negative.  A field of q + b is then below twice the guard,
+  the radix: it can set its guard bit but never carry into the next
+  field.  A lcm's exponent fields are maxima, and each of its degree
+  fields is a sum of at most twice a guard less 2.  So testing the
+  guard bits of each lcm, S-polynomial term and reduction term, as the
+  engine does, finds every overflow; it raises ``MonomialOverflow``.
 - Leading exponents.  Every polynomial the engine holds sits in a
-  reducer ``(support mask, leading exponent tuple, monic terms)``.  The
-  leading exponent is found once, when the polynomial enters the engine
-  or when reduction changes it, and never again: ``buchberger`` and
-  ``_interreduce`` keep their reducers in a list, and ``GroebnerBasis``
-  builds its own once from its elements, so ``normal_form`` reads them.
-  A remainder from ``_reduce_terms`` lists its terms in descending
-  order, so its first key is its leading exponent.
+  reducer ``(support, packed lead, monic packed terms)``.  The lead is
+  found once, when the polynomial enters the engine or when reduction
+  changes it, and never again: ``buchberger`` and ``_interreduce`` keep
+  their reducers in a list, and ``GroebnerBasis`` builds its own once
+  from its elements, so ``normal_form`` reads them.  A remainder from
+  ``_reduce_terms`` lists its terms in descending order, so its first
+  key is its lead.  The support is a small bitmask with bit p set when
+  position p is nonzero in the lead: two leads are coprime exactly when
+  their supports are disjoint, and a lead k can divide the lcm of leads
+  i and j only if its support lies inside theirs, a test the chain
+  criterion makes before the packed one.
 - Reduction heap.  ``_reduce_terms`` pops terms in descending order from
-  a heap of ``OrderSpec.descending_key`` entries; each key is computed
-  once, when its term enters the work dict (the argument for the order
-  of the pops is in its docstring).
-- Divisor prefilter.  A leading exponent can divide a monomial only if
-  its support mask is a subset of the monomial's, so the exponent
-  compare runs only for those.  Two leading terms are coprime exactly
-  when their masks are disjoint.
+  a heap of packed keys; each key is computed once, when its term
+  enters the work dict (the argument for the order of the pops is in
+  its docstring).
+- Reducer memo.  ``_reduce_terms`` records, per monomial, the index of
+  the first reducer whose lead divides it, or (complemented) the length
+  of the prefix of reducers it scanned without finding one, and starts
+  a later scan there.  A memo is valid while the reducers are only
+  appended to: an earlier reducer never changes, so the first divisor
+  stays first, and a prefix without a divisor stays without one.
+  ``buchberger`` keeps one memo for its main loop, whose basis only
+  grows, and a ``GroebnerBasis`` one for all its normal forms, whose
+  reducers never change; an inter-reduction call gets a memo of its own.
 - Truncation.  With ``max_degree``, a pair whose lcm has higher degree
   is never pushed; in a degree-2 truncation of quadrics no pair is.
 - Pair queue.  A pair whose leading terms are coprime is marked handled
@@ -63,12 +98,13 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from operator import add, le, sub
+from itertools import repeat
+from operator import and_, lshift, rshift
 
 from .errors import (
     BeyondTruncation,
     BudgetExceeded,
+    MonomialOverflow,
     RingMismatch,
     TruncationNeedsHomogeneous,
     UnknownVariable,
@@ -81,19 +117,78 @@ from .rings import (
     omega_order,
 )
 
-
-@lru_cache(maxsize=None)  # one table per ring width
-def _bit_table(nvars: int) -> tuple:
-    return tuple(1 << p for p in range(nvars))
+_FIELD_BITS = 16  # bits per packed field, its guard bit included
 
 
-def _support(exps: tuple, bits: tuple) -> int:
-    """Bitmask of the positions where ``exps`` is nonzero."""
-    return sum(compress(bits, exps))
+class _Layout:
+    """Where each exponent and block degree sits in a packed monomial."""
+
+    __slots__ = (
+        "blocks", "shifts", "degree_shifts", "block_masks", "value",
+        "guard_shift", "guards", "degmask",
+    )
+
+    def __init__(self, blocks: tuple, nvars: int, width: int):
+        fields = []  # most significant first: (block degree | position)
+        for b, blk in enumerate(blocks):
+            fields.append(("deg", b))
+            fields.extend(("pos", p) for p in blk)
+        shift = {f: width * (len(fields) - 1 - n) for n, f in enumerate(fields)}
+        self.blocks = blocks
+        self.guard_shift = width - 1
+        self.value = (1 << self.guard_shift) - 1  # the value bits of one field
+        self.shifts = tuple(shift["pos", p] for p in range(nvars))
+        self.degree_shifts = tuple(shift["deg", b] for b in range(len(blocks)))
+        self.block_masks = tuple(
+            (sum(self.value << shift["pos", p] for p in blk), shift["deg", b])
+            for b, blk in enumerate(blocks)
+        )
+        self.guards = sum((self.value + 1) << s for s in shift.values())
+        self.degmask = sum(self.value << s for s in self.degree_shifts)
+
+    def pack(self, exps: tuple) -> int:
+        m = sum(map(lshift, exps, self.shifts))
+        for blk, s in zip(self.blocks, self.degree_shifts):
+            deg = sum(map(exps.__getitem__, blk))
+            if deg > self.value:  # a degree in range bounds the block's exponents
+                raise MonomialOverflow(
+                    f"block degree {deg} exceeds the packed field's {self.value}"
+                )
+            m += deg << s
+        return m
+
+    def unpack(self, m: int) -> tuple:
+        return tuple(map(and_, map(rshift, repeat(m), self.shifts), repeat(self.value)))
+
+    def degree(self, m: int) -> int:
+        value = self.value
+        return sum((m >> s) & value for s in self.degree_shifts)
+
+    def key(self, m: int) -> int:
+        """Sorts packed monomials as ``OrderSpec.descending_key``."""
+        return m - 2 * (m & self.degmask)
+
+    def support(self, m: int) -> int:
+        """Bit p set exactly when position p is nonzero in m."""
+        value = self.value
+        return sum(1 << p for p, s in enumerate(self.shifts) if (m >> s) & value)
 
 
-def _reducer(terms: dict, lead: tuple, bits: tuple) -> tuple:
-    """The reducer of a polynomial: (support mask, lead, monic terms).
+@lru_cache(maxsize=None)  # one layout per order and field width
+def _order_layout(order: OrderSpec, width: int) -> _Layout:
+    return _Layout(order.blocks, order.ring.nvars, width)
+
+
+def _layout(order: OrderSpec) -> _Layout:
+    return _order_layout(order, _FIELD_BITS)
+
+
+def _overflow() -> MonomialOverflow:
+    return MonomialOverflow("a packed exponent or block degree overflowed its field")
+
+
+def _reducer(terms: dict, lead: int, layout: _Layout) -> tuple:
+    """The reducer of a packed polynomial: (support, lead, monic terms).
 
     A coefficient with denominator 1 is stored as an ``int``.
     """
@@ -102,24 +197,34 @@ def _reducer(terms: dict, lead: tuple, bits: tuple) -> tuple:
         inv = Fraction(1, 1) / c
         terms = {m: inv * v for m, v in terms.items()}
     terms = {m: v.numerator if v.denominator == 1 else v for m, v in terms.items()}
-    return (_support(lead, bits), lead, terms)
+    return (layout.support(lead), lead, terms)
+
+
+def _packed(f: Polynomial, layout: _Layout) -> dict:
+    pack = layout.pack
+    return {pack(m): c for m, c in f.terms.items()}
 
 
 def _reducers(polys, order: OrderSpec) -> list:
-    """Reducers of nonzero polynomials, finding each lead once."""
-    bits = _bit_table(order.ring.nvars)
-    dkey = order.descending_key
-    return [_reducer(f.terms, min(f.terms, key=dkey), bits) for f in polys]
+    """Reducers of nonzero polynomials, packing each and finding its lead
+    once."""
+    layout = _layout(order)
+    out = []
+    for f in polys:
+        terms = _packed(f, layout)
+        out.append(_reducer(terms, min(terms, key=layout.key), layout))
+    return out
 
 
-def _degree(terms: dict) -> int:
-    return max(map(sum, terms))
+def _degree(terms: dict, layout: _Layout) -> int:
+    return max(map(layout.degree, terms))
 
 
-def _sort_key(order: OrderSpec):
-    """Deterministic sort of reducers: by degree, then leading monomial."""
-    key = order.key
-    return lambda r: (_degree(r[2]), key(r[1]))
+def _sort_key(layout: _Layout):
+    """Deterministic sort of reducers: by degree, then leading monomial
+    ascending in the order (descending in the packed key)."""
+    key = layout.key
+    return lambda r: (_degree(r[2], layout), -key(r[1]))
 
 
 @dataclass(frozen=True)
@@ -128,63 +233,87 @@ class GroebnerBasis:
 
     ``truncation_degree`` is None for a full basis; otherwise normal forms
     are only valid for homogeneous input of degree at most that bound.
-    ``reducers`` is derived once from the elements and takes no part in
-    equality or hashing.
+    ``reducers`` is derived once from the elements, and ``memo`` is the
+    reducer memo of every ``normal_form`` against them (valid for good, as
+    the reducers never change); neither takes part in equality or hashing.
     """
 
     order: OrderSpec
     elements: tuple
     truncation_degree: int | None = None
     reducers: tuple = field(init=False, repr=False, compare=False)
+    memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         reducers = tuple(_reducers(self.elements, self.order))
         object.__setattr__(self, "reducers", reducers)
+        object.__setattr__(self, "memo", {})
 
     def leading_monomials(self) -> list:
-        return [lt for _, lt, _ in self.reducers]
+        unpack = _layout(self.order).unpack
+        return [unpack(lt) for _, lt, _ in self.reducers]
 
 
 def _basis(order: OrderSpec, reducers, truncation_degree) -> GroebnerBasis:
     ring = order.ring
+    unpack = _layout(order).unpack
     return GroebnerBasis(
         order,
         tuple(
-            Polynomial(ring, {m: Fraction(c) for m, c in terms.items()})
+            Polynomial(ring, {unpack(m): Fraction(c) for m, c in terms.items()})
             for _, _, terms in reducers
         ),
         truncation_degree,
     )
 
 
-def _lcm(e1: tuple, e2: tuple) -> tuple:
-    return tuple(map(max, e1, e2))
+def _lcm(a: int, b: int, layout: _Layout) -> int:
+    """The lcm of two packed monomials.
 
-
-def _divides(e1: tuple, e2: tuple) -> bool:
-    return all(map(le, e1, e2))
+    Its exponent fields are the fieldwise maxima: the guard survives
+    (a | G) - b exactly in the fields where a >= b; in each other field
+    the guard less 1 masks the field's value bits, which come from b.  Each block degree is the sum of the block's
+    exponent fields, read as the block's bits modulo radix - 1 (the radix
+    is 1 modulo radix - 1); the sum is at most twice a guard less 2, below
+    radix - 1, so the residue is the sum itself.
+    """
+    guards = layout.guards
+    below = guards & ~((a | guards) - b)  # guards of the fields where a < b
+    take = below - (below >> layout.guard_shift)
+    l = ((a & ~take) | (b & take)) & ~layout.degmask
+    radix1 = (layout.value << 1) + 1  # radix - 1
+    for mask, s in layout.block_masks:
+        l |= ((l & mask) % radix1) << s
+    if l & guards:
+        raise _overflow()
+    return l
 
 
 def _reduce_terms(
-    terms: dict, order: OrderSpec, reducers, deadline=None, ticks=None
+    terms: dict, layout: _Layout, reducers, deadline=None, ticks=None, memo=None
 ) -> dict:
-    """Full normal form of a term dict against monic reducers.
+    """Full normal form of a packed term dict against monic reducers.
 
-    ``reducers`` is a sequence of (support mask, leading exponents, monic
-    terms); the first one whose lead divides a term reduces it.  Returns
-    a new dict with its terms in descending order.
+    ``reducers`` is a sequence of (support, packed lead, monic terms); the
+    first one whose lead divides a term reduces it.  Returns a new dict
+    with its terms in descending order.
+
+    ``memo`` maps a monomial to the index of its first divisor among
+    ``reducers``, or to ``~n`` when the first n hold none (see the module
+    docstring).  A caller may share one across calls only while it just
+    appends to ``reducers``; without one the call keeps its own.
 
     With a ``deadline``, every 64th reduction step polls the clock.  The
     steps are counted by ``ticks``, an ``itertools.count(1)`` that a
     caller may share across many calls, so that many short reductions
     still poll; without one the count starts afresh.
 
-    Terms are taken greatest first from a heap keyed by the order's
-    ``descending_key``, computed once per term when it enters ``work``.
-    This is sound: reducing the popped term m by a reducer with lead lt
-    adds the terms q*b, where q = m/lt and b runs over the reducer's
-    other terms.  Each b < lt, and the order is multiplicative, so
-    q*b < q*lt = m: every term a step adds is smaller than the term it
+    Terms are taken greatest first from a heap keyed by the packed key
+    ``m - 2*(m & DEGMASK)``, computed once per term when it enters
+    ``work``.  This is sound: reducing the popped term m by a reducer with
+    lead lt adds the terms q*b, where q = m/lt and b runs over the
+    reducer's other terms.  Each b < lt, and the order is multiplicative,
+    so q*b < q*lt = m: every term a step adds is smaller than the term it
     popped.  So the pops come out in descending order, the same order in
     which ``max(work)`` would pick them, and no popped term comes back.
     A term that cancels out of ``work`` leaves its heap entry behind: an
@@ -192,15 +321,17 @@ def _reduce_terms(
     and a term that cancels and comes back is pushed again, its entries
     popping one after the other.
     """
-    dkey = order.descending_key
-    bits = _bit_table(order.ring.nvars)
+    guards, degmask = layout.guards, layout.degmask
     heappush, heappop = heapq.heappush, heapq.heappop
+    if memo is None:
+        memo = {}
     result: dict = {}
     work = dict(terms)
-    heap = [(dkey(m), m) for m in work]
+    heap = [(m - 2 * (m & degmask), m) for m in work]
     heapq.heapify(heap)
     if ticks is None:
         ticks = itertools.count(1)
+    nred = len(reducers)
     while heap:
         m = heappop(heap)[1]
         c = work.pop(m, None)
@@ -212,29 +343,35 @@ def _reduce_terms(
             and time.monotonic() > deadline
         ):
             raise BudgetExceeded("deadline passed during reduction")
-        outside = ~_support(m, bits)
-        for lmask, lt, bterms in reducers:
-            if lmask & outside or not _divides(lt, m):
+        k = memo.get(m, -1)
+        if k < 0:
+            mg = m | guards
+            for k in range(~k, nred):
+                if (mg - reducers[k][1]) & guards == guards:
+                    memo[m] = k
+                    break
+            else:
+                memo[m] = ~nred
+                result[m] = c
                 continue
-            q = tuple(map(sub, m, lt))
-            for bm, bc in bterms.items():
-                t = tuple(map(add, q, bm))
-                if t == m:
-                    # the divisor is monic: its leading term cancels c
-                    continue
-                acc = work.get(t)
-                if acc is None:
-                    work[t] = -c * bc
-                    heappush(heap, (dkey(t), t))
+        _, lt, bterms = reducers[k]
+        q = m - lt
+        for bm, bc in bterms.items():
+            if bm == lt:  # the divisor is monic: its leading term cancels c
+                continue
+            t = q + bm
+            if t & guards:
+                raise _overflow()
+            acc = work.get(t)
+            if acc is None:
+                work[t] = -c * bc
+                heappush(heap, (t - 2 * (t & degmask), t))
+            else:
+                s = acc - c * bc
+                if s:
+                    work[t] = s
                 else:
-                    s = acc - c * bc
-                    if s:
-                        work[t] = s
-                    else:
-                        del work[t]
-            break
-        else:
-            result[m] = c
+                    del work[t]
     return result
 
 
@@ -251,15 +388,13 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
             f"degree {f.degree()} input against a basis truncated at "
             f"{gb.truncation_degree}"
         )
-    return Polynomial(f.ring, _reduce_terms(f.terms, gb.order, gb.reducers))
+    layout = _layout(gb.order)
+    rem = _reduce_terms(_packed(f, layout), layout, gb.reducers, memo=gb.memo)
+    unpack = layout.unpack
+    return Polynomial(f.ring, {unpack(m): c for m, c in rem.items()})
 
 
-# Stands in for an element that must not reduce: -1 has every bit set, so
-# the mask test rejects it for every monomial.
-_NO_REDUCER = (-1, (), {})
-
-
-def _interreduce(reducers: list, order: OrderSpec, deadline=None, ticks=None) -> list:
+def _interreduce(reducers: list, layout: _Layout, deadline=None, ticks=None) -> list:
     """Fully inter-reduce monic reducers; return them sorted by degree and
     leading monomial.
 
@@ -271,23 +406,25 @@ def _interreduce(reducers: list, order: OrderSpec, deadline=None, ticks=None) ->
     the next pass would change nothing: it is skipped.
     """
     reducers = list(reducers)
-    bits = _bit_table(order.ring.nvars)
+    # stands in for an element that must not reduce: a lead of G never
+    # divides, as (m | G) - G = m has no guard bit set
+    nothing = (0, layout.guards, {})
     changed = True
     while changed:
         changed = False
         for i, own in enumerate(reducers):
-            if own is _NO_REDUCER:  # reduced to zero
+            if own is nothing:  # reduced to zero
                 continue
-            reducers[i] = _NO_REDUCER  # an element does not reduce itself
-            terms = _reduce_terms(own[2], order, reducers, deadline, ticks)
+            reducers[i] = nothing  # an element does not reduce itself
+            terms = _reduce_terms(own[2], layout, reducers, deadline, ticks)
             if terms == own[2]:
                 reducers[i] = own
             elif terms:
                 lead = next(iter(terms))
-                reducers[i] = _reducer(terms, lead, bits)
+                reducers[i] = _reducer(terms, lead, layout)
                 changed = changed or lead != own[1]
-    reducers = [r for r in reducers if r is not _NO_REDUCER]
-    reducers.sort(key=_sort_key(order))
+    reducers = [r for r in reducers if r is not nothing]
+    reducers.sort(key=_sort_key(layout))
     return reducers
 
 
@@ -319,29 +456,32 @@ def buchberger(
         raise TruncationNeedsHomogeneous(
             "degree truncation requires homogeneous generators"
         )
-    bits = _bit_table(ring.nvars)
+    layout = _layout(order)
+    guards = layout.guards
 
     ticks = itertools.count(1)  # reduction steps, for the deadline poll
-    basis: list = []  # reducers (mask, lead, monic terms), in the order found
+    memo: dict = {}  # first divisors in ``basis``, which only grows
+    basis: list = []  # reducers (support, lead, monic terms), in the order found
     pairs: list = []  # heap of (lcm degree, i, j, lcm)
     done = set()  # handled pairs (i, j), i < j
 
     def add_element(r: tuple):
         j = len(basis)
         basis.append(r)
-        mj, lj, _ = r
-        for i, (mi, li, _) in enumerate(basis[:j]):
-            if not mi & mj:  # product criterion: coprime leading terms
+        sj, lj, _ = r
+        for i, (si, li, _) in enumerate(basis[:j]):
+            if not si & sj:  # product criterion: coprime leading terms
                 done.add((i, j))
                 continue
-            l = _lcm(li, lj)
-            ldeg = sum(l)
+            l = _lcm(li, lj, layout)
+            ldeg = layout.degree(l)
             if max_degree is None or ldeg <= max_degree:
                 heapq.heappush(pairs, (ldeg, i, j, l))
 
     try:
-        for r in _interreduce(_reducers(gens, order), order, deadline, ticks):
-            if max_degree is None or _degree(r[2]) <= max_degree:
+        seed = _interreduce(_reducers(gens, order), layout, deadline, ticks)
+        for r in seed:
+            if max_degree is None or _degree(r[2], layout) <= max_degree:
                 add_element(r)
 
         while pairs:
@@ -349,13 +489,19 @@ def buchberger(
                 raise BudgetExceeded("deadline passed in Buchberger loop")
             _, i, j, l = heapq.heappop(pairs)
             done.add((i, j))
-            mi, li, fi = basis[i]
-            mj, lj, fj = basis[j]
+            si, li, fi = basis[i]
+            sj, lj, fj = basis[j]
             # chain criterion: some k with lt_k | lcm and both pairs handled
-            outside = ~(mi | mj)
+            outside = ~(si | sj)
+            lg = l | guards
             skip = False
-            for k, (mk, lk, _) in enumerate(basis):
-                if mk & outside or k == i or k == j or not _divides(lk, l):
+            for k, (sk, lk, _) in enumerate(basis):
+                if (
+                    sk & outside
+                    or k == i
+                    or k == j
+                    or (lg - lk) & guards != guards
+                ):
                     continue
                 p1 = (min(i, k), max(i, k))
                 p2 = (min(j, k), max(j, k))
@@ -364,24 +510,30 @@ def buchberger(
                     break
             if skip:
                 continue
-            qi = tuple(map(sub, l, li))
-            qj = tuple(map(sub, l, lj))
-            sterms = {tuple(map(add, qi, m)): c for m, c in fi.items()}
+            qi, qj = l - li, l - lj
+            sterms = {}
+            for m, c in fi.items():
+                t = qi + m
+                if t & guards:
+                    raise _overflow()
+                sterms[t] = c
             for m, c in fj.items():
-                t = tuple(map(add, qj, m))
+                t = qj + m
+                if t & guards:
+                    raise _overflow()
                 acc = sterms.get(t)
                 s = -c if acc is None else acc - c
                 if s:
                     sterms[t] = s
                 elif acc is not None:
                     del sterms[t]
-            rem = _reduce_terms(sterms, order, basis, deadline, ticks)
+            rem = _reduce_terms(sterms, layout, basis, deadline, ticks, memo)
             if rem:
-                add_element(_reducer(rem, next(iter(rem)), bits))
+                add_element(_reducer(rem, next(iter(rem)), layout))
 
-        reduced = _interreduce(basis, order, deadline, ticks)
+        reduced = _interreduce(basis, layout, deadline, ticks)
     except BudgetExceeded as err:
-        found = sorted(basis or _reducers(gens, order), key=_sort_key(order))
+        found = sorted(basis or _reducers(gens, order), key=_sort_key(layout))
         err.partial = _basis(order, found, max_degree)
         raise
     return _basis(order, reduced, max_degree)

@@ -8,7 +8,9 @@ and ``integrality_witness`` produces the degree-two equation of integrality.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -48,16 +50,28 @@ def build_ideal_I(d: int) -> QuadricIdeal:
 
 
 def power_check(d: int, k: int) -> bool:
-    """True iff k-fold products of the generators span all degree-2k forms."""
+    """True iff k-fold products of the generators span all degree-2k forms.
+
+    ``combinations_with_replacement`` yields the combinations in
+    lexicographic order, so those sharing a (k-1)-fold prefix come in one
+    run: each prefix product is formed once, when its run starts, and
+    times the last factor gives the product, the same left-to-right
+    product as multiplying the combination out.
+    """
     ideal = build_ideal_I(d)
     R = ring_R(d)
     basis = monomials_of_degree(R, 2 * k)
     colindex = {m: p for p, m in enumerate(basis)}
     rows = []
-    for combo in itertools.combinations_with_replacement(ideal.gens, k):
-        p = combo[0]
-        for q in combo[1:]:
-            p = p * q
+    gens = ideal.gens
+    head = prefix = None
+    for combo in itertools.combinations_with_replacement(range(len(gens)), k):
+        if combo[:-1] != head:
+            head = combo[:-1]
+            factors = [gens[i] for i in head]
+            prefix = functools.reduce(operator.mul, factors) if factors else None
+        last = gens[combo[-1]]
+        p = last if prefix is None else prefix * last
         rows.append({colindex[t]: c for t, c in p.terms.items()})
     return len(echelon(rows)) == comb(d + 2 * k - 1, 2 * k)
 

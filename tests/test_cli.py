@@ -44,6 +44,28 @@ class TestExitCodes:
             assert r.returncode == 2, (argv, r.stderr)
             assert "Traceback" not in r.stderr
 
+    def test_unwritable_out_fails_before_any_work(self, monkeypatch, capsys, tmp_path):
+        ran = []
+        monkeypatch.setitem(cli._CHECKS, "counts", lambda *args: ran.append(args))
+        argv = ["verify", "--d", "8", "--check", "counts",
+                "--out", str(tmp_path / "missing" / "x")]
+        assert cli.main(argv) == 2
+        assert ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+
+    def test_out_probe_leaves_no_file_behind(self, capsys, tmp_path):
+        target = tmp_path / "x"
+        # the probe passes, then the command refuses its arguments
+        assert cli.main(["hf", "--d", "4", "--degree", "-1", "--out", str(target)]) == 2
+        assert not target.exists()
+        target.write_text("kept\n")
+        assert cli.main(["hf", "--d", "4", "--degree", "-1", "--out", str(target)]) == 2
+        assert target.read_text() == "kept\n"
+        assert cli.main(["hf", "--d", "4", "--degree", "2", "--out", str(target)]) == 0
+        assert target.read_text() != "kept\n"
+        capsys.readouterr()
+
     def test_unknown_subcommand(self):
         assert run("frobnicate").returncode == 2
 

@@ -15,6 +15,7 @@ from fiberforge.candidate import generators_lambda, hom_catalog
 from fiberforge.errors import (
     BeyondTruncation,
     BudgetExceeded,
+    MonomialOverflow,
     RingMismatch,
     TruncationNeedsHomogeneous,
 )
@@ -297,6 +298,17 @@ class TestBasisProperties:
         rng.shuffle(scaled)
         assert ideal_equal(gens, scaled, OMEGA4)
 
+    def test_warm_memo_gives_the_same_normal_forms(self):
+        # the cached basis keeps its reducer memo across every test's
+        # normal forms; a fresh copy starts with an empty one
+        gb = _lambda_basis(4)
+        squares = [W4.variable(v) * W4.variable(v) for v in W4.vars]
+        for f in squares + [g * W4.variable(W4.vars[0]) for g in squares]:
+            cold = GroebnerBasis(gb.order, gb.elements)
+            assert normal_form(f, gb) == normal_form(f, cold)
+            assert normal_form(f, gb) == normal_form(f, gb)
+        assert gb.memo
+
 
 R4 = ring_R(4)
 # omega and an elimination order over R4; the random polynomials below use
@@ -411,7 +423,9 @@ class TestCriterionFreeCertificate:
         order = omega_order(R4)
         lcms = []
         real = groebner._lcm
-        monkeypatch.setattr(groebner, "_lcm", lambda a, b: lcms.append(1) or real(a, b))
+        monkeypatch.setattr(
+            groebner, "_lcm", lambda *args: lcms.append(args) or real(*args)
+        )
         gb = buchberger(gens, order)
         assert lcms == []
         assert sorted(map(hash, gb.elements)) == sorted(map(hash, gens))
@@ -558,3 +572,137 @@ class TestDegreeBoundedEquality:
         a, b = pair
         full = buchberger(a, OMEGA4).elements == buchberger(b, OMEGA4).elements
         assert ideal_equal(a, b, OMEGA4) == full
+
+
+# omega, an elimination order with a leading block of consecutive
+# positions, and one whose eliminated positions are scattered
+_PACKING_ORDERS = [
+    omega_order(W4),
+    elimination_order(W4, frozenset(W4.vars[:3])),
+    elimination_order(W4, frozenset(W4.vars[p] for p in (0, 4, 5, 8))),
+]
+_w4_exponents = st.lists(
+    st.integers(0, 3), min_size=W4.nvars, max_size=W4.nvars
+).map(tuple)
+
+
+class TestPacking:
+    """A packed monomial is one int per ``groebner._Layout``: addition
+    multiplies, the guard-bit test divides, and the packed key sorts as
+    ``OrderSpec.descending_key``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(_PACKING_ORDERS), _w4_exponents, _w4_exponents)
+    def test_pack_is_faithful(self, order, a, b):
+        layout = groebner._layout(order)
+        pa, pb = layout.pack(a), layout.pack(b)
+        assert layout.unpack(pa) == a
+        assert pa + pb == layout.pack(tuple(map(sum, zip(a, b))))
+        assert layout.degree(pa) == sum(a)
+        G = layout.guards
+        assert (((pb | G) - pa) & G == G) == all(x <= y for x, y in zip(a, b))
+        lcm = groebner._lcm(pa, pb, layout)
+        assert layout.unpack(lcm) == tuple(map(max, a, b))
+        assert lcm == layout.pack(tuple(map(max, a, b)))
+        assert (not layout.support(pa) & layout.support(pb)) == (
+            not any(x and y for x, y in zip(a, b))
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(_PACKING_ORDERS), st.lists(_w4_exponents, max_size=12))
+    def test_packed_key_sorts_as_descending_key(self, order, monomials):
+        layout = groebner._layout(order)
+        packed = sorted((layout.pack(m) for m in monomials), key=layout.key)
+        assert [layout.unpack(m) for m in packed] == sorted(
+            monomials, key=order.descending_key
+        )
+
+
+class TestOverflow:
+    """A field that reaches its guard bit raises where the monomial is
+    made, as the traceback shows; with 3-bit fields a block degree may be
+    at most 3."""
+
+    @pytest.fixture
+    def narrow(self, monkeypatch):
+        monkeypatch.setattr(groebner, "_FIELD_BITS", 3)
+
+    def test_packed_input(self, narrow):
+        with pytest.raises(MonomialOverflow) as info:
+            buchberger([_wpoly((1, [(1, 2)] * 4))], OMEGA4)
+        assert info.traceback[-1].name == "pack"
+
+    def test_lcm(self, narrow, monkeypatch):
+        # leads w12^2 w13 and w12 w13^2: the lcm has degree 4
+        lcms = []
+        real = groebner._lcm
+        monkeypatch.setattr(
+            groebner, "_lcm", lambda *args: lcms.append(args) or real(*args)
+        )
+        f = _wpoly((1, [(1, 2), (1, 2), (1, 3)]))
+        g = _wpoly((1, [(1, 2), (1, 3), (1, 3)]))
+        with pytest.raises(MonomialOverflow) as info:
+            buchberger([f, g], OMEGA4)
+        assert len(lcms) == 1
+        assert info.traceback[-1].name == "_lcm"
+
+    def test_reduction_term(self, narrow):
+        # eliminating w11: w11 w12 reduces by w11 - w12^3 to w12^4, whose
+        # second-block degree is 4; the input and the reducer both fit
+        order = elimination_order(W4, frozenset({wvar(1, 1)}))
+        f = _wpoly((1, [(1, 1)]), (-1, [(1, 2)] * 3))
+        gb = buchberger([f], order)
+        with pytest.raises(MonomialOverflow) as info:
+            normal_form(_wpoly((1, [(1, 1), (1, 2)])), gb)
+        assert info.traceback[-1].name == "_reduce_terms"
+
+    def test_s_polynomial_term(self, narrow):
+        # eliminating w11: the S-polynomial of w11 w12 - w22^3 and
+        # w11 w13 - 1 has the term w13 w22^3, of second-block degree 4
+        order = elimination_order(W4, frozenset({wvar(1, 1)}))
+        f = _wpoly((1, [(1, 1), (1, 2)]), (-1, [(2, 2)] * 3))
+        g = _wpoly((1, [(1, 1), (1, 3)]), (-1, []))
+        with pytest.raises(MonomialOverflow) as info:
+            buchberger([f, g], order)
+        assert info.traceback[-1].name == "buchberger"
+
+    def test_cli_exits_2(self, narrow, capsys):
+        assert cli.main(["oracle", "--d", "4", "--which", "fiber"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _reduction_spy(monkeypatch):
+    """Record, for each ``_reduce_terms`` call, whether it returned zero,
+    and every memo the calls were handed."""
+    zero, memos = [], []
+    real = groebner._reduce_terms
+
+    def spy(terms, layout, reducers, deadline=None, ticks=None, memo=None):
+        rem = real(terms, layout, reducers, deadline, ticks, memo)
+        zero.append(not rem)
+        if memo is not None and all(m is not memo for m in memos):
+            memos.append(memo)
+        return rem
+
+    monkeypatch.setattr(groebner, "_reduce_terms", spy)
+    return zero, memos
+
+
+class TestSameWork:
+    """The packed engine does the same reductions as the tuple engine it
+    replaced, not only the same output: every ``_reduce_terms`` call of an
+    elimination (S-pairs and inter-reduction), and how many give zero.
+    The memo of the main loop holds one entry per distinct monomial."""
+
+    def test_fiber_kernel_d5(self, monkeypatch):
+        zero, memos = _reduction_spy(monkeypatch)
+        kernel_of_hom(ring_W(5), ring_R(5), hom_catalog(5).phi_W)
+        assert (len(zero), sum(zero)) == (1547, 1259)
+        assert [len(m) for m in memos] == [2797]
+
+    def test_rees_kernel_d4(self, monkeypatch):
+        zero, memos = _reduction_spy(monkeypatch)
+        rees_kernel_oracle(4)
+        assert (len(zero), sum(zero)) == (668, 491)
+        assert len(memos) == 1

@@ -1,7 +1,14 @@
 """Tests for the quadric ideal, its syzygies, and the Rees-side objects."""
 
-import pytest
+import itertools
 from fractions import Fraction
+from functools import reduce
+from math import comb
+from operator import mul
+
+import pytest
+
+from fiberforge import rees
 
 from fiberforge.candidate import phi_U, phi_W, generators_lambda
 from fiberforge.errors import DimensionTooSmall
@@ -15,6 +22,7 @@ from fiberforge.rees import (
     rees_substitution,
     sym_algebra_ideal,
 )
+from fiberforge.hilbert import monomials_of_degree
 from fiberforge.rings import (
     Polynomial,
     apply_hom,
@@ -126,3 +134,30 @@ class TestWitness:
         wit = integrality_witness(4)
         assert wit.combo.is_homogeneous() and wit.combo.degree() == 2
         assert wit.h.degree() == 2
+
+
+class TestPowerCheckPrefixes:
+    def test_each_prefix_product_is_formed_once(self, monkeypatch):
+        d, k = 6, 3
+        ideal = build_ideal_I(d)
+        gens = ideal.gens
+        colindex = {m: p for p, m in enumerate(monomials_of_degree(ring_R(d), 2 * k))}
+        # the rows as products multiplied out from scratch, in the same order
+        want = [
+            [(colindex[t], c) for t, c in reduce(mul, combo).terms.items()]
+            for combo in itertools.combinations_with_replacement(gens, k)
+        ]
+        products, rows = [], []
+        real_mul, real_echelon = Polynomial.__mul__, rees.echelon
+        monkeypatch.setattr(rees, "build_ideal_I", lambda _: ideal)
+        monkeypatch.setattr(
+            Polynomial, "__mul__", lambda f, g: products.append(1) or real_mul(f, g)
+        )
+        monkeypatch.setattr(
+            rees, "echelon", lambda r: rows.extend(r) or real_echelon(r)
+        )
+        assert power_check(d, k) is True
+        # one product per twofold prefix and one per threefold combination
+        n = len(gens)
+        assert len(products) == comb(n + 1, 2) + comb(n + 2, 3)
+        assert [list(r.items()) for r in rows] == want
