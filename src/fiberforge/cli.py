@@ -21,11 +21,9 @@ from .errors import BadParams, BudgetExceeded, FiberForgeError
 from .rings import (
     apply_hom,
     format_monomial,
-    omega_order,
     poly_to_json,
     ring_R,
     ring_Rees,
-    ring_S,
     ring_W,
 )
 
@@ -348,9 +346,7 @@ def _fiber_oracle_check(report: VerifyReport, d: int, deadline, required: bool):
         ker = groebner.kernel_of_hom(
             ring_W(d), ring_R(d), candidate.hom_catalog(d).phi_W, deadline
         )
-        eq = groebner.ideal_equal(
-            _lambda_values(d), list(ker.elements), omega_order(ring_W(d)), deadline
-        )
+        eq = groebner.ideal_equal(_lambda_values(d), ker, deadline)
         report.add(name, True, eq, time.monotonic() - t0)
     except BudgetExceeded:
         if required:
@@ -365,9 +361,7 @@ def _rees_oracle_check(report: VerifyReport, d: int, deadline):
     try:
         t0 = time.monotonic()
         ker = rees.rees_kernel_oracle(d, deadline)
-        eq = groebner.ideal_equal(
-            rees.rees_ideal(d), ker, omega_order(ring_S(d)), deadline
-        )
+        eq = groebner.ideal_equal(rees.rees_ideal(d), ker, deadline)
         report.add(name, True, eq, time.monotonic() - t0)
     except BudgetExceeded:
         report.skip(name, "time budget exceeded")

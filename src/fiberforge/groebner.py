@@ -37,13 +37,13 @@ Order data is computed once.  The engine keeps these invariants:
   reducer ``(support, packed lead, monic packed terms)``.  The lead is
   found once, when the polynomial enters the engine or when reduction
   changes it, and never again: ``buchberger`` and ``_interreduce`` keep
-  their reducers in a list, and ``GroebnerBasis`` builds its own once
-  from its elements, so ``normal_form`` reads them.  A remainder from
-  ``_reduce_terms`` lists its terms in descending order, so its first
-  key is its lead.  The support is a small bitmask with bit p set when
-  position p is nonzero in the lead: two leads are coprime exactly when
-  their supports are disjoint, and a lead k can divide the lcm of leads
-  i and j only if its support lies inside theirs, a test the chain
+  their reducers in a list, and ``GroebnerBasis`` builds its own from
+  its elements on first use, so ``normal_form`` reads them.  A remainder
+  from ``_reduce_terms`` lists its terms in descending order, so its
+  first key is its lead.  The support is a small bitmask with bit p set
+  when position p is nonzero in the lead: two leads are coprime exactly
+  when their supports are disjoint, and a lead k can divide the lcm of
+  leads i and j only if its support lies inside theirs, a test the chain
   criterion makes before the packed one.
 - Reduction heap.  ``_reduce_terms`` pops terms in descending order from
   a heap of packed keys; each key is computed once, when its term
@@ -61,21 +61,34 @@ Order data is computed once.  The engine keeps these invariants:
 - Truncation.  With ``max_degree``, a pair whose lcm has higher degree
   is never pushed; in a degree-2 truncation of quadrics no pair is.
 - Pair queue.  A pair whose leading terms are coprime is marked handled
-  when it is created and never pushed (Buchberger's product criterion):
-  its S-polynomial has a standard representation whatever the basis
-  holds later.  The chain criterion at pop time consults only handled
-  pairs, never pending ones, so counting a coprime pair as handled
-  early is sound and cannot make two pairs vouch for each other.  The
-  other pairs pop in the order (lcm degree, i, j): within one degree,
-  those of older basis elements first, with no order key computed.
-  The chain criterion drops (i, j) through an element k whose lead
-  divides its lcm L; the lcms of (i, k) and (j, k) then divide L, so
-  each either has lower degree, and pops before (i, j) in any
-  degree-first order, or equals L, and then both this order and an
-  order by (degree, key(lcm), i, j) take it by (i, j).  So within one
-  degree the order does not change which of the existing pairs the
-  criterion finds handled, and truncation still cuts by degree.  The
-  heap entry carries the lcm, so a pop recomputes nothing.
+  when it is created and never pushed (Buchberger's product criterion).
+  The other pairs pop in the order (pair degree, i, j), with no order
+  key computed; the heap entry carries the lcm, so a pop recomputes
+  nothing.  The pair degree is the lcm's degree: its weighted degree
+  under an order that carries ``weights`` (an elimination, see
+  ``eliminate``), and its standard degree otherwise and in every
+  truncated call, since truncation cuts by standard degree.  For input
+  homogeneous in the weights this is the sugar strategy (Giovini, Mora,
+  Niesi, Robbiano and Traverso, ISSAC 1991).
+- Any pair order is sound (Buchberger 1985).  The chain criterion at pop
+  time drops (i, j) through an element k other than i and j whose lead
+  divides the lcm L, when the pairs (i, k) and (j, k) are both handled;
+  pending pairs are never consulted.  Call a pair settled when its
+  S-polynomial is a combination sum a_m*f_m of the elements the main
+  loop ends with, every lead of a_m*f_m below its lcm; a basis whose
+  pairs are all settled is a Groebner basis.  Every handled pair is
+  settled, by induction on (lcm, treatment time), lcms ordered by
+  divisibility.  A coprime pair is settled by the product criterion,
+  whatever the basis holds later.  A reduced pair is settled by its
+  reduction: S = sum q_m*f_m + r with every lead of q_m*f_m at most
+  lm(S) < L, and r is zero or joins the basis with lm(r) <= lm(S).  A
+  dropped pair: the lcms L_ik and L_jk divide L, so each is smaller than
+  L or equal to it and handled earlier, and both pairs are settled.  With
+  monic leads S(i, j) = (L/L_ik)*S(i, k) + (L/L_jk)*S(k, j), and the
+  multiplied combinations keep every lead below L.  So the pair order
+  changes the work, never the result.  Truncation leaves out only pairs
+  above its bound, and a pair within it cites only pairs within it, as
+  their lcms divide its own.
 - Integer coefficients.  Inside the engine a coefficient whose
   denominator is 1 is an ``int``; ``_basis`` turns every coefficient
   back into a ``Fraction``.  This is the same exact arithmetic over Q:
@@ -95,9 +108,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import and_, lshift, rshift
 
@@ -220,6 +233,43 @@ def _degree(terms: dict, layout: _Layout) -> int:
     return max(map(layout.degree, terms))
 
 
+def _weighted_degree(layout: _Layout, weights: tuple):
+    """The degree of a packed monomial in which position p weighs
+    ``weights[p]``.
+
+    Per block, the weighted degree is the least weight w0 in the block
+    times the block degree, read from its field, plus (w - w0) times the
+    exponent sum of each group of positions of a greater weight w.  A
+    group's sum is read as its bits modulo radix - 1, as ``_lcm`` reads a
+    block degree; it is at most its block's degree, which is below the
+    guard in any monomial the engine holds, so the residue is the sum.
+    """
+    value = layout.value
+    radix1 = (value << 1) + 1
+    fields, groups = [], []  # (weight, degree shift), (extra weight, mask)
+    for blk, shift in zip(layout.blocks, layout.degree_shifts):
+        if not blk:
+            continue
+        base = min(weights[p] for p in blk)
+        fields.append((base, shift))
+        masks: dict = {}
+        for p in blk:
+            extra = weights[p] - base
+            if extra:
+                masks[extra] = masks.get(extra, 0) | value << layout.shifts[p]
+        groups.extend(masks.items())
+
+    def degree(m: int) -> int:
+        d = 0
+        for w, shift in fields:
+            d += w * ((m >> shift) & value)
+        for w, mask in groups:
+            d += w * ((m & mask) % radix1)
+        return d
+
+    return degree
+
+
 def _sort_key(layout: _Layout):
     """Deterministic sort of reducers: by degree, then leading monomial
     ascending in the order (descending in the packed key)."""
@@ -233,21 +283,23 @@ class GroebnerBasis:
 
     ``truncation_degree`` is None for a full basis; otherwise normal forms
     are only valid for homogeneous input of degree at most that bound.
-    ``reducers`` is derived once from the elements, and ``memo`` is the
-    reducer memo of every ``normal_form`` against them (valid for good, as
-    the reducers never change); neither takes part in equality or hashing.
+    ``reducers`` is derived from the elements on first use, so a basis
+    that is only compared is never packed, and ``memo`` is the reducer
+    memo of every ``normal_form`` against them (valid for good, as the
+    reducers never change); neither takes part in equality or hashing.
     """
 
     order: OrderSpec
     elements: tuple
     truncation_degree: int | None = None
-    reducers: tuple = field(init=False, repr=False, compare=False)
-    memo: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        reducers = tuple(_reducers(self.elements, self.order))
-        object.__setattr__(self, "reducers", reducers)
-        object.__setattr__(self, "memo", {})
+    @cached_property
+    def reducers(self) -> tuple:
+        return tuple(_reducers(self.elements, self.order))
+
+    @cached_property
+    def memo(self) -> dict:
+        return {}
 
     def leading_monomials(self) -> list:
         unpack = _layout(self.order).unpack
@@ -446,6 +498,12 @@ def buchberger(
     generators if the seed was not yet inter-reduced), sorted by degree
     and leading monomial.  It is not reduced: no further work is done
     once the deadline has passed.
+
+    Under an order that carries ``weights`` (an elimination, made by
+    ``eliminate``) the pairs pop by weighted lcm degree unless the call
+    is truncated, and the result holds only the elements whose leads
+    miss the first block, inter-reduced among themselves: the reduced
+    basis of the elimination ideal (the argument is in ``eliminate``).
     """
     ring = order.ring
     gens = [g for g in gens if not g.is_zero]
@@ -458,11 +516,15 @@ def buchberger(
         )
     layout = _layout(order)
     guards = layout.guards
+    if max_degree is None and order.weights is not None:
+        pair_degree = _weighted_degree(layout, order.weights)
+    else:
+        pair_degree = layout.degree
 
     ticks = itertools.count(1)  # reduction steps, for the deadline poll
     memo: dict = {}  # first divisors in ``basis``, which only grows
     basis: list = []  # reducers (support, lead, monic terms), in the order found
-    pairs: list = []  # heap of (lcm degree, i, j, lcm)
+    pairs: list = []  # heap of (pair degree, i, j, lcm)
     done = set()  # handled pairs (i, j), i < j
 
     def add_element(r: tuple):
@@ -474,7 +536,7 @@ def buchberger(
                 done.add((i, j))
                 continue
             l = _lcm(li, lj, layout)
-            ldeg = layout.degree(l)
+            ldeg = pair_degree(l)
             if max_degree is None or ldeg <= max_degree:
                 heapq.heappush(pairs, (ldeg, i, j, l))
 
@@ -531,7 +593,11 @@ def buchberger(
             if rem:
                 add_element(_reducer(rem, next(iter(rem)), layout))
 
-        reduced = _interreduce(basis, layout, deadline, ticks)
+        kept = basis
+        if order.weights is not None:
+            eliminated = sum(1 << p for p in order.blocks[0])
+            kept = [r for r in basis if not r[0] & eliminated]
+        reduced = _interreduce(kept, layout, deadline, ticks)
     except BudgetExceeded as err:
         found = sorted(basis or _reducers(gens, order), key=_sort_key(layout))
         err.partial = _basis(order, found, max_degree)
@@ -562,12 +628,36 @@ def eliminate(
     joint: Ring,
     eliminated: frozenset,
     deadline: float | None = None,
+    weights: tuple | None = None,
 ) -> list:
-    """Generators of the elimination ideal (those free of ``eliminated``)."""
-    order = elimination_order(joint, eliminated)
-    gb = buchberger(gens, order, None, deadline)
-    dropped = {joint.position(v) for v in eliminated}
-    return [f for f in gb.elements if not any(e[p] for e in f.terms for p in dropped)]
+    """The reduced basis of the elimination ideal (the elements free of
+    ``eliminated``), sorted by degree and lead.
+
+    ``weights`` (one per position of ``joint``; all 1 by default) is the
+    grading that orders the S-pairs; a caller passes one in which its
+    generators are homogeneous.  Any grading gives the same result, as
+    any pair order does (module docstring).  It rides on the elimination
+    order, so ``buchberger`` keeps its signature.
+
+    Only the elements whose lead misses the eliminated block are
+    inter-reduced; the rest of the graph ideal's basis is dropped
+    unreduced.  This is sound.  Let G be the Groebner basis the main loop
+    ends with and K its elements whose leads miss the block.  Under a
+    block order a monomial with a positive exponent in the first block is
+    greater than every monomial without one, so each term of an element
+    of K is at most its lead, hence free of the block too.  By the
+    elimination theorem K is a Groebner basis of the elimination ideal,
+    and inter-reducing K (each element reduced by the others, made monic,
+    zeros dropped) gives its reduced basis.  That basis is unique; the
+    elements of the fully reduced basis of the whole ideal whose leads
+    miss the block are also one, so the two are the same set.  A lead
+    with a block variable never divides a monomial free of the block, so
+    the dropped elements could not have changed a kept one.
+    """
+    if weights is None:
+        weights = (1,) * joint.nvars
+    order = elimination_order(joint, eliminated, weights)
+    return list(buchberger(gens, order, None, deadline).elements)
 
 
 def kernel_of_hom(
@@ -586,6 +676,10 @@ def kernel_of_hom(
     order.  So by the elimination theorem they are a Groebner basis under
     it; as part of a reduced basis they are monic and inter-reduced; and
     they keep the whole basis's order by degree and lead.
+
+    The S-pairs pop by a grading in which the generators are homogeneous
+    when the images are: each target variable weighs 1 and each source
+    variable the degree of its image (at least 1).
     """
     joint = Ring(f"{target.name}+{source.name}", target.vars + source.vars, target.d)
     gens = []
@@ -593,32 +687,44 @@ def kernel_of_hom(
         gens.append(
             transport(source.variable(v), joint) - transport(images[v], joint)
         )
-    kept = eliminate(gens, joint, frozenset(target.vars), deadline)
+    weights = (1,) * target.nvars + tuple(
+        max(images[v].degree(), 1) for v in source.vars
+    )
+    kept = eliminate(gens, joint, frozenset(target.vars), deadline, weights)
     return GroebnerBasis(omega_order(source), tuple(transport(f, source) for f in kept))
 
 
-def ideal_equal(gens_a, gens_b, order: OrderSpec, deadline=None) -> bool:
-    """Exact ideal equality via the canonical reduced bases, both computed
-    under the same ``deadline``.
+def ideal_equal(gens, basis: GroebnerBasis, deadline=None) -> bool:
+    """Whether ``gens`` generate the ideal of which ``basis`` is the full
+    reduced Groebner basis, under ``basis.order``.
 
-    When every nonzero generator on both sides is homogeneous, both bases
-    are truncated at D, the largest generator degree; otherwise they are
-    full.  This is sound.  For homogeneous input and any monomial order,
-    the D-truncated reduced basis of an ideal is the set of its reduced
-    basis elements of degree at most D: it is determined by the slices
-    A_0, ..., A_D and spans them.  So equal truncated bases give
-    A_k = B_k for every k <= D.  Every generator of either side has degree
-    at most D, so it lies in the other ideal, and A = B.  Conversely,
-    A = B gives equal reduced bases, hence equal truncations.  D is read
-    from the inputs alone, never from a claimed count, so this check
-    stays independent of the rank route.
+    One Buchberger run: the reduced basis of ``gens``, computed under
+    ``deadline``, is compared with ``basis.elements``, which are not
+    recomputed.  When every nonzero generator and every basis element is
+    homogeneous, that run is truncated at D, the largest degree among
+    them; otherwise it is full.  This is sound.  Write A for the ideal of
+    ``gens`` and B for that of ``basis``.  For homogeneous input and any
+    monomial order, the D-truncated reduced basis of A is the set of the
+    elements of degree at most D of its reduced basis.  If A = B, that is
+    ``basis.elements``, as they are the reduced basis of B (unique) and
+    all have degree at most D.  Conversely, if the truncated basis of A
+    equals ``basis.elements``, then B is generated by elements of A, so
+    B is in A; and the truncated basis generates A_k for every k <= D,
+    which holds every generator of A, so A is in B.  D is read from the
+    inputs alone, never from a claimed count, so this check stays
+    independent of the rank route.  A truncated ``basis`` raises
+    BeyondTruncation: it does not determine its ideal above its bound.
     """
-    gens_a, gens_b = list(gens_a), list(gens_b)
-    nonzero = [g for g in gens_a + gens_b if not g.is_zero]
+    if basis.truncation_degree is not None:
+        raise BeyondTruncation(
+            f"ideal equality needs a full basis, not one truncated at "
+            f"{basis.truncation_degree}"
+        )
+    nonzero = [g for g in gens if not g.is_zero]
+    both = nonzero + list(basis.elements)
     bound = None
-    if all(g.is_homogeneous() for g in nonzero):
-        bound = max((g.degree() for g in nonzero), default=None)
+    if all(g.is_homogeneous() for g in both):
+        bound = max((g.degree() for g in both), default=None)
     # positional: wrappers of ``buchberger`` may name the 4th parameter
-    gba = buchberger(gens_a, order, bound, deadline)
-    gbb = buchberger(gens_b, order, bound, deadline)
-    return list(gba.elements) == list(gbb.elements)
+    gb = buchberger(nonzero, basis.order, bound, deadline)
+    return list(gb.elements) == list(basis.elements)

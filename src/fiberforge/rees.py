@@ -16,10 +16,12 @@ from math import comb
 
 from .candidate import epsilon, generators_lambda, quadric_image
 from .errors import DimensionTooSmall
-from .groebner import eliminate, transport
+from .groebner import GroebnerBasis, eliminate, transport
 from .hilbert import echelon, monomials_of_degree, rref
 from .rings import (
     Polynomial,
+    VarKind,
+    omega_order,
     ring_R,
     ring_Rees,
     ring_S,
@@ -155,18 +157,27 @@ def rees_substitution(d: int) -> dict:
     return hom
 
 
-def rees_kernel_oracle(d: int, deadline: float | None = None) -> list:
-    """Kernel of S -> R[t] by eliminating t from (w_ij - t*g_ij).
+def rees_kernel_oracle(d: int, deadline: float | None = None) -> GroebnerBasis:
+    """Kernel of S -> R[t] by eliminating t from (w_ij - t*g_ij): its
+    reduced basis under ``omega_order(ring_S(d))``.
 
-    Raises BudgetExceeded (with partial state) once ``deadline`` passes.
+    The kept elements are the reduced basis of the kernel under the
+    elimination order, already sorted.  On monomials of S that order is
+    ``omega_order(ring_S(d))``, since S's variables are those of
+    ``ring_Rees(d)`` but t, in order; so they are that basis (the same
+    argument as ``groebner.kernel_of_hom``).  The generators are
+    homogeneous when x and t weigh 1 and w weighs 3, and the S-pairs pop
+    by that grading.  Raises BudgetExceeded (with partial state) once
+    ``deadline`` passes.
     """
-    T = ring_Rees(d)
+    T, S = ring_Rees(d), ring_S(d)
     t = T.variable(tvar())
     gens = []
     for v in ring_W(d).vars:
         gens.append(T.variable(v) - t * transport(quadric_image(d, *v.index), T))
-    kept = eliminate(gens, T, frozenset({tvar()}), deadline)
-    return [transport(f, ring_S(d)) for f in kept]
+    weights = tuple(3 if v.kind is VarKind.W else 1 for v in T.vars)
+    kept = eliminate(gens, T, frozenset({tvar()}), deadline, weights)
+    return GroebnerBasis(omega_order(S), tuple(transport(f, S) for f in kept))
 
 
 @dataclass(frozen=True)

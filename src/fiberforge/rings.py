@@ -58,7 +58,10 @@ class VarKind(Enum):
 class VariableId:
     """A tagged variable: x_i, w_ij, u_ij or t.
 
-    Pair indices are canonicalized to i <= j on construction.
+    Pair indices are canonicalized to i <= j on construction.  The hash
+    is computed then too, as the value the generated ``__hash__`` would
+    give, so a dict keyed by variables (``Ring.index``, a homomorphism)
+    never calls the Python-level ``Enum.__hash__`` of the kind.
     """
 
     kind: VarKind
@@ -75,6 +78,12 @@ class VariableId:
             (i,) = self.index
             if i < 1:
                 raise BadIndex(f"x index out of range: {i}")
+        # an Enum member hashes as its name, and a tuple by its items'
+        # hashes: the generated hash, without the Python-level Enum.__hash__
+        object.__setattr__(self, "_hash", hash((self.kind._name_, self.index)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         if self.kind is VarKind.T:
@@ -215,12 +224,20 @@ class OrderSpec:
     exponents); ``descending_key`` compares (-degree, exponents), which is
     the reverse order and needs no negated copy of the tuple.  It is built
     once per order, with a slice for each block of consecutive positions.
+
+    ``weights`` is set only on the order of an elimination
+    (``groebner.eliminate``): one positive integer per position, the
+    grading by which its S-pairs are ordered (the oracles pick one in
+    which their generators are homogeneous).  It is not part of the
+    monomial order and takes no part in equality or hashing.
+    ``groebner.buchberger`` reads it (see there).
     """
 
     kind: str
     ring: Ring
     blocks: tuple
     descending_key: object = field(init=False, repr=False, compare=False)
+    weights: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -266,13 +283,18 @@ def omega_order(ring: Ring) -> OrderSpec:
     return OrderSpec("omega_grevlex", ring, (tuple(range(ring.nvars)),))
 
 
-def elimination_order(ring: Ring, eliminated: frozenset) -> OrderSpec:
-    """Two-block order: ``eliminated`` variables first (greater block)."""
+def elimination_order(
+    ring: Ring, eliminated: frozenset, weights: tuple | None = None
+) -> OrderSpec:
+    """Two-block order: ``eliminated`` variables first (greater block).
+
+    ``weights``, one per position of ``ring``, makes it the order of an
+    elimination (see ``OrderSpec``)."""
     first = tuple(p for p, v in enumerate(ring.vars) if v in eliminated)
     second = tuple(p for p, v in enumerate(ring.vars) if v not in eliminated)
     if len(first) != len(eliminated):
         raise UnknownVariable("eliminated variables not all in ring")
-    return OrderSpec("block_elimination", ring, (first, second))
+    return OrderSpec("block_elimination", ring, (first, second), weights)
 
 
 class Polynomial:

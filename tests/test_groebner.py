@@ -28,7 +28,7 @@ from fiberforge.groebner import (
     normal_form,
     transport,
 )
-from fiberforge.rees import rees_kernel_oracle
+from fiberforge.rees import rees_ideal, rees_kernel_oracle, sym_algebra_ideal
 from fiberforge.rings import (
     Polynomial,
     Ring,
@@ -38,6 +38,7 @@ from fiberforge.rings import (
     omega_order,
     poly_to_json,
     ring_R,
+    ring_S,
     ring_W,
     wvar,
     xvar,
@@ -174,21 +175,23 @@ class TestBudget:
         return deadlines
 
     def test_ideal_equal_shares_one_budget(self, monkeypatch):
-        deadlines = self._spy(monkeypatch, 0.05)
         gens = [_wpoly((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]))]
+        basis = buchberger(gens, OMEGA4)
+        deadlines = self._spy(monkeypatch, 0.05)
         deadline = time.monotonic() + 30.0
-        assert ideal_equal(gens, gens, OMEGA4, deadline)
-        assert deadlines == [deadline, deadline]
+        assert ideal_equal(gens, basis, deadline)
+        assert deadlines == [deadline]  # one Buchberger run per comparison
 
     def test_ideal_equal_second_basis_gets_no_fresh_budget(self, monkeypatch):
         deadlines = self._spy(monkeypatch, 0.05)
         # one binomial: its basis polls the deadline too rarely to notice
-        # that it has passed; Lambda's Buchberger loop polls before each pair
+        # that it has passed; the comparison's run on Lambda does notice
         gens = [_wpoly((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]))]
         lam = [rec.value for rec in generators_lambda(4, "all")]
         deadline = time.monotonic() + 0.01
+        basis = groebner.buchberger(gens, OMEGA4, None, deadline)
         with pytest.raises(BudgetExceeded):
-            ideal_equal(gens, lam, OMEGA4, deadline)
+            ideal_equal(lam, basis, deadline)
         assert deadlines == [deadline, deadline]
 
     def test_poll_counter_spans_the_whole_call(self):
@@ -233,11 +236,17 @@ class TestPinnedBases:
         assert (_digest(gb.elements), len(gb.elements)) == ("f4e6dbb7220bb512", 61)
 
     @pytest.mark.parametrize(
-        "d, digest, size", [(4, "d383c7fb63196080", 49), (5, "0896f846db2488a1", 109)]
+        "d, digest, size",
+        [
+            (4, "d383c7fb63196080", 49),
+            (5, "0896f846db2488a1", 109),
+            (6, "f1eba710ffd29f8e", 210),
+        ],
     )
     def test_rees_kernel_oracle(self, d, digest, size):
-        kept = rees_kernel_oracle(d)
-        assert (_digest(kept), len(kept)) == (digest, size)
+        gb = rees_kernel_oracle(d)
+        assert gb.order is omega_order(ring_S(d))
+        assert (_digest(gb.elements), len(gb.elements)) == (digest, size)
 
     def test_cached_order_data_not_in_equality(self):
         gb = _lambda_basis(4)
@@ -296,7 +305,7 @@ class TestBasisProperties:
         gens = [rec.value for rec in generators_lambda(4, "all")]
         scaled = [g.scale(c) for g, c in zip(gens, scales)]
         rng.shuffle(scaled)
-        assert ideal_equal(gens, scaled, OMEGA4)
+        assert ideal_equal(gens, buchberger(scaled, OMEGA4))
 
     def test_warm_memo_gives_the_same_normal_forms(self):
         # the cached basis keeps its reducer memo across every test's
@@ -457,16 +466,98 @@ class TestElimination:
         assert used <= set(source.vars)
 
 
+def _free_of(f, positions):
+    return not any(e[p] for e in f.terms for p in positions)
+
+
+_X2 = Ring("X2", (xvar(1), xvar(2)), 2)
+_W3 = Ring("W3", tuple(VariableId(VarKind.W, ij) for ij in ((1, 1), (1, 2), (2, 2))), 2)
+
+# a homogeneous X2 polynomial of degree 1 to 3 with one to three terms;
+# three of them are algebraically dependent, so the kernel is not zero
+_x2_form = st.integers(1, 3).flatmap(
+    lambda k: st.dictionaries(
+        st.integers(0, k).map(lambda a: (a, k - a)),
+        st.integers(-2, 2).filter(bool),
+        min_size=1,
+        max_size=3,
+    )
+).map(lambda terms: Polynomial(_X2, terms))
+
+
+class TestGradedElimination:
+    """``eliminate`` pops its S-pairs by a grading and inter-reduces only
+    the kept elements; neither may change the result."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_x2_form, min_size=3, max_size=3))
+    def test_kernel_matches_the_standard_degree_order(self, forms):
+        # images of different degrees: the grading differs from the
+        # standard degree; the plain elimination order carries no weights,
+        # so its pairs pop by standard degree and its basis is fully reduced
+        images = dict(zip(_W3.vars, forms))
+        joint = Ring("X2+W3", _X2.vars + _W3.vars, 2)
+        gens = [
+            transport(_W3.variable(v), joint) - transport(images[v], joint)
+            for v in _W3.vars
+        ]
+        full = buchberger(gens, elimination_order(joint, frozenset(_X2.vars)))
+        kept = [f for f in full.elements if _free_of(f, range(_X2.nvars))]
+        kernel = kernel_of_hom(_W3, _X2, images)
+        assert kernel.elements and kernel.elements == tuple(
+            transport(f, _W3) for f in kept
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(_inhomogeneous, st.lists(st.integers(1, 3), min_size=4, max_size=4))
+    def test_kept_only_equals_the_kept_part_of_the_full_basis(self, gens, weights):
+        eliminated = frozenset({xvar(1)})
+        full = buchberger(gens, elimination_order(R4, eliminated))
+        kept = [f for f in full.elements if _free_of(f, [0])]
+        assert eliminate(gens, R4, eliminated, None, tuple(weights)) == kept
+        assert eliminate(gens, R4, eliminated) == kept
+
+
+@lru_cache(maxsize=None)
+def _fiber_kernel_d4():
+    return kernel_of_hom(ring_W(4), ring_R(4), hom_catalog(4).phi_W)
+
+
+class TestOracleNegativeControls:
+    """The oracle comparison fails when the candidate misses a part."""
+
+    @pytest.mark.parametrize("part", [0, 1, 2])
+    def test_fiber_d4_without_one_part_of_lambda(self, part):
+        kernel = _fiber_kernel_d4()
+        full = [rec.value for rec in generators_lambda(4, "all")]
+        assert ideal_equal(full, kernel)
+        dropped = {rec.value for rec in generators_lambda(4, part)}
+        assert not ideal_equal([g for g in full if g not in dropped], kernel)
+
+    def test_rees_d4_without_one_l_generator(self):
+        kernel = rees_kernel_oracle(4)
+        gens = rees_ideal(4)
+        assert ideal_equal(gens, kernel)
+        first_l = sym_algebra_ideal(4)[0]
+        assert gens[0] == first_l  # J lists L first
+        assert not ideal_equal(gens[1:], kernel)
+
+    def test_comparison_never_packs_the_basis(self):
+        kernel = kernel_of_hom(ring_W(4), ring_R(4), hom_catalog(4).phi_W)
+        assert ideal_equal([rec.value for rec in generators_lambda(4, "all")], kernel)
+        assert "reducers" not in vars(kernel)
+
+
 class TestIdealPredicates:
     def test_ideal_equal_true(self):
         a = [_wpoly((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]))]
         b = [f.scale(Fraction(-3)) for f in a]
-        assert ideal_equal(a, b, OMEGA4)
+        assert ideal_equal(a, buchberger(b, OMEGA4))
 
     def test_ideal_equal_false(self):
         a = [_wpoly((1, [(1, 2)]))]
         b = [_wpoly((1, [(1, 3)]))]
-        assert not ideal_equal(a, b, OMEGA4)
+        assert not ideal_equal(a, buchberger(b, OMEGA4))
 
     def test_ideal_contains(self):
         gen = _wpoly((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]))
@@ -530,8 +621,8 @@ def _w4_side_pair(draw):
 
 
 class TestDegreeBoundedEquality:
-    """``ideal_equal`` truncates both bases at the top generator degree
-    when every generator is homogeneous."""
+    """``ideal_equal`` truncates its one basis at the top degree of the
+    generators and the given basis when all of them are homogeneous."""
 
     def test_extra_cubic_outside_the_ideal(self, monkeypatch):
         cubic = _wpoly((1, [(1, 1), (1, 1), (1, 1)]))
@@ -539,39 +630,49 @@ class TestDegreeBoundedEquality:
         # the degree-2 parts agree, so a bound of 2 could not tell them apart
         low = buchberger(_LAMBDA4, OMEGA4, 2).elements
         assert buchberger(_LAMBDA4 + [cubic], OMEGA4, 2).elements == low
+        wider = buchberger(_LAMBDA4 + [cubic], OMEGA4)
         bounds = _max_degree_spy(monkeypatch)
-        assert not ideal_equal(_LAMBDA4, _LAMBDA4 + [cubic], OMEGA4)
+        assert not ideal_equal(_LAMBDA4 + [cubic], _lambda_basis(4))
+        assert not ideal_equal(_LAMBDA4, wider)
         assert bounds == [3, 3]
 
     def test_inhomogeneous_falls_back_to_full_bases(self, monkeypatch):
         f = _wpoly((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]), (1, [(1, 1)]))
         g = _wpoly((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]))
+        bases = [buchberger([h], OMEGA4) for h in (f.scale(Fraction(5)), g, f)]
         bounds = _max_degree_spy(monkeypatch)
-        assert ideal_equal([f], [f.scale(Fraction(5))], OMEGA4)
-        assert not ideal_equal([f], [g], OMEGA4)
-        assert bounds == [None] * 4
+        assert ideal_equal([f], bases[0])
+        assert not ideal_equal([f], bases[1])
+        assert not ideal_equal([g], bases[2])  # only the basis is inhomogeneous
+        assert bounds == [None] * 3
 
     def test_one_side_empty(self, monkeypatch):
         q = _wpoly((1, [(1, 2), (3, 4)]))
+        of_q, of_zero = buchberger([q], OMEGA4), buchberger([W4.zero()], OMEGA4)
         bounds = _max_degree_spy(monkeypatch)
-        assert not ideal_equal([], [q], OMEGA4)
-        assert not ideal_equal([q, W4.zero()], [W4.zero()], OMEGA4)
-        assert ideal_equal([], [W4.zero()], OMEGA4)
-        assert bounds == [2, 2, 2, 2, None, None]
+        assert not ideal_equal([], of_q)
+        assert not ideal_equal([q, W4.zero()], of_zero)
+        assert ideal_equal([], of_zero)
+        assert bounds == [2, 2, None]
 
-    def test_fiber_oracle_d4_bounds_both_bases_at_3(self, monkeypatch, capsys):
+    def test_truncated_basis_refused(self):
+        with pytest.raises(BeyondTruncation):
+            ideal_equal(_LAMBDA4, buchberger(_LAMBDA4, OMEGA4, 2))
+
+    def test_fiber_oracle_d4_bounds_the_comparison_at_3(self, monkeypatch, capsys):
         # Lambda4 holds only quadrics, but the kernel's basis has cubics
         bounds = _max_degree_spy(monkeypatch)
         assert cli.main(["oracle", "--d", "4", "--which", "fiber"]) == 0
         capsys.readouterr()
-        assert bounds == [None, 3, 3]  # the elimination, then ideal_equal
+        assert bounds == [None, 3]  # the elimination, then ideal_equal
 
     @settings(max_examples=40, deadline=None)
     @given(_w4_side_pair())
     def test_agrees_with_full_bases(self, pair):
         a, b = pair
-        full = buchberger(a, OMEGA4).elements == buchberger(b, OMEGA4).elements
-        assert ideal_equal(a, b, OMEGA4) == full
+        gb = buchberger(b, OMEGA4)
+        full = buchberger(a, OMEGA4).elements == gb.elements
+        assert ideal_equal(a, gb) == full
 
 
 # omega, an elimination order with a leading block of consecutive
@@ -673,36 +774,57 @@ class TestOverflow:
 
 
 def _reduction_spy(monkeypatch):
-    """Record, for each ``_reduce_terms`` call, whether it returned zero,
-    and every memo the calls were handed."""
-    zero, memos = [], []
+    """Record, for each ``_reduce_terms`` call, whether it reduced an
+    S-polynomial (the main loop hands it its memo) and whether it
+    returned zero, and every memo the calls were handed."""
+    calls, memos = [], []
     real = groebner._reduce_terms
 
     def spy(terms, layout, reducers, deadline=None, ticks=None, memo=None):
         rem = real(terms, layout, reducers, deadline, ticks, memo)
-        zero.append(not rem)
+        calls.append((memo is not None, not rem))
         if memo is not None and all(m is not memo for m in memos):
             memos.append(memo)
         return rem
 
     monkeypatch.setattr(groebner, "_reduce_terms", spy)
-    return zero, memos
+    return calls, memos
+
+
+def _work(calls):
+    """(S-pair reductions, those giving zero, inter-reduction calls)."""
+    pairs = [zero for s_pair, zero in calls if s_pair]
+    return len(pairs), sum(pairs), len(calls) - len(pairs)
 
 
 class TestSameWork:
-    """The packed engine does the same reductions as the tuple engine it
-    replaced, not only the same output: every ``_reduce_terms`` call of an
-    elimination (S-pairs and inter-reduction), and how many give zero.
-    The memo of the main loop holds one entry per distinct monomial."""
+    """The engine's reductions in an elimination, pinned: the S-pair
+    reductions, how many give zero, and the inter-reduction calls, which
+    see only the kept elements.  The fiber's S-pair counts are those of
+    the standard-degree pair order too.  The memo of the main loop holds
+    one entry per distinct monomial."""
 
     def test_fiber_kernel_d5(self, monkeypatch):
-        zero, memos = _reduction_spy(monkeypatch)
+        calls, memos = _reduction_spy(monkeypatch)
         kernel_of_hom(ring_W(5), ring_R(5), hom_catalog(5).phi_W)
-        assert (len(zero), sum(zero)) == (1547, 1259)
-        assert [len(m) for m in memos] == [2797]
+        assert _work(calls) == (1382, 1259, 89)
+        assert [len(m) for m in memos] == [2699]
+
+    def test_fiber_d5_standard_degree_order(self, monkeypatch):
+        # the plain elimination order carries no weights: the full basis,
+        # its pairs popped by standard degree
+        W, R, images = ring_W(5), ring_R(5), hom_catalog(5).phi_W
+        joint = Ring("R5+W5", R.vars + W.vars, 5)
+        gens = [
+            transport(W.variable(v), joint) - transport(images[v], joint)
+            for v in W.vars
+        ]
+        calls, _ = _reduction_spy(monkeypatch)
+        buchberger(gens, elimination_order(joint, frozenset(R.vars)))
+        assert _work(calls) == (1382, 1259, 165)
 
     def test_rees_kernel_d4(self, monkeypatch):
-        zero, memos = _reduction_spy(monkeypatch)
+        calls, memos = _reduction_spy(monkeypatch)
         rees_kernel_oracle(4)
-        assert (len(zero), sum(zero)) == (668, 491)
+        assert _work(calls) == (458, 399, 67)
         assert len(memos) == 1
