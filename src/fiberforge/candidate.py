@@ -161,6 +161,8 @@ def quadric_image(d: int, i: int, j: int) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def hom_catalog(d: int) -> HomCatalog:
+    if d < 4:
+        raise DimensionTooSmall(f"need d >= 4, got {d}")
     W, U, R = ring_W(d), ring_U(d), ring_R(d)
     eps = {}
     phi_w = {}

@@ -21,11 +21,14 @@ when pos(a) <= pos(b), and pairs compare as their positions do.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from numbers import Rational
 
 from .errors import BadParams, NotInS, OutOfTable
+from .hilbert import hf_closed
 from .rings import omega_order, ring_W, wvar
 
 
@@ -53,11 +56,7 @@ def _mono(n: int, *positions) -> tuple:
 @lru_cache(maxsize=None)
 def census_degree2(d: int) -> frozenset:
     """[in]_2 = K0 + K1 + K2, enumerated straight from the definitions."""
-    return frozenset(
-        enum_census(d, "K0").members
-        | enum_census(d, "K1").members
-        | enum_census(d, "K2").members
-    )
+    return frozenset().union(*(enum_census(d, f).members for f in _BY_DEGREE[2]))
 
 
 def _k0(d):
@@ -159,56 +158,23 @@ def _g2(d):
     }
 
 
-def _g34(d, prefix):
+def _g34(d, *prefix):
+    """The product of the prefix pairs' variables with each w_ij,
+    3 <= i <= j, but w_dd."""
     out = set()
     for i in range(3, d + 1):
         for j in range(i, d + 1):
             if (i, j) == (d, d):
                 continue
-            out.add(_wm(d, *prefix, wvar(i, j)))
+            out.add(_wm(d, *(wvar(*p) for p in prefix), wvar(i, j)))
     return out
 
 
-def enum_census(d: int, family: str, params: tuple = ()) -> CensusSet:
-    """Enumerate one census family; see count_closed for expected sizes."""
-    if d < 4:
-        raise BadParams(f"census needs d >= 4, got {d}")
-    params = tuple(params)
-    if family == "K0":
-        members = _k0(d)
-    elif family == "K1":
-        members = _k1(d)
-    elif family == "K2":
-        members = _k2(d)
-    elif family == "S":
-        i, j = params
-        members = {_wm(d, v) for v in s_set(d, i, j)}
-    elif family == "Tkl":
-        ij, kl = params
-        members = t_set(d, tuple(ij), tuple(kl))
-    elif family == "Tmax":
-        i, j = params
-        sij = s_set(d, i, j)
-        if not sij:
-            raise NotInS(f"S_{params} is empty at d={d}")
-        members = t_set(d, (i, j), max(sij, key=ring_W(d).position).index)
-    elif family == "Ttotal":
-        members = t_total(d)
-    elif family == "G1":
-        members = _g1(d)
-    elif family == "G2":
-        members = _g2(d)
-    elif family == "G3":
-        members = _g34(d, (wvar(1, 3), wvar(2, 3)))
-    elif family == "G4":
-        members = _g34(d, (wvar(2, 3), wvar(2, 3)))
-    else:
-        raise BadParams(f"unknown census family {family!r}")
-    try:
-        expected = count_closed(d, family, params)
-    except OutOfTable:
-        expected = None
-    return CensusSet(family, d, params, frozenset(members), expected)
+def _tmax(d, ij):
+    sij = s_set(d, *ij)
+    if not sij:
+        raise NotInS(f"S_{ij} is empty at d={d}")
+    return t_set(d, ij, max(sij, key=ring_W(d).position).index)
 
 
 def _exact_quotient(num, den: int, family: str) -> int:
@@ -222,66 +188,120 @@ def _exact_quotient(num, den: int, family: str) -> int:
     return num // den
 
 
+def _s_size(d, ij):
+    i, j = ij
+    if i == j or (i, j) in ((1, 2), (1, 3), (2, 3)):
+        return 0
+    if i == 1:
+        return j * (j - 3) // 2
+    if 1 < i < j:
+        return (j - i) * (i + j - 1) // 2
+    raise OutOfTable(f"no closed form for S at {ij}")
+
+
+def _tmax_size(d, ij):
+    i, j = ij
+    num = d * d - 2 * d * j + 3 * d + 2 * j * j - 4 * j + 2 * i
+    return _exact_quotient(num, 2, "Tmax")
+
+
+def _ttotal_size(d):
+    num = (
+        14 * d**6 + 30 * d**5 - 40 * d**4 - 330 * d**3
+        - 694 * d**2 + 1740 * d - 4320
+    )
+    return _exact_quotient(num, 720, "Ttotal")
+
+
+def _gsum_size(d):
+    num = 120 * d**3 + 360 * d**2 - 1920 * d + 4320
+    return _exact_quotient(num, 720, "Gsum")
+
+
+@dataclass(frozen=True)
+class Family:
+    """One census family: its params hold ``pairs`` index pairs, none,
+    ``(i, j)`` or ``((i, j), (k, l))``; ``enum`` and ``closed`` map
+    ``(d, *pairs)`` to the members and their closed-form count, or are
+    None where the family has none."""
+
+    pairs: int
+    enum: Callable | None
+    closed: Callable | None
+
+
+FAMILIES = {
+    "K0": Family(0, _k0, lambda d: 2 * comb(d, 4)),
+    "K1": Family(0, _k1, lambda d: (d - 3) * comb(d, 2)),
+    "K2": Family(0, _k2, lambda d: d * (d - 3) // 2),
+    "S": Family(1, lambda d, ij: {_wm(d, v) for v in s_set(d, *ij)}, _s_size),
+    "Tkl": Family(2, t_set, None),
+    "Tmax": Family(1, _tmax, _tmax_size),
+    "Ttotal": Family(0, t_total, _ttotal_size),
+    "G1": Family(0, _g1, lambda d: 6),
+    "G2": Family(0, _g2, lambda d: (d - 2) + (d - 2) * (d - 3) + comb(d - 2, 3)),
+    "G3": Family(0, lambda d: _g34(d, (1, 3), (2, 3)), lambda d: d * (d - 3) // 2),
+    "G4": Family(0, lambda d: _g34(d, (2, 3), (2, 3)), lambda d: d * (d - 3) // 2),
+    "Gsum": Family(0, None, _gsum_size),
+}
+
+
+def _pairs(family: str, row: Family, params) -> tuple:
+    """``params`` as the tuple of index pairs the family's row takes."""
+    params = tuple(params)
+    pairs = (params,) if row.pairs == 1 else params
+    if len(pairs) != row.pairs or not all(
+        isinstance(p, (tuple, list)) and len(p) == 2
+        and all(isinstance(x, Rational) for x in p)
+        for p in pairs
+    ):
+        raise BadParams(f"{family} takes {row.pairs} index pair(s), got {params}")
+    return tuple(tuple(p) for p in pairs)
+
+
+def enum_census(d: int, family: str, params: tuple = ()) -> CensusSet:
+    """Enumerate one census family; see count_closed for expected sizes."""
+    if d < 4:
+        raise BadParams(f"census needs d >= 4, got {d}")
+    row = FAMILIES.get(family)
+    if row is None or row.enum is None:
+        raise BadParams(f"unknown census family {family!r}")
+    pairs = _pairs(family, row, params)
+    members = frozenset(row.enum(d, *pairs))
+    expected = row.closed(d, *pairs) if row.closed else None
+    return CensusSet(family, d, pairs[0] if row.pairs == 1 else pairs, members, expected)
+
+
 def count_closed(d: int, family: str, params: tuple = ()) -> int:
     """Closed-form census sizes; OutOfTable where no formula applies."""
-    params = tuple(params)
-    if family == "K0":
-        return 2 * comb(d, 4)
-    if family == "K1":
-        return (d - 3) * comb(d, 2)
-    if family == "K2":
-        return d * (d - 3) // 2
-    if family == "S":
-        i, j = params
-        if i == j or (i, j) in ((1, 2), (1, 3), (2, 3)):
-            return 0
-        if i == 1:
-            return j * (j - 3) // 2
-        if 1 < i < j:
-            return (j - i) * (i + j - 1) // 2
-        raise OutOfTable(f"no closed form for S at {params}")
-    if family == "Tmax":
-        i, j = params
-        num = d * d - 2 * d * j + 3 * d + 2 * j * j - 4 * j + 2 * i
-        return _exact_quotient(num, 2, family)
-    if family == "Ttotal":
-        num = (
-            14 * d**6 + 30 * d**5 - 40 * d**4 - 330 * d**3
-            - 694 * d**2 + 1740 * d - 4320
-        )
-        return _exact_quotient(num, 720, family)
-    if family == "G1":
-        return 6
-    if family == "G2":
-        return (d - 2) + (d - 2) * (d - 3) + comb(d - 2, 3)
-    if family in ("G3", "G4"):
-        return d * (d - 3) // 2
-    if family == "Gsum":
-        num = 120 * d**3 + 360 * d**2 - 1920 * d + 4320
-        return _exact_quotient(num, 720, family)
-    raise OutOfTable(f"no closed form for {family!r} at {params}")
+    row = FAMILIES.get(family)
+    if row is None or row.closed is None:
+        raise OutOfTable(f"no closed form for {family!r} at {tuple(params)}")
+    return row.closed(d, *_pairs(family, row, params))
 
 
-def _nonempty_s_pairs(d: int):
-    for j in range(1, d + 1):
-        for i in range(1, j + 1):
-            if (i, j) == (d, d):
-                continue
-            if s_set(d, i, j):
-                yield (i, j)
+# The families whose closed forms add up to the census of each degree:
+# the K sets in degree 2; the T partition and the G families in degree 3.
+_BY_DEGREE = {2: ("K0", "K1", "K2"), 3: ("Ttotal", "Gsum")}
+
+
+def census_size(d: int, k: int) -> int:
+    """The closed-form size of the degree-k census, k = 2 or 3."""
+    if k not in _BY_DEGREE:
+        raise OutOfTable(f"the census has degrees 2 and 3, got {k}")
+    return sum(count_closed(d, f) for f in _BY_DEGREE[k])
 
 
 @dataclass
 class CensusReport:
+    """``checks`` holds one ``(name, expected, actual)`` row per claim."""
+
     d: int
     checks: list
 
     @property
     def ok(self) -> bool:
-        return all(c[3] for c in self.checks)
-
-    def failures(self) -> list:
-        return [c for c in self.checks if not c[3]]
+        return all(expected == actual for _, expected, actual in self.checks)
 
 
 def verify_census(d: int) -> CensusReport:
@@ -290,22 +310,19 @@ def verify_census(d: int) -> CensusReport:
     checks = []
 
     def check(name, expected, actual):
-        checks.append((name, expected, actual, expected == actual))
+        checks.append((name, expected, actual))
 
-    for fam in ("K0", "K1", "K2"):
+    for fam in _BY_DEGREE[2]:
         check(f"|{fam}|", count_closed(d, fam), len(enum_census(d, fam).members))
-    census = census_degree2(d)
-    hf2 = 2 * (d + 2) * (d + 1) * d * (d - 3) // 24
-    check("degree-2 census size", hf2, len(census))
+    check("degree-2 census size", hf_closed("IX2", d), len(census_degree2(d)))
 
     svals = {}
     for j in range(1, d + 1):
         for i in range(1, j + 1):
-            if (i, j) == (d, d):
-                continue
-            sij = s_set(d, i, j)
-            svals[(i, j)] = sij
-            check(f"|S_{i}{j}|", count_closed(d, "S", (i, j)), len(sij))
+            if (i, j) != (d, d):
+                svals[(i, j)] = s_set(d, i, j)
+                check(f"|S_{i}{j}|", count_closed(d, "S", (i, j)), len(svals[(i, j)]))
+    nonempty = [ij for ij, sij in svals.items() if sij]
 
     # membership characterizations by largest variable divisor
     char_ok = True
@@ -322,15 +339,15 @@ def verify_census(d: int) -> CensusReport:
                 expect = False
             if (v in sij) != expect:
                 char_ok = False
-    checks.append(("S membership characterization", True, char_ok, char_ok))
+    check("S membership characterization", True, char_ok)
 
     # every T-set, built once per factor pair (w_ij, w_kl) with w_kl in S_ij
     tsets = {
         (ij, v.index): t_set(d, ij, v.index)
-        for ij in _nonempty_s_pairs(d)
+        for ij in nonempty
         for v in svals[ij]
     }
-    for i, j in _nonempty_s_pairs(d):
+    for i, j in nonempty:
         mx = max(svals[(i, j)], key=W.position)
         expect = wvar(j - 1, j - 1) if i == 1 else wvar(i, j)
         check(f"max S_{i}{j}", expect, mx)
@@ -342,7 +359,7 @@ def verify_census(d: int) -> CensusReport:
 
     all_t = []
     total = 0
-    for i, j in _nonempty_s_pairs(d):
+    for i, j in nonempty:
         sij = sorted(svals[(i, j)], key=W.position, reverse=True)
         sizes = [len(tsets[((i, j), v.index)]) for v in sij]
         tmax = count_closed(d, "Tmax", (i, j))
@@ -360,21 +377,18 @@ def verify_census(d: int) -> CensusReport:
         all_t.extend(tsets[((i, j), v.index)] for v in sij)
 
     check("|T| closed form", count_closed(d, "Ttotal"), total)
-    union = set().union(*all_t) if all_t else set()
-    check("T sets disjoint", sum(len(t) for t in all_t), len(union))
+    union = set().union(*all_t)
+    check("T sets disjoint", total, len(union))
     check("T sets cover the census multiples", True, t_total(d) == frozenset(union))
 
     gsets = {fam: enum_census(d, fam).members for fam in ("G1", "G2", "G3", "G4")}
     for fam, members in gsets.items():
         check(f"|{fam}|", count_closed(d, fam), len(members))
     gall = set().union(*gsets.values())
-    check("G sets disjoint", sum(len(g) for g in gsets.values()), len(gall))
+    gtotal = sum(len(g) for g in gsets.values())
+    check("G sets disjoint", gtotal, len(gall))
     check("G disjoint from T", set(), gall & union)
-    check(
-        "Gsum closed form",
-        count_closed(d, "Gsum"),
-        sum(len(g) for g in gsets.values()),
-    )
+    check("Gsum closed form", count_closed(d, "Gsum"), gtotal)
 
     from .candidate import catalogue_entries
 

@@ -162,23 +162,15 @@ def cmd_hf(args) -> int:
     if args.degree < 0:
         raise BadParams(f"--degree must be >= 0, got {args.degree}")
     if args.ideal == "oracle":
-        ker = groebner.kernel_of_hom(
-            ring_W(args.d),
-            ring_R(args.d),
-            candidate.hom_catalog(args.d).phi_W,
-            args.deadline,
-        )
-        gens = list(ker.elements)
+        fiber_kernel, _ = _ORACLES["fiber"]
+        gens = list(fiber_kernel(args.d, args.deadline).elements)
     else:
         gens = _lambda_values(args.d, _PART[args.ideal])
     gens = _maybe_shuffle(args, gens)
     value = hilbert.hf_exact(gens, args.degree)
     expected = None
-    if args.ideal in ("lambda", "oracle"):
-        if args.degree == 2:
-            expected = hilbert.hf_closed("IX2", args.d)
-        elif args.degree == 3:
-            expected = hilbert.hf_closed("IX3", args.d)
+    if args.ideal in ("lambda", "oracle") and args.degree in (2, 3):
+        expected = hilbert.hf_closed(f"IX{args.degree}", args.d)
     if expected is None:
         text = f"hf(d={args.d}, k={args.degree}, {args.ideal}) = {value}\n"
         status = None
@@ -201,26 +193,24 @@ def cmd_hf(args) -> int:
     return 0 if status in (None, PASS) else 1
 
 
-def _int_pair(text: str) -> tuple:
-    i, j = (int(x) for x in text.split(","))
-    return i, j
-
-
 def _parse_params(family: str, raw: str | None):
-    """``--params`` as the census wants it: an index pair for S and Tmax,
-    two pairs for Tkl, none for the other families; BadParams otherwise."""
+    """``--params`` split into as many index pairs as the family's
+    ``census.FAMILIES`` row takes (``i,j`` or ``i,j:k,l``), the one pair
+    bare; BadParams otherwise.  An unknown family takes none."""
     raw = raw or ""
+    row = census.FAMILIES.get(family)
+    count = row.pairs if row else 0
+    if not count:
+        if raw:
+            raise BadParams(f"family {family} takes no --params, got {raw!r}")
+        return ()
     try:
-        if family == "Tkl":
-            ij, kl = raw.split(":")
-            return _int_pair(ij), _int_pair(kl)
-        if family in ("S", "Tmax"):
-            return _int_pair(raw)
+        pairs = tuple(tuple(map(int, p.split(","))) for p in raw.split(":"))
     except ValueError:
-        raise BadParams(f"malformed --params {raw!r} for family {family}") from None
-    if raw:
-        raise BadParams(f"family {family} takes no --params, got {raw!r}")
-    return ()
+        pairs = ()
+    if len(pairs) != count or any(len(p) != 2 for p in pairs):
+        raise BadParams(f"malformed --params {raw!r} for family {family}")
+    return pairs[0] if count == 1 else pairs
 
 
 def cmd_census(args) -> int:
@@ -255,7 +245,7 @@ def _formatted(d: int, monomials) -> list:
 
 def _check_counts(report: VerifyReport, d: int, args):
     r = census.verify_census(d)
-    for name, expected, actual, ok in r.checks:
+    for name, expected, actual in r.checks:
         if isinstance(expected, (set, frozenset)):
             expected, actual = _formatted(d, expected), _formatted(d, actual)
         report.add(f"counts/{name}", expected, actual)
@@ -307,23 +297,13 @@ def _check_powers(report: VerifyReport, d: int, args):
 
 
 def _check_identities(report: VerifyReport, d: int, args):
-    ok = True
-    for n in range(4, 51):
-        hf2 = hilbert.hf_closed("IX2", n)
-        hf3 = hilbert.hf_closed("IX3", n)
-        if hilbert.hf_closed("W", n, 2) - hilbert.hf_closed("fiber", n, 2) != hf2:
-            ok = False
-        if hilbert.hf_closed("W", n, 3) - hilbert.hf_closed("fiber", n, 3) != hf3:
-            ok = False
-        if census.count_closed(n, "Ttotal") + census.count_closed(n, "Gsum") != hf3:
-            ok = False
-        lhs = (
-            census.count_closed(n, "K0")
-            + census.count_closed(n, "K1")
-            + census.count_closed(n, "K2")
-        )
-        if lhs != hf2:
-            ok = False
+    ok = all(
+        hilbert.hf_closed("W", n, k) - hilbert.hf_closed("fiber", n, k)
+        == hilbert.hf_closed(f"IX{k}", n)
+        == census.census_size(n, k)
+        for n in range(4, 51)
+        for k in (2, 3)
+    )
     report.add("integer-identities-d4-50", True, ok)
 
 
@@ -339,32 +319,47 @@ def _check_rees_membership(report: VerifyReport, d: int, args):
     report.add("rees-J-in-kernel-by-substitution", 0, bad)
 
 
-def _fiber_oracle_check(report: VerifyReport, d: int, deadline, required: bool):
-    name = f"fiber-oracle-equality-d{d}"
-    try:
-        t0 = time.monotonic()
-        ker = groebner.kernel_of_hom(
+# ``oracle --which`` names, in the order ``verify --deep`` runs them, each
+# (kernel of d and the deadline, generators of d).  They call through the
+# modules, so a replaced module attribute is the one that runs.
+_ORACLES = {
+    "fiber": (
+        lambda d, deadline: groebner.kernel_of_hom(
             ring_W(d), ring_R(d), candidate.hom_catalog(d).phi_W, deadline
-        )
-        eq = groebner.ideal_equal(_lambda_values(d), ker, deadline)
+        ),
+        _lambda_values,
+    ),
+    "rees": (
+        lambda d, deadline: rees.rees_kernel_oracle(d, deadline),
+        lambda d: rees.rees_ideal(d),
+    ),
+}
+
+# The one oracle check ``verify`` always runs and a budget stop fails (exit 3)
+_REQUIRED_ORACLE = ("fiber", 4)
+
+
+def _oracle_check(report: VerifyReport, which: str, d: int, deadline):
+    """Compare the candidate generators with the oracle's kernel.
+
+    The generators are built first, so a domain error stops before any
+    elimination.  When the budget runs out the required check fails and
+    any other is skipped.
+    """
+    kernel, generators = _ORACLES[which]
+    name = f"{which}-oracle-equality-d{d}"
+    t0 = time.monotonic()
+    gens = generators(d)
+    try:
+        ker = kernel(d, deadline)
+        eq = groebner.ideal_equal(gens, ker, deadline)
         report.add(name, True, eq, time.monotonic() - t0)
     except BudgetExceeded:
-        if required:
+        if (which, d) == _REQUIRED_ORACLE:
             report.budget_blown = True
             report.add(name, True, "budget exceeded")
         else:
             report.skip(name, "time budget exceeded")
-
-
-def _rees_oracle_check(report: VerifyReport, d: int, deadline):
-    name = f"rees-oracle-equality-d{d}"
-    try:
-        t0 = time.monotonic()
-        ker = rees.rees_kernel_oracle(d, deadline)
-        eq = groebner.ideal_equal(rees.rees_ideal(d), ker, deadline)
-        report.add(name, True, eq, time.monotonic() - t0)
-    except BudgetExceeded:
-        report.skip(name, "time budget exceeded")
 
 
 # ``verify --check`` names, in the order ``--check all`` runs them
@@ -387,61 +382,49 @@ def cmd_verify(args) -> int:
     for name in which:
         _CHECKS[name](report, args.d, args)
     if args.check == "all":
-        if args.d == 4:
-            _fiber_oracle_check(report, 4, args.deadline, required=True)
-        if args.deep:
-            if args.d >= 5:
-                _fiber_oracle_check(report, args.d, args.deadline, required=False)
-            _rees_oracle_check(report, args.d, args.deadline)
+        for oracle in _ORACLES:
+            if args.deep or (oracle, args.d) == _REQUIRED_ORACLE:
+                _oracle_check(report, oracle, args.d, args.deadline)
     _emit(args, report.to_text(), report.to_json())
     return report.exit_code
 
 
 def cmd_oracle(args) -> int:
     report = VerifyReport(args.d)
-    if args.which == "fiber":
-        _fiber_oracle_check(report, args.d, args.deadline, required=(args.d == 4))
-    else:
-        _rees_oracle_check(report, args.d, args.deadline)
+    _oracle_check(report, args.which, args.d, args.deadline)
     _emit(args, report.to_text(), report.to_json())
     return report.exit_code
 
 
-def cmd_rees(args) -> int:
-    d = args.d
-    if args.emit == "L":
-        polys = rees.sym_algebra_ideal(d)
-    elif args.emit == "J":
-        polys = rees.rees_ideal(d)
-    elif args.emit == "syzygies":
-        cols = rees.linear_syzygies(d).columns
-        text = ""
-        rows = []
-        for ci, col in enumerate(cols):
-            entries = [repr(f) for f in col]
-            rows.append(entries)
-            text += f"column {ci}: [{', '.join(entries)}]\n"
-        _emit(args, text, {"schema": SCHEMA, "d": d, "columns": rows})
-        return 0
-    else:  # witness
-        w = rees.integrality_witness(d)
-        text = f"combo: {w.combo!r}\nh: {w.h!r}\n"
-        payload = {
-            "schema": SCHEMA,
-            "d": d,
-            "combo": poly_to_json(w.combo),
-            "h": poly_to_json(w.h),
-        }
-        _emit(args, text, payload)
-        return 0
+def _rees_polynomials(polys, emit: str):
     text = "".join(f"{p!r}\n" for p in polys)
-    payload = {
-        "schema": SCHEMA,
-        "d": d,
-        "emit": args.emit,
-        "polynomials": [poly_to_json(p) for p in polys],
-    }
-    _emit(args, text, payload)
+    return text, {"emit": emit, "polynomials": [poly_to_json(p) for p in polys]}
+
+
+def _rees_syzygies(d: int):
+    rows = [[repr(f) for f in col] for col in rees.linear_syzygies(d).columns]
+    text = "".join(f"column {ci}: [{', '.join(row)}]\n" for ci, row in enumerate(rows))
+    return text, {"columns": rows}
+
+
+def _rees_witness(d: int):
+    w = rees.integrality_witness(d)
+    text = f"combo: {w.combo!r}\nh: {w.h!r}\n"
+    return text, {"combo": poly_to_json(w.combo), "h": poly_to_json(w.h)}
+
+
+# ``rees --emit`` names: each gives the text and the JSON fields at d
+_REES_EMIT = {
+    "L": lambda d: _rees_polynomials(rees.sym_algebra_ideal(d), "L"),
+    "J": lambda d: _rees_polynomials(rees.rees_ideal(d), "J"),
+    "syzygies": _rees_syzygies,
+    "witness": _rees_witness,
+}
+
+
+def cmd_rees(args) -> int:
+    text, fields = _REES_EMIT[args.emit](args.d)
+    _emit(args, text, {"schema": SCHEMA, "d": args.d, **fields})
     return 0
 
 
@@ -489,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="enumerate a monomial census family")
     common(p)
     p.add_argument("--family", required=True)
-    p.add_argument("--params", default=None, help="e.g. '3,4' or '2,4:1,3' for Tkl")
+    p.add_argument("--params", default=None, help="index pairs, e.g. '3,4' or '2,4:1,3'")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", help="run verification checks")
@@ -501,14 +484,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="elimination oracle comparisons")
     common(p)
-    p.add_argument("--which", choices=("fiber", "rees"), default="fiber")
+    p.add_argument("--which", choices=tuple(_ORACLES), default="fiber")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("rees", help="emit Rees-algebra data")
     common(p)
-    p.add_argument(
-        "--emit", choices=("L", "J", "syzygies", "witness"), default="J"
-    )
+    p.add_argument("--emit", choices=tuple(_REES_EMIT), default="J")
     p.set_defaults(func=cmd_rees)
     return ap
 

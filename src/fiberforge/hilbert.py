@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 from math import comb, gcd
 
-from .errors import NotHomogeneous, OutOfTable, RingMismatch
+from .errors import DimensionTooSmall, NotHomogeneous, OutOfTable, RingMismatch
 from .rings import OrderSpec, Ring, omega_order
 
 
@@ -193,7 +193,9 @@ def _variable_shifts(cols, colindex) -> list:
 
 
 def hf_closed(which: str, d: int, k: int | None = None) -> int:
-    """The closed-form Hilbert values for the rings in play."""
+    """The closed-form Hilbert values for the rings in play (d >= 4 but for W)."""
+    if which in ("IX2", "IX3", "fiber") and d < 4:
+        raise DimensionTooSmall(f"need d >= 4, got {d}")
     if which == "IX2":
         if k not in (None, 2):
             raise OutOfTable("IX2 is the degree-2 value")

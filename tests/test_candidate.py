@@ -12,6 +12,7 @@ from fiberforge.candidate import (
     check_criterion_c,
     errata_report,
     generators_lambda,
+    hom_catalog,
     minor_ideal_U,
     minor_ideal_U_basis,
     named_generator,
@@ -51,6 +52,8 @@ class TestGeneratorCounts:
     def test_dimension_too_small(self):
         with pytest.raises(DimensionTooSmall):
             generators_lambda(3)
+        with pytest.raises(DimensionTooSmall):
+            hom_catalog(3)
 
     def test_bad_part(self):
         with pytest.raises(BadParams):

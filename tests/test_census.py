@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from fiberforge.census import (
+    CensusReport,
     census_degree2,
+    census_size,
     count_closed,
     enum_census,
     s_set,
@@ -158,6 +160,34 @@ class TestClosedFormGuards:
         with pytest.raises(BadParams):
             enum_census(3, "K0")
 
+    @pytest.mark.parametrize(
+        "fn, family, params",
+        [
+            (enum_census, "S", ()),
+            (count_closed, "S", ()),
+            (enum_census, "K0", (1, 2)),
+            (count_closed, "K0", (1, 2)),
+            (enum_census, "Tkl", (2, 4)),
+            (count_closed, "Tmax", ((2, 4), (1, 3))),
+        ],
+    )
+    def test_wrong_parameter_count(self, fn, family, params):
+        with pytest.raises(BadParams):
+            fn(4, family, params)
+
+    def test_census_size_is_hf(self):
+        for d in (4, 5, 6, 9):
+            assert census_size(d, 2) == hf_closed("IX2", d)
+            assert census_size(d, 3) == hf_closed("IX3", d)
+        with pytest.raises(OutOfTable):
+            census_size(4, 4)
+
+    def test_unknown_family_enumeration(self):
+        # Gsum has a closed form but no enumeration
+        for family in ("K9", "Gsum"):
+            with pytest.raises(BadParams):
+                enum_census(4, family)
+
     def test_divisible_for_integer_parameters(self):
         for d in range(4, 40):
             assert isinstance(count_closed(d, "Ttotal"), int)
@@ -186,4 +216,9 @@ class TestVerify:
     @pytest.mark.parametrize("d", [4, 5])
     def test_verify_census_passes(self, d):
         report = verify_census(d)
-        assert report.ok, report.failures()
+        assert len(report.checks) > 0
+        assert report.ok, [c for c in report.checks if c[1] != c[2]]
+
+    def test_ok_reads_the_rows(self):
+        assert CensusReport(4, [("a", 1, 1), ("b", {1}, {1})]).ok
+        assert not CensusReport(4, [("a", 1, 1), ("b", [3], [2])]).ok

@@ -44,6 +44,27 @@ class TestExitCodes:
             assert r.returncode == 2, (argv, r.stderr)
             assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("hf", "--d", "3", "--degree", "2", "--ideal", "oracle"),
+        ("oracle", "--d", "3", "--which", "fiber"),
+        ("oracle", "--d", "3", "--which", "rees"),
+    ], ids=["hf-oracle", "oracle-fiber", "oracle-rees"])
+    def test_small_d_fails_before_any_elimination(self, monkeypatch, capsys, argv):
+        calls = []
+        real = groebner.eliminate
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # ``rees`` holds its own reference to ``eliminate``
+        monkeypatch.setattr(groebner, "eliminate", spy)
+        monkeypatch.setattr(rees, "eliminate", spy)
+        assert cli.main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert calls == []
+
     def test_unwritable_out_fails_before_any_work(self, monkeypatch, capsys, tmp_path):
         ran = []
         monkeypatch.setitem(cli._CHECKS, "counts", lambda *args: ran.append(args))
@@ -313,8 +334,25 @@ class TestRees:
         (("verify", "--d", "4", "--check", "catalogue"), "81ee976433bf2b87"),
         (("census", "--d", "6", "--family", "Ttotal", "--format", "json"), "c10e6ef1022b0883"),
         (("census", "--d", "6", "--family", "G2", "--format", "json"), "22daae6712f6d2f7"),
+        (("census", "--d", "6", "--family", "K0", "--format", "json"), "e9870f3ff7cae99f"),
+        (("census", "--d", "6", "--family", "K1", "--format", "json"), "ea1d57ef8e1ebb2f"),
+        (("census", "--d", "6", "--family", "K2", "--format", "json"), "9bc699e10a33348c"),
+        (("census", "--d", "6", "--family", "G1", "--format", "json"), "445fbea3857ce4d4"),
+        (("census", "--d", "6", "--family", "G3", "--format", "json"), "1d962330ea5235e3"),
+        (("census", "--d", "6", "--family", "G4", "--format", "json"), "93ac23e03481d10c"),
+        (("census", "--d", "6", "--family", "S", "--params", "3,5", "--format", "json"),
+         "b53d2eefe86fa55b"),
+        (("census", "--d", "6", "--family", "Tmax", "--params", "3,5", "--format", "json"),
+         "e1b14ce3f9fa8589"),
+        (("census", "--d", "6", "--family", "Tkl", "--params", "3,5:2,4", "--format", "json"),
+         "9a31511e55c51a5f"),
+        (("oracle", "--d", "5", "--which", "fiber", "--format", "json"), "638cc8f63b18d9fc"),
+        (("oracle", "--d", "4", "--which", "rees", "--format", "json"), "9c2d8398d022937f"),
+        (("verify", "--d", "5", "--deep", "--format", "json"), "a70e209e7abaef33"),
     ], ids=["verify-d6", "verify-d8", "gens-d4", "gens-d5", "gens-d6", "gens-d8",
-            "catalogue-d4", "Ttotal-d6", "G2-d6"])
+            "catalogue-d4", "Ttotal-d6", "G2-d6", "K0-d6", "K1-d6", "K2-d6", "G1-d6",
+            "G3-d6", "G4-d6", "S-d6", "Tmax-d6", "Tkl-d6", "oracle-fiber-d5",
+            "oracle-rees-d4", "verify-deep-d5"])
     def test_monomial_output_pinned(self, argv, digest):
         r = run(*argv)
         assert r.returncode == 0, r.stderr

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fiberforge.candidate import generators_lambda
 from fiberforge.census import census_degree2
-from fiberforge.errors import NotHomogeneous, OutOfTable, RingMismatch
+from fiberforge.errors import DimensionTooSmall, NotHomogeneous, OutOfTable, RingMismatch
 from fiberforge.groebner import buchberger
 from fiberforge.hilbert import (
     echelon,
@@ -241,6 +241,13 @@ class TestClosedForms:
             hf_closed("fiber", 4, 1)
         with pytest.raises(OutOfTable):
             hf_closed("nope", 4, 2)
+
+    def test_dimension_too_small(self):
+        # the formulas give 0 or negative values there (IX2 at d=1 is -1)
+        for which, d, k in (("IX2", 3, 2), ("IX2", 1, None), ("IX3", 2, 3),
+                            ("fiber", 3, 2)):
+            with pytest.raises(DimensionTooSmall):
+                hf_closed(which, d, k)
 
 
 class TestInitialIdeal:
