@@ -452,7 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out")
         p.add_argument("--time-budget-seconds", type=_deadline, dest="deadline")
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("gens", help="dump candidate-ideal generators")
     common(p)
@@ -461,6 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hf", help="exact Hilbert function values")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="shuffle the generators")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument(
         "--ideal",
@@ -477,6 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification checks")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="shuffle the generators")
     p.add_argument("--check", choices=("all", *_CHECKS), default="all")
     p.add_argument("--deep", action="store_true",
                    help="also run the budgeted elimination oracles")

@@ -49,10 +49,6 @@ class OutOfTable(FiberForgeError):
     """No closed form is available for the requested parameters."""
 
 
-class TruncationNeedsHomogeneous(FiberForgeError):
-    """Degree-truncated Buchberger requires homogeneous input."""
-
-
 class BeyondTruncation(FiberForgeError):
     """Reduction was requested above a basis's truncation degree."""
 

@@ -118,8 +118,8 @@ from .errors import (
     BeyondTruncation,
     BudgetExceeded,
     MonomialOverflow,
+    NotHomogeneous,
     RingMismatch,
-    TruncationNeedsHomogeneous,
     UnknownVariable,
 )
 from .rings import (
@@ -187,13 +187,15 @@ class _Layout:
         return sum(1 << p for p, s in enumerate(self.shifts) if (m >> s) & value)
 
 
-@lru_cache(maxsize=None)  # one layout per order and field width
-def _order_layout(order: OrderSpec, width: int) -> _Layout:
-    return _Layout(order.blocks, order.ring.nvars, width)
+# one layout per block shape and field width, so the fresh joint ring of
+# each ``kernel_of_hom`` call reuses the layout of an earlier call's
+@lru_cache(maxsize=None)
+def _order_layout(blocks: tuple, nvars: int, width: int) -> _Layout:
+    return _Layout(blocks, nvars, width)
 
 
 def _layout(order: OrderSpec) -> _Layout:
-    return _order_layout(order, _FIELD_BITS)
+    return _order_layout(order.blocks, order.ring.nvars, _FIELD_BITS)
 
 
 def _overflow() -> MonomialOverflow:
@@ -511,9 +513,7 @@ def buchberger(
         if g.ring is not ring:
             raise RingMismatch(f"generator over {g.ring.name}, order over {ring.name}")
     if max_degree is not None and not all(g.is_homogeneous() for g in gens):
-        raise TruncationNeedsHomogeneous(
-            "degree truncation requires homogeneous generators"
-        )
+        raise NotHomogeneous("degree truncation requires homogeneous generators")
     layout = _layout(order)
     guards = layout.guards
     if max_degree is None and order.weights is not None:
@@ -666,31 +666,42 @@ def kernel_of_hom(
     images: dict,
     deadline: float | None = None,
 ) -> GroebnerBasis:
-    """Kernel of the map sending each source variable to its image.
+    """Kernel of the map sending each source variable v to image(v), a
+    polynomial over ``target``: its reduced basis under
+    ``omega_order(source)``.
 
-    Standard elimination: in the joint ring with the target block greatest,
-    compute the reduced basis of (v - image(v) : v in source) and keep the
-    elements free of the target block.  They are the reduced basis of the
-    kernel, already sorted.  On source monomials the elimination order is
+    The rings may share variables, provided no image uses a source
+    variable that does not map to itself.  The target variables outside
+    the source, E, are eliminated from the joint ring (E, then the
+    source), in which G is the ideal of v - image(v) over the source (an
+    identity-mapped v gives 0, which ``buchberger`` drops).  G is the
+    kernel of the endomorphism psi: v -> image(v) fixing E.  Each
+    generator lies in ker psi, as by the proviso psi fixes every image;
+    and f - psi(f) lies in G for every f, as v = image(v) modulo G.  On
+    the source ring psi is the map, so the part of G free of E is its
+    kernel.
+
+    The kept elements are the reduced basis of that ideal, already
+    sorted.  On source monomials the elimination order is
     ``omega_order(source)``: its second block is the source variables in
     order.  So by the elimination theorem they are a Groebner basis under
     it; as part of a reduced basis they are monic and inter-reduced; and
     they keep the whole basis's order by degree and lead.
 
     The S-pairs pop by a grading in which the generators are homogeneous
-    when the images are: each target variable weighs 1 and each source
-    variable the degree of its image (at least 1).
+    when the images are: each source variable weighs the degree of its
+    image (at least 1), and each eliminated variable 1.
     """
-    joint = Ring(f"{target.name}+{source.name}", target.vars + source.vars, target.d)
-    gens = []
-    for v in source.vars:
-        gens.append(
-            transport(source.variable(v), joint) - transport(images[v], joint)
-        )
-    weights = (1,) * target.nvars + tuple(
+    eliminated = tuple(v for v in target.vars if v not in source.index)
+    joint = Ring(f"{target.name}+{source.name}", eliminated + source.vars, target.d)
+    gens = [
+        transport(source.variable(v), joint) - transport(images[v], joint)
+        for v in source.vars
+    ]
+    weights = (1,) * len(eliminated) + tuple(
         max(images[v].degree(), 1) for v in source.vars
     )
-    kept = eliminate(gens, joint, frozenset(target.vars), deadline, weights)
+    kept = eliminate(gens, joint, frozenset(eliminated), deadline, weights)
     return GroebnerBasis(omega_order(source), tuple(transport(f, source) for f in kept))
 
 

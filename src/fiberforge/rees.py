@@ -14,14 +14,12 @@ import operator
 from dataclasses import dataclass
 from math import comb
 
-from .candidate import epsilon, generators_lambda, quadric_image
+from .candidate import epsilon, generators_lambda, hom_catalog, quadric_image
 from .errors import DimensionTooSmall
-from .groebner import GroebnerBasis, eliminate, transport
+from .groebner import GroebnerBasis, kernel_of_hom, transport
 from .hilbert import echelon, monomials_of_degree, rref
 from .rings import (
     Polynomial,
-    VarKind,
-    omega_order,
     ring_R,
     ring_Rees,
     ring_S,
@@ -148,36 +146,24 @@ def rees_ideal(d: int) -> list:
 
 
 def rees_substitution(d: int) -> dict:
-    """The map S -> R[t] with x fixed and w_ij -> t*g_ij."""
+    """The map S -> R[t] with x fixed and w_ij -> t*g_ij, over
+    ``ring_Rees(d)``; the quadrics g_ij are ``hom_catalog(d).phi_W``."""
     T = ring_Rees(d)
     t = T.variable(tvar())
     hom = {v: T.variable(v) for v in ring_R(d).vars}
-    for v in ring_W(d).vars:
-        hom[v] = t * transport(quadric_image(d, *v.index), T)
+    for v, g in hom_catalog(d).phi_W.items():
+        hom[v] = t * transport(g, T)
     return hom
 
 
 def rees_kernel_oracle(d: int, deadline: float | None = None) -> GroebnerBasis:
-    """Kernel of S -> R[t] by eliminating t from (w_ij - t*g_ij): its
-    reduced basis under ``omega_order(ring_S(d))``.
-
-    The kept elements are the reduced basis of the kernel under the
-    elimination order, already sorted.  On monomials of S that order is
-    ``omega_order(ring_S(d))``, since S's variables are those of
-    ``ring_Rees(d)`` but t, in order; so they are that basis (the same
-    argument as ``groebner.kernel_of_hom``).  The generators are
-    homogeneous when x and t weigh 1 and w weighs 3, and the S-pairs pop
-    by that grading.  Raises BudgetExceeded (with partial state) once
-    ``deadline`` passes.
+    """Kernel of S -> R[t], ``rees_substitution``: its reduced basis under
+    ``omega_order(ring_S(d))``, by ``groebner.kernel_of_hom``, which
+    eliminates t.  The x map to themselves and the images use only x and
+    t, as its precondition asks.  Raises BudgetExceeded (with partial
+    state) once ``deadline`` passes.
     """
-    T, S = ring_Rees(d), ring_S(d)
-    t = T.variable(tvar())
-    gens = []
-    for v in ring_W(d).vars:
-        gens.append(T.variable(v) - t * transport(quadric_image(d, *v.index), T))
-    weights = tuple(3 if v.kind is VarKind.W else 1 for v in T.vars)
-    kept = eliminate(gens, T, frozenset({tvar()}), deadline, weights)
-    return GroebnerBasis(omega_order(S), tuple(transport(f, S) for f in kept))
+    return kernel_of_hom(ring_S(d), ring_Rees(d), rees_substitution(d), deadline)
 
 
 @dataclass(frozen=True)

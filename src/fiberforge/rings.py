@@ -227,13 +227,12 @@ class OrderSpec:
 
     ``weights`` is set only on the order of an elimination
     (``groebner.eliminate``): one positive integer per position, the
-    grading by which its S-pairs are ordered (the oracles pick one in
-    which their generators are homogeneous).  It is not part of the
-    monomial order and takes no part in equality or hashing.
+    grading by which its S-pairs are ordered (``groebner.kernel_of_hom``
+    picks one in which its generators are homogeneous).  It is not part
+    of the monomial order and takes no part in equality or hashing.
     ``groebner.buchberger`` reads it (see there).
     """
 
-    kind: str
     ring: Ring
     blocks: tuple
     descending_key: object = field(init=False, repr=False, compare=False)
@@ -280,7 +279,7 @@ def _descending_key(blocks: tuple, nvars: int):
 
 @lru_cache(maxsize=None)
 def omega_order(ring: Ring) -> OrderSpec:
-    return OrderSpec("omega_grevlex", ring, (tuple(range(ring.nvars)),))
+    return OrderSpec(ring, (tuple(range(ring.nvars)),))
 
 
 def elimination_order(
@@ -294,7 +293,7 @@ def elimination_order(
     second = tuple(p for p, v in enumerate(ring.vars) if v not in eliminated)
     if len(first) != len(eliminated):
         raise UnknownVariable("eliminated variables not all in ring")
-    return OrderSpec("block_elimination", ring, (first, second), weights)
+    return OrderSpec(ring, (first, second), weights)
 
 
 class Polynomial:
@@ -382,10 +381,10 @@ class Polynomial:
 
     # -- order-aware views -------------------------------------------------
 
-    def sorted_terms(self, order: OrderSpec | None = None):
-        """Terms as (coefficient, exponent tuple), descending by the order."""
-        order = order or omega_order(self.ring)
-        exps = sorted(self.terms, key=order.key, reverse=True)
+    def sorted_terms(self):
+        """Terms as (coefficient, exponent tuple), descending by
+        ``omega_order(self.ring)``."""
+        exps = sorted(self.terms, key=omega_order(self.ring).descending_key)
         return [(self.terms[m], m) for m in exps]
 
     def leading(self, order: OrderSpec | None = None):
@@ -474,12 +473,12 @@ def format_monomial(ring: Ring, exps: tuple) -> str:
     return "*".join(factors) or "1"
 
 
-def format_poly(f: Polynomial, order: OrderSpec | None = None) -> str:
+def format_poly(f: Polynomial) -> str:
     """Deterministic text form: terms descending, `±c*w[i,j]^e*...`."""
     if f.is_zero:
         return "0"
     parts = []
-    for c, m in f.sorted_terms(order):
+    for c, m in f.sorted_terms():
         text = format_monomial(f.ring, m)
         a = abs(c)
         if a != 1:
@@ -488,10 +487,10 @@ def format_poly(f: Polynomial, order: OrderSpec | None = None) -> str:
     return "".join(parts)
 
 
-def poly_to_json(f: Polynomial, order: OrderSpec | None = None) -> dict:
+def poly_to_json(f: Polynomial) -> dict:
     """JSON form with deterministic (descending) term ordering."""
     terms = []
-    for c, m in f.sorted_terms(order):
+    for c, m in f.sorted_terms():
         exp = {
             _exp_key(v): e for v, e in zip(f.ring.vars, m) if e
         }

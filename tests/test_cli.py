@@ -57,13 +57,23 @@ class TestExitCodes:
             calls.append(args)
             return real(*args, **kwargs)
 
-        # ``rees`` holds its own reference to ``eliminate``
         monkeypatch.setattr(groebner, "eliminate", spy)
-        monkeypatch.setattr(rees, "eliminate", spy)
         assert cli.main(list(argv)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "--d", "4", "--which", "rees", "--seed", "1"),
+        ("census", "--d", "4", "--family", "K0", "--seed", "9"),
+        ("gens", "--d", "4", "--seed", "2"),
+        ("rees", "--d", "4", "--emit", "L", "--seed", "2"),
+    ], ids=["oracle", "census", "gens", "rees"])
+    def test_seed_only_where_input_is_shuffled(self, argv):
+        r = run(*argv)
+        assert r.returncode == 2, r.stderr
+        assert "unrecognized arguments: --seed" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_unwritable_out_fails_before_any_work(self, monkeypatch, capsys, tmp_path):
         ran = []
@@ -348,11 +358,13 @@ class TestRees:
          "9a31511e55c51a5f"),
         (("oracle", "--d", "5", "--which", "fiber", "--format", "json"), "638cc8f63b18d9fc"),
         (("oracle", "--d", "4", "--which", "rees", "--format", "json"), "9c2d8398d022937f"),
+        (("oracle", "--d", "5", "--which", "rees", "--format", "json"), "c6d56fe14d9d9261"),
+        (("oracle", "--d", "6", "--which", "rees", "--format", "json"), "43d222ec63c7e3ca"),
         (("verify", "--d", "5", "--deep", "--format", "json"), "a70e209e7abaef33"),
     ], ids=["verify-d6", "verify-d8", "gens-d4", "gens-d5", "gens-d6", "gens-d8",
             "catalogue-d4", "Ttotal-d6", "G2-d6", "K0-d6", "K1-d6", "K2-d6", "G1-d6",
             "G3-d6", "G4-d6", "S-d6", "Tmax-d6", "Tkl-d6", "oracle-fiber-d5",
-            "oracle-rees-d4", "verify-deep-d5"])
+            "oracle-rees-d4", "oracle-rees-d5", "oracle-rees-d6", "verify-deep-d5"])
     def test_monomial_output_pinned(self, argv, digest):
         r = run(*argv)
         assert r.returncode == 0, r.stderr

@@ -16,8 +16,8 @@ from fiberforge.errors import (
     BeyondTruncation,
     BudgetExceeded,
     MonomialOverflow,
+    NotHomogeneous,
     RingMismatch,
-    TruncationNeedsHomogeneous,
 )
 from fiberforge.groebner import (
     GroebnerBasis,
@@ -40,6 +40,7 @@ from fiberforge.rings import (
     ring_R,
     ring_S,
     ring_W,
+    tvar,
     wvar,
     xvar,
 )
@@ -84,6 +85,19 @@ class TestBuchberger:
         v22 = source.variable(w22)
         assert f == v11 * v22 - v12 * v12 or f == v12 * v12 - v11 * v22
 
+    def test_kernel_with_shared_variables(self):
+        # x1 -> x1, w11 -> t*x1, w12 -> t^2*x1^2: the target shares x1 with
+        # the source, only t is eliminated, and x1 - x1 = 0 is dropped
+        x1, w11, w12, t = xvar(1), wvar(1, 1), wvar(1, 2), tvar()
+        source = Ring("S1", (x1, w11, w12), 1)
+        target = Ring("T1", (x1, t), 1)
+        X, T = target.variable(x1), target.variable(t)
+        images = {x1: X, w11: T * X, w12: T * T * X * X}
+        gb = kernel_of_hom(source, target, images)
+        assert gb.order is omega_order(source)
+        v11, v12 = source.variable(w11), source.variable(w12)
+        assert gb.elements == (v11 * v11 - v12,)
+
     def test_normal_form_reduces(self):
         source, target, images, (w11, w12, w22) = _small_rings()
         gb = kernel_of_hom(source, target, images)
@@ -115,7 +129,7 @@ class TestBuchberger:
 class TestTruncation:
     def test_needs_homogeneous(self):
         f = _wpoly((1, [(1, 2), (1, 2)]), (1, [(1, 2)]))
-        with pytest.raises(TruncationNeedsHomogeneous):
+        with pytest.raises(NotHomogeneous):
             buchberger([f], OMEGA4, max_degree=3)
 
     def test_beyond_truncation(self):

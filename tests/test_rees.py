@@ -8,7 +8,7 @@ from operator import mul
 
 import pytest
 
-from fiberforge import rees
+from fiberforge import groebner, rees
 
 from fiberforge.candidate import phi_U, phi_W, generators_lambda
 from fiberforge.errors import DimensionTooSmall
@@ -19,6 +19,7 @@ from fiberforge.rees import (
     linear_syzygies,
     power_check,
     rees_ideal,
+    rees_kernel_oracle,
     rees_substitution,
     sym_algebra_ideal,
 )
@@ -67,6 +68,15 @@ class TestQuadricIdeal:
     def test_dimension_too_small(self):
         with pytest.raises(DimensionTooSmall):
             build_ideal_I(3)
+
+    def test_rees_map_and_oracle_refuse_small_d_before_eliminating(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(groebner, "eliminate", lambda *args: calls.append(args))
+        with pytest.raises(DimensionTooSmall):
+            rees_substitution(3)
+        with pytest.raises(DimensionTooSmall):
+            rees_kernel_oracle(3)
+        assert calls == []
 
 
 class TestPowers:

@@ -422,7 +422,7 @@ def _orders_w4():
         elimination_order(W4, frozenset(v[1::3])),
         elimination_order(W4, frozenset(v[-1:])),
         elimination_order(W4, frozenset()),
-        OrderSpec("three_blocks", W4, ((0, 5), (1, 2, 3), (4, 6, 7, 8))),
+        OrderSpec(W4, ((0, 5), (1, 2, 3), (4, 6, 7, 8))),
     ]
 
 
@@ -442,5 +442,5 @@ class TestDescendingKey:
             assert (da == db) == (a == b)
 
     def test_not_part_of_equality(self):
-        order = OrderSpec("omega_grevlex", W4, OMEGA4.blocks)
+        order = OrderSpec(W4, OMEGA4.blocks)
         assert order == OMEGA4 and hash(order) == hash(OMEGA4)
