@@ -66,3 +66,7 @@ class BudgetExceeded(FiberForgeError):
 
 class MonomialOverflow(FiberForgeError):
     """An exponent or block degree does not fit its packed field."""
+
+
+class UnfixedSharedVariable(FiberForgeError):
+    """A ring map's image uses a source variable that the map moves."""

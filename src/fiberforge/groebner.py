@@ -89,6 +89,31 @@ Order data is computed once.  The engine keeps these invariants:
   changes the work, never the result.  Truncation leaves out only pairs
   above its bound, and a pair within it cites only pairs within it, as
   their lcms divide its own.
+- Hilbert-driven skip (Traverso, "Hilbert functions and the Buchberger
+  algorithm", J. Symb. Comp. 22, 1996).  When the order carries
+  ``quotient_nvars`` m (set by ``kernel_of_hom``, whose docstring proves
+  that the ring modulo the ideal I of the generators is a polynomial
+  ring in m variables of weight 1) and every generator is homogeneous in
+  the weights, I's Hilbert function is known in advance:
+  HF(delta) = C(delta + m - 1, m - 1).  The standard monomials of
+  weighted degree delta, those that no current lead divides, number at
+  least HF(delta), as the leads generate part of in(I).  When they
+  number exactly HF(delta), the leads of degree delta span in(I) in that
+  degree.  Then every S-polynomial of degree delta has normal form 0:
+  the normal form is homogeneous of degree delta and lies in I, so a
+  nonzero one would have its lead in in(I), hence divisible by a current
+  lead, which a normal form's terms never are.  Its reduction by the
+  current elements, which the final basis holds, settles the pair, so
+  the pair is marked handled with no chain scan and no reduction, and
+  the chain criterion may cite it.  The reduced basis is unique, so the
+  result is unchanged and only the work drops.  The counts are exact:
+  pairs pop by weighted degree, and an element found at degree delta is
+  homogeneous of degree delta, its lead standard until then (a
+  remainder's terms are), so it removes exactly that one monomial from
+  degree delta's standard set and makes pairs of greater degree only (a
+  lead it shares a lcm of degree delta with would divide it).  So once
+  delta starts, the sets of lower degrees are final; ``_StandardCount``
+  builds them from each other.
 - Integer coefficients.  Inside the engine a coefficient whose
   denominator is 1 is an ``int``; ``_basis`` turns every coefficient
   back into a ``Fraction``.  This is the same exact arithmetic over Q:
@@ -112,6 +137,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
+from math import comb
 from operator import and_, lshift, rshift
 
 from .errors import (
@@ -120,6 +146,7 @@ from .errors import (
     MonomialOverflow,
     NotHomogeneous,
     RingMismatch,
+    UnfixedSharedVariable,
     UnknownVariable,
 )
 from .rings import (
@@ -277,6 +304,104 @@ def _sort_key(layout: _Layout):
     ascending in the order (descending in the packed key)."""
     key = layout.key
     return lambda r: (_degree(r[2], layout), -key(r[1]))
+
+
+_PAIRS_PER_MONOMIAL = 4
+"""The cost rule of ``_StandardCount``: a weighted degree is counted only
+while this many times its queued pairs are at least its Hilbert function.
+
+Counting costs one step per candidate monomial, and a degree has at least
+HF(delta) standard monomials; a skip saves at most one pop, chain scan
+and reduction per queued pair.  Measured at fiber d=5 (2-core VM,
+Python 3.11.7), one standard monomial costs about 2 us to build and one
+pop about 56 us without the skip (0.115 s over 2,065 pops), so a degree
+can pay for its count while its pairs number a tenth of HF(delta) or
+more; 4 leaves room for the standard monomials beyond HF(delta), for
+the lower degrees a count has to build, and for pairs that are reduced
+before the count reaches HF(delta).  With no rule the Rees d=4
+elimination counts up to degree 15, 15,504 monomials, and took 0.039 s
+against 0.023 s with the rule (best of 5), which counts degree 4 only
+and does the same reductions as with no count.  At Rees d=8 counting
+every degree took 13.6 s against 3.6 s.  A declined degree ends the
+counting for good: past it, pairs thin out while HF(delta) grows.
+"""
+
+
+class _StandardCount:
+    """The standard monomials of ``buchberger``'s leads, per weighted
+    degree, against the quotient's Hilbert function C(delta + m - 1, m - 1)
+    (the Hilbert-driven skip of the module docstring).
+
+    ``sets[e]`` maps each packed standard monomial of weighted degree e to
+    its support bitmask.  A monomial c of degree e is standard exactly
+    when it is no lead and c/u is standard for each variable u of its
+    support: a lead dividing c is c itself or divides some c/u.  Each c
+    is built once, as m*v with v the greatest position of its support and
+    m standard of degree e - weight(v).  ``excess`` is the number of
+    standard monomials of the degree being counted beyond HF; at 0 its
+    remaining pairs are settled.
+    """
+
+    def __init__(self, layout: _Layout, weights: tuple, quotient_nvars: int):
+        n = len(weights)
+        self.units = tuple(
+            layout.pack(tuple(int(q == p) for q in range(n))) for p in range(n)
+        )
+        self.weights = weights
+        self.nvars = quotient_nvars
+        self.sets = {0: {0: 0}}
+        self.degree = 0  # the greatest degree whose set is built
+        self.excess = None
+
+    def begin(self, degree: int, queued: int, leads: set, deadline, ticks) -> bool:
+        """Count ``degree``, whose ``queued`` pairs are about to pop, unless
+        the cost rule declines it (False).  ``leads`` holds every current
+        lead; the sets of lower degrees are final, as no element of a
+        lower degree will come."""
+        hf = comb(degree + self.nvars - 1, self.nvars - 1)
+        if _PAIRS_PER_MONOMIAL * queued < hf:
+            return False
+        for e in range(self.degree + 1, degree + 1):
+            self.sets[e] = self._build(e, leads, deadline, ticks)
+        self.degree = degree
+        self.excess = len(self.sets[degree]) - hf
+        return True
+
+    def found(self, lead: int):
+        """A new element's lead, of the degree being counted: standard
+        until now, it is the one monomial it removes."""
+        del self.sets[self.degree][lead]
+        self.excess -= 1
+
+    def _build(self, e: int, leads: set, deadline, ticks) -> dict:
+        sets, units, weights = self.sets, self.units, self.weights
+        out = {}
+        for p, (unit, w) in enumerate(zip(units, weights)):
+            if w > e:
+                continue
+            bit = 1 << p
+            for m, mask in sets[e - w].items():
+                if mask >> p > 1:  # m holds a position above p
+                    continue
+                if (
+                    deadline is not None
+                    and next(ticks) % 64 == 0
+                    and time.monotonic() > deadline
+                ):
+                    raise BudgetExceeded("deadline passed counting standard monomials")
+                c = m + unit
+                if c in leads:
+                    continue
+                rest = mask & ~bit  # c/v = m is standard
+                while rest:
+                    low = rest & -rest
+                    u = low.bit_length() - 1
+                    if c - units[u] not in sets[e - weights[u]]:
+                        break
+                    rest ^= low
+                else:
+                    out[c] = mask | bit
+        return out
 
 
 @dataclass(frozen=True)
@@ -506,6 +631,10 @@ def buchberger(
     is truncated, and the result holds only the elements whose leads
     miss the first block, inter-reduced among themselves: the reduced
     basis of the elimination ideal (the argument is in ``eliminate``).
+    If the order also carries ``quotient_nvars`` and every generator is
+    homogeneous in the weights, an untruncated call skips the pairs that
+    the quotient's Hilbert function proves zero (module docstring), for
+    as long as ``_PAIRS_PER_MONOMIAL`` lets it count.
     """
     ring = order.ring
     gens = [g for g in gens if not g.is_zero]
@@ -516,8 +645,14 @@ def buchberger(
         raise NotHomogeneous("degree truncation requires homogeneous generators")
     layout = _layout(order)
     guards = layout.guards
+    packed = _reducers(gens, order)
+    count = None  # the Hilbert-driven skip's standard monomials
     if max_degree is None and order.weights is not None:
         pair_degree = _weighted_degree(layout, order.weights)
+        if order.quotient_nvars is not None and all(
+            len(set(map(pair_degree, r[2]))) == 1 for r in packed
+        ):
+            count = _StandardCount(layout, order.weights, order.quotient_nvars)
     else:
         pair_degree = layout.degree
 
@@ -541,16 +676,25 @@ def buchberger(
                 heapq.heappush(pairs, (ldeg, i, j, l))
 
     try:
-        seed = _interreduce(_reducers(gens, order), layout, deadline, ticks)
+        seed = _interreduce(packed, layout, deadline, ticks)
         for r in seed:
             if max_degree is None or _degree(r[2], layout) <= max_degree:
                 add_element(r)
 
+        current = None  # the pair degree popping now
         while pairs:
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceeded("deadline passed in Buchberger loop")
-            _, i, j, l = heapq.heappop(pairs)
+            ldeg, i, j, l = heapq.heappop(pairs)
             done.add((i, j))
+            if count is not None and ldeg != current:
+                current = ldeg
+                queued = 1 + sum(1 for p in pairs if p[0] == ldeg)
+                leads = {r[1] for r in basis}
+                if not count.begin(ldeg, queued, leads, deadline, ticks):
+                    count = None  # declined: no later degree is counted
+            if count is not None and count.excess == 0:
+                continue  # settled: its S-polynomial reduces to zero
             si, li, fi = basis[i]
             sj, lj, fj = basis[j]
             # chain criterion: some k with lt_k | lcm and both pairs handled
@@ -591,7 +735,10 @@ def buchberger(
                     del sterms[t]
             rem = _reduce_terms(sterms, layout, basis, deadline, ticks, memo)
             if rem:
-                add_element(_reducer(rem, next(iter(rem)), layout))
+                lead = next(iter(rem))
+                add_element(_reducer(rem, lead, layout))
+                if count is not None:
+                    count.found(lead)
 
         kept = basis
         if order.weights is not None:
@@ -599,7 +746,7 @@ def buchberger(
             kept = [r for r in basis if not r[0] & eliminated]
         reduced = _interreduce(kept, layout, deadline, ticks)
     except BudgetExceeded as err:
-        found = sorted(basis or _reducers(gens, order), key=_sort_key(layout))
+        found = sorted(basis or packed, key=_sort_key(layout))
         err.partial = _basis(order, found, max_degree)
         raise
     return _basis(order, reduced, max_degree)
@@ -629,6 +776,7 @@ def eliminate(
     eliminated: frozenset,
     deadline: float | None = None,
     weights: tuple | None = None,
+    quotient_nvars: int | None = None,
 ) -> list:
     """The reduced basis of the elimination ideal (the elements free of
     ``eliminated``), sorted by degree and lead.
@@ -636,8 +784,12 @@ def eliminate(
     ``weights`` (one per position of ``joint``; all 1 by default) is the
     grading that orders the S-pairs; a caller passes one in which its
     generators are homogeneous.  Any grading gives the same result, as
-    any pair order does (module docstring).  It rides on the elimination
-    order, so ``buchberger`` keeps its signature.
+    any pair order does (module docstring).  ``quotient_nvars`` is passed
+    only by a caller that has proven ``joint`` modulo the generators'
+    ideal a polynomial ring in that many variables of weight 1; it turns
+    on the Hilbert-driven skip, which changes the work, not the result.
+    Both ride on the elimination order, so ``buchberger`` keeps its
+    signature.
 
     Only the elements whose lead misses the eliminated block are
     inter-reduced; the rest of the graph ideal's basis is dropped
@@ -656,7 +808,7 @@ def eliminate(
     """
     if weights is None:
         weights = (1,) * joint.nvars
-    order = elimination_order(joint, eliminated, weights)
+    order = elimination_order(joint, eliminated, weights, quotient_nvars)
     return list(buchberger(gens, order, None, deadline).elements)
 
 
@@ -671,11 +823,13 @@ def kernel_of_hom(
     ``omega_order(source)``.
 
     The rings may share variables, provided no image uses a source
-    variable that does not map to itself.  The target variables outside
-    the source, E, are eliminated from the joint ring (E, then the
-    source), in which G is the ideal of v - image(v) over the source (an
-    identity-mapped v gives 0, which ``buchberger`` drops).  G is the
-    kernel of the endomorphism psi: v -> image(v) fixing E.  Each
+    variable that does not map to itself; a map that breaks this proviso
+    raises ``UnfixedSharedVariable`` before any elimination.  The target
+    variables outside the source, E, are eliminated from the joint ring
+    (E, then the source), in which G is the ideal of v - image(v) over
+    the source (an identity-mapped v gives 0, which ``buchberger``
+    drops).  G is the kernel of the endomorphism psi: v -> image(v)
+    fixing E.  Each
     generator lies in ker psi, as by the proviso psi fixes every image;
     and f - psi(f) lies in G for every f, as v = image(v) modulo G.  On
     the source ring psi is the map, so the part of G free of E is its
@@ -691,7 +845,31 @@ def kernel_of_hom(
     The S-pairs pop by a grading in which the generators are homogeneous
     when the images are: each source variable weighs the degree of its
     image (at least 1), and each eliminated variable 1.
+
+    The elimination also learns m = |E| + |F|, F the source variables
+    that map to themselves: the joint ring modulo G is the polynomial
+    ring k[E, F], whose Hilbert function ``buchberger`` counts against.
+    The inclusion k[E, F] -> joint/G is onto, as v = image(v) modulo G
+    and by the proviso every image lies in k[E, F]; it is one-to-one, as
+    psi kills G and fixes k[E, F], so G meets k[E, F] in 0.  Each
+    variable of E and F weighs 1, so for homogeneous images the
+    isomorphism is graded and the Hilbert function in the weights is
+    C(delta + m - 1, m - 1): m = d for the fiber map and d + 1 for the
+    Rees map.  m is read off the map, never from a claimed count, so the
+    Groebner route stays independent of the rank route.
     """
+    fixed = {
+        v for v in source.vars
+        if v in target.index and images[v] == target.variable(v)
+    }
+    for v in source.vars:
+        f = images[v]
+        for exps in f.terms:
+            for u, e in zip(f.ring.vars, exps):
+                if e and u in source.index and u not in fixed:
+                    raise UnfixedSharedVariable(
+                        f"the image of {v!r} uses {u!r}, which the map moves"
+                    )
     eliminated = tuple(v for v in target.vars if v not in source.index)
     joint = Ring(f"{target.name}+{source.name}", eliminated + source.vars, target.d)
     gens = [
@@ -701,7 +879,10 @@ def kernel_of_hom(
     weights = (1,) * len(eliminated) + tuple(
         max(images[v].degree(), 1) for v in source.vars
     )
-    kept = eliminate(gens, joint, frozenset(eliminated), deadline, weights)
+    kept = eliminate(
+        gens, joint, frozenset(eliminated), deadline, weights,
+        len(eliminated) + len(fixed),
+    )
     return GroebnerBasis(omega_order(source), tuple(transport(f, source) for f in kept))
 
 

@@ -14,8 +14,7 @@ import operator
 from dataclasses import dataclass
 from math import comb
 
-from .candidate import epsilon, generators_lambda, hom_catalog, quadric_image
-from .errors import DimensionTooSmall
+from .candidate import epsilon, generators_lambda, hom_catalog
 from .groebner import GroebnerBasis, kernel_of_hom, transport
 from .hilbert import echelon, monomials_of_degree, rref
 from .rings import (
@@ -42,11 +41,9 @@ class QuadricIdeal:
 
 def build_ideal_I(d: int) -> QuadricIdeal:
     """The quadrics x_i*x_j (i < j) and x_k^2 - x_d^2 (k < d), in the
-    same order as the w-variable sequence."""
-    if d < 4:
-        raise DimensionTooSmall(f"need d >= 4, got {d}")
-    gens = tuple(quadric_image(d, *v.index) for v in ring_W(d).vars)
-    return QuadricIdeal(d, gens)
+    same order as the w-variable sequence: ``hom_catalog(d).phi_W``."""
+    phi = hom_catalog(d).phi_W
+    return QuadricIdeal(d, tuple(phi[v] for v in ring_W(d).vars))
 
 
 def power_check(d: int, k: int) -> bool:
@@ -179,8 +176,7 @@ def integrality_witness(d: int) -> IntegralityWitness:
     Solves phi_W(sum a_s m_s) = x_d^4 over the degree-2 monomials of W by
     reduced echelon form with free variables at zero (deterministic).
     """
-    if d < 4:
-        raise DimensionTooSmall(f"need d >= 4, got {d}")
+    phi = hom_catalog(d).phi_W
     W, R, U = ring_W(d), ring_R(d), ring_U(d)
     wmons = monomials_of_degree(W, 2)
     quartics = monomials_of_degree(R, 4)
@@ -188,8 +184,7 @@ def integrality_witness(d: int) -> IntegralityWitness:
     images = []
     for m in wmons:
         support = [p for p, e in enumerate(m) if e]  # one position for a square
-        a, b = (W.vars[p].index for p in (support[0], support[-1]))
-        images.append(quadric_image(d, *a) * quadric_image(d, *b))
+        images.append(phi[W.vars[support[0]]] * phi[W.vars[support[-1]]])
     xd4 = tuple(4 if v.index == (d,) else 0 for v in R.vars)
     rhs = len(wmons)
     rows = [{} for _ in quartics]

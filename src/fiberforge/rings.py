@@ -231,12 +231,20 @@ class OrderSpec:
     picks one in which its generators are homogeneous).  It is not part
     of the monomial order and takes no part in equality or hashing.
     ``groebner.buchberger`` reads it (see there).
+
+    ``quotient_nvars`` rides beside it, likewise outside equality and
+    hashing: set by ``groebner.kernel_of_hom``, it is the number m of
+    variables of weight 1 of the polynomial ring that the ring modulo the
+    ideal of the elimination's generators is, so that the quotient's
+    Hilbert function in the weights is C(delta + m - 1, m - 1).
+    ``groebner.buchberger`` counts standard monomials against it.
     """
 
     ring: Ring
     blocks: tuple
     descending_key: object = field(init=False, repr=False, compare=False)
     weights: tuple | None = field(default=None, repr=False, compare=False)
+    quotient_nvars: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -283,17 +291,21 @@ def omega_order(ring: Ring) -> OrderSpec:
 
 
 def elimination_order(
-    ring: Ring, eliminated: frozenset, weights: tuple | None = None
+    ring: Ring,
+    eliminated: frozenset,
+    weights: tuple | None = None,
+    quotient_nvars: int | None = None,
 ) -> OrderSpec:
     """Two-block order: ``eliminated`` variables first (greater block).
 
     ``weights``, one per position of ``ring``, makes it the order of an
-    elimination (see ``OrderSpec``)."""
+    elimination, and ``quotient_nvars`` gives its quotient's Hilbert
+    function (see ``OrderSpec``)."""
     first = tuple(p for p, v in enumerate(ring.vars) if v in eliminated)
     second = tuple(p for p, v in enumerate(ring.vars) if v not in eliminated)
     if len(first) != len(eliminated):
         raise UnknownVariable("eliminated variables not all in ring")
-    return OrderSpec(ring, (first, second), weights)
+    return OrderSpec(ring, (first, second), weights, quotient_nvars)
 
 
 class Polynomial:

@@ -5,6 +5,8 @@ import json
 import time
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import count, product
+from math import comb
 from operator import mul
 
 import pytest
@@ -18,6 +20,7 @@ from fiberforge.errors import (
     MonomialOverflow,
     NotHomogeneous,
     RingMismatch,
+    UnfixedSharedVariable,
 )
 from fiberforge.groebner import (
     GroebnerBasis,
@@ -814,15 +817,17 @@ def _work(calls):
 class TestSameWork:
     """The engine's reductions in an elimination, pinned: the S-pair
     reductions, how many give zero, and the inter-reduction calls, which
-    see only the kept elements.  The fiber's S-pair counts are those of
-    the standard-degree pair order too.  The memo of the main loop holds
-    one entry per distinct monomial."""
+    see only the kept elements.  The fiber kernel skips the pairs its
+    quotient's Hilbert function settles; the standard-degree order
+    carries no count.  The Rees kernel counts degree 4 only and settles
+    none there.  The memo of the main loop holds one entry per distinct
+    monomial."""
 
     def test_fiber_kernel_d5(self, monkeypatch):
         calls, memos = _reduction_spy(monkeypatch)
         kernel_of_hom(ring_W(5), ring_R(5), hom_catalog(5).phi_W)
-        assert _work(calls) == (1382, 1259, 89)
-        assert [len(m) for m in memos] == [2699]
+        assert _work(calls) == (482, 359, 89)
+        assert [len(m) for m in memos] == [958]
 
     def test_fiber_d5_standard_degree_order(self, monkeypatch):
         # the plain elimination order carries no weights: the full basis,
@@ -842,3 +847,130 @@ class TestSameWork:
         rees_kernel_oracle(4)
         assert _work(calls) == (458, 399, 67)
         assert len(memos) == 1
+
+
+@st.composite
+def _small_maps(draw):
+    """A map from 3-4 w's, and sometimes a shared x_1 fixed, to 2-3 x's;
+    each w goes to a homogeneous form with 1-3 terms, of degree 1-3 over
+    two x's and 1-2 over three (a map by cubics in three variables can
+    take seconds to eliminate)."""
+    xs = tuple(xvar(i) for i in range(1, draw(st.integers(2, 3)) + 1))
+    ws = tuple(wvar(1, j) for j in range(1, draw(st.integers(3, 4)) + 1))
+    shared = draw(st.booleans())
+    target = Ring("T", xs, len(xs))
+    source = Ring("S", xs[:1] * shared + ws, len(xs))
+    images = {x: target.variable(x) for x in source.vars[:shared]}
+    for w in ws:
+        k = draw(st.integers(1, 5 - len(xs)))
+        monomial = st.lists(
+            st.integers(0, len(xs) - 1), min_size=k, max_size=k
+        ).map(lambda idx: tuple(map(idx.count, range(len(xs)))))
+        terms = draw(
+            st.dictionaries(
+                monomial, st.integers(-2, 2).filter(bool), min_size=1, max_size=3
+            )
+        )
+        images[w] = Polynomial(target, terms)
+    return source, target, images
+
+
+def _eliminate_spy(mp):
+    """Record every ``groebner.eliminate`` call's arguments."""
+    seen = []
+    real = groebner.eliminate
+    mp.setattr(groebner, "eliminate", lambda *args: seen.append(args) or real(*args))
+    return seen
+
+
+class TestHilbertSkip:
+    """``kernel_of_hom`` hands its elimination the quotient's variable
+    count; ``buchberger`` skips the pairs that count proves zero.  The
+    result is the one ``eliminate`` gives with no count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_small_maps())
+    def test_kernel_equals_the_elimination_with_no_count(self, small_map):
+        source, target, images = small_map
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _eliminate_spy(mp)
+            kernel = kernel_of_hom(source, target, images)
+        (args,) = seen
+        gens, joint, eliminated, deadline, weights, quotient_nvars = args
+        # E and F together are the target variables
+        assert quotient_nvars == target.nvars
+        plain = eliminate(gens, joint, eliminated, deadline, weights)
+        assert kernel.elements == tuple(transport(f, source) for f in plain)
+
+    def test_inhomogeneous_image_does_the_same_work(self, monkeypatch):
+        x1, x2 = xvar(1), xvar(2)
+        target = Ring("T", (x1, x2), 2)
+        ws = (wvar(1, 1), wvar(1, 2), wvar(2, 2))
+        source = Ring("S", ws, 2)
+        X1, X2 = target.variable(x1), target.variable(x2)
+        images = dict(zip(ws, (X1 * X1 + X1, X1 * X2, X2 * X2)))
+        seen = _eliminate_spy(monkeypatch)
+        calls, _ = _reduction_spy(monkeypatch)
+        kernel = kernel_of_hom(source, target, images)
+        counted = _work(calls)
+        calls.clear()
+        gens, joint, eliminated, deadline, weights, _ = seen[0]
+        plain = eliminate(gens, joint, eliminated, deadline, weights)
+        assert _work(calls) == counted and counted[0] > 0
+        assert kernel.elements == tuple(transport(f, source) for f in plain)
+
+    def test_past_deadline_raises_with_a_partial_basis(self):
+        with pytest.raises(BudgetExceeded) as err:
+            kernel_of_hom(
+                ring_W(6), ring_R(6), hom_catalog(6).phi_W, time.monotonic() - 1
+            )
+        assert err.value.partial is not None and err.value.partial.elements
+
+    def test_moved_shared_variable_raises_before_eliminating(self, monkeypatch):
+        # x -> x^2 with x in both rings: the image uses a variable it moves
+        x = xvar(1)
+        ring = Ring("X1", (x,), 1)
+        X = ring.variable(x)
+        seen = _eliminate_spy(monkeypatch)
+        with pytest.raises(UnfixedSharedVariable):
+            kernel_of_hom(ring, ring, {x: X * X})
+        assert seen == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(1, 2), min_size=3, max_size=3),
+        st.lists(
+            st.tuples(*[st.integers(0, 2)] * 3).filter(any), min_size=1, max_size=4
+        ),
+    )
+    def test_standard_sets_match_a_direct_count(self, weights, leads):
+        # the sets built degree by degree hold exactly the monomials that
+        # no lead divides, whatever the leads' degrees
+        ring = Ring("X3", (xvar(1), xvar(2), xvar(3)), 3)
+        order = elimination_order(ring, frozenset({xvar(1)}), tuple(weights), 3)
+        layout = groebner._layout(order)
+        standard = groebner._StandardCount(layout, order.weights, 3)
+        top = 6
+        packed = set(map(layout.pack, leads))
+        assert standard.begin(top, comb(top + 2, 2), packed, None, None)
+        for e in range(top + 1):
+            want = {
+                layout.pack(m)
+                for m in product(range(top + 1), repeat=3)
+                if sum(map(mul, m, weights)) == e
+                and not any(all(map(int.__le__, a, m)) for a in leads)
+            }
+            assert set(standard.sets[e]) == want
+
+    def test_counting_polls_the_deadline(self):
+        order = elimination_order(R4, frozenset({xvar(1)}), (1,) * 4, 4)
+        standard = groebner._StandardCount(groebner._layout(order), order.weights, 4)
+        with pytest.raises(BudgetExceeded):
+            standard.begin(6, 100, set(), time.monotonic() - 1, count(1))
+
+    def test_cost_rule_declines_a_thin_degree(self):
+        # with no leads every monomial is standard: HF(6) = C(9, 3) = 84
+        order = elimination_order(R4, frozenset({xvar(1)}), (1,) * 4, 4)
+        standard = groebner._StandardCount(groebner._layout(order), order.weights, 4)
+        assert not standard.begin(6, 20, set(), None, None)
+        assert standard.begin(6, 21, set(), None, None) and standard.excess == 0

@@ -140,6 +140,10 @@ class TestWitness:
         # so h = u_dd^2 - epsilon(combo) dies under phi_U
         assert phi_U(wit.h).is_zero
 
+    def test_dimension_too_small(self):
+        with pytest.raises(DimensionTooSmall):
+            integrality_witness(3)
+
     def test_combo_is_quadratic(self):
         wit = integrality_witness(4)
         assert wit.combo.is_homogeneous() and wit.combo.degree() == 2
