@@ -10,8 +10,10 @@ same numbers live in ``hf_closed`` so the two can be compared.
 One exact kernel serves every linear-algebra computation in the package:
 ``echelon`` is an exact sparse elimination on integer rows, used
 for ranks here and in ``rees.power_check``; ``rref`` back-substitutes its
-result into the unique reduced form, used for the kernels in ``rees`` and
-the degree-2 basis of the minor ideal in ``candidate``.
+result into the unique reduced form, used for the degree-2 basis of the
+minor ideal in ``candidate``; ``relations`` reads the null space off it,
+used for the kernels in ``rees`` (the linear syzygies and the
+integrality witness).
 """
 
 from __future__ import annotations
@@ -105,6 +107,30 @@ def rref(rows) -> dict:
                     del out[k]
         done[c] = out
     return dict(sorted(done.items()))
+
+
+def relations(polys) -> dict:
+    """A basis of the linear relations among polynomials over one ring.
+
+    Column s of the coefficient matrix holds ``polys[s]``, one row per
+    monomial.  Returns ``{free column f: {s: a_s}}`` in column order, with
+    sum a_s * polys[s] = 0, a_f = 1 and a_g = 0 at every other free column
+    g: the null space read off ``rref``, so for a fixed list the result is
+    unique, as the reduced form is for a fixed column numbering.  A reduced
+    row is 1 at its pivot p and 0 at every other pivot, so each of its
+    other entries v sits in a free column f and gives a_p = -v there.
+    """
+    rows: dict = {}
+    for s, poly in enumerate(polys):
+        for t, c in poly.terms.items():
+            rows.setdefault(t, {})[s] = c
+    reduced = rref(rows.values())
+    out = {f: {f: 1} for f in range(len(polys)) if f not in reduced}
+    for p, prow in reduced.items():
+        for f, v in prow.items():
+            if f != p:
+                out[f][p] = -v
+    return out
 
 
 def _primitive(row: dict) -> dict:

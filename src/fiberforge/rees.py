@@ -1,9 +1,11 @@
 """The quadric ideal I, its powers, syzygies, and the Rees ideal J = L + Lambda*S.
 
-L is the symmetric-algebra part, read off a basis of the linear syzygies of
-the generators; Lambda is the fiber part from ``candidate``.  An elimination
-oracle computes the full Rees kernel independently for cross-certification,
-and ``integrality_witness`` produces the degree-two equation of integrality.
+I is generated by the quadrics ``candidate.hom_catalog(d).phi_W``, in the
+order of the w variables.  L is the symmetric-algebra part, read off a
+basis of the linear syzygies of the generators; Lambda is the fiber part
+from ``candidate``.  An elimination oracle computes the full Rees kernel
+independently for cross-certification, and ``integrality_witness``
+produces the degree-two equation of integrality.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import comb
 
 from .candidate import epsilon, generators_lambda, hom_catalog
 from .groebner import GroebnerBasis, kernel_of_hom, transport
-from .hilbert import echelon, monomials_of_degree, rref
+from .hilbert import echelon, monomials_of_degree, relations
 from .rings import (
     Polynomial,
     ring_R,
@@ -26,24 +28,8 @@ from .rings import (
     ring_W,
     tvar,
     uvar,
+    xvar,
 )
-
-
-@dataclass(frozen=True)
-class QuadricIdeal:
-    d: int
-    gens: tuple  # ordered to match the w-variable sequence
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(v.index for v in ring_W(self.d).vars)
-
-
-def build_ideal_I(d: int) -> QuadricIdeal:
-    """The quadrics x_i*x_j (i < j) and x_k^2 - x_d^2 (k < d), in the
-    same order as the w-variable sequence: ``hom_catalog(d).phi_W``."""
-    phi = hom_catalog(d).phi_W
-    return QuadricIdeal(d, tuple(phi[v] for v in ring_W(d).vars))
 
 
 def power_check(d: int, k: int) -> bool:
@@ -53,14 +39,16 @@ def power_check(d: int, k: int) -> bool:
     lexicographic order, so those sharing a (k-1)-fold prefix come in one
     run: each prefix product is formed once, when its run starts, and
     times the last factor gives the product, the same left-to-right
-    product as multiplying the combination out.
+    product as multiplying the combination out.  Each product becomes its
+    ``echelon`` row at once and is dropped, where ``hf_exact`` on the
+    products would hold them all at once (a higher memory peak) and add
+    its homogeneity and degree passes.
     """
-    ideal = build_ideal_I(d)
+    gens = tuple(hom_catalog(d).phi_W.values())
     R = ring_R(d)
     basis = monomials_of_degree(R, 2 * k)
     colindex = {m: p for p, m in enumerate(basis)}
     rows = []
-    gens = ideal.gens
     head = prefix = None
     for combo in itertools.combinations_with_replacement(range(len(gens)), k):
         if combo[:-1] != head:
@@ -73,51 +61,25 @@ def power_check(d: int, k: int) -> bool:
     return len(echelon(rows)) == comb(d + 2 * k - 1, 2 * k)
 
 
-@dataclass(frozen=True)
-class SyzygyMatrix:
-    d: int
-    columns: tuple  # each column: tuple of linear forms over R, one per gen
+def linear_syzygies(d: int) -> tuple:
+    """A basis of the linear syzygies of the generators g_k of I.
 
-    def __len__(self) -> int:
-        return len(self.columns)
-
-
-def linear_syzygies(d: int) -> SyzygyMatrix:
-    """A basis of the linear syzygies of the generators of I.
-
-    Kernel of (a_k) -> sum a_k * g_k from n copies of the linear forms into
-    the cubics, via reduced echelon form (deterministic columns).
+    Each column is a tuple of linear forms (a_k), one per generator, with
+    sum a_k * g_k = 0: the ``relations`` among the products m * g_k, m a
+    variable, ordered by generator and then by m (deterministic columns).
     """
-    ideal = build_ideal_I(d)
+    gens = tuple(hom_catalog(d).phi_W.values())
     R = ring_R(d)
-    lin = monomials_of_degree(R, 1)
-    cubics = monomials_of_degree(R, 3)
-    colindex = {m: p for p, m in enumerate(cubics)}
-    # unknowns: (generator, linear monomial) pairs
-    unknowns = [(gi, m) for gi in range(len(ideal.gens)) for m in lin]
-    rows = [{} for _ in cubics]
-    for uidx, (gi, m) in enumerate(unknowns):
-        for t, c in ideal.gens[gi].terms.items():
-            prod = tuple(a + b for a, b in zip(m, t))
-            rows[colindex[prod]][uidx] = c
-    reduced = rref(rows)
-    free = [c for c in range(len(unknowns)) if c not in reduced]
+    unknowns = [(k, m) for k in range(len(gens)) for m in monomials_of_degree(R, 1)]
+    products = [Polynomial(R, {m: 1}) * gens[k] for k, m in unknowns]
     columns = []
-    for fc in free:
-        vec = {fc: 1}
-        for pc, prow in reduced.items():
-            if fc in prow:
-                vec[pc] = -prow[fc]
-        col = []
-        for gi in range(len(ideal.gens)):
-            form = R.zero()
-            for li, m in enumerate(lin):
-                c = vec.get(gi * len(lin) + li)
-                if c:
-                    form = form + Polynomial(R, {m: c})
-            col.append(form)
-        columns.append(tuple(col))
-    return SyzygyMatrix(d, tuple(columns))
+    for vec in relations(products).values():
+        forms = [{} for _ in gens]
+        for s, a in vec.items():
+            k, m = unknowns[s]
+            forms[k][m] = a
+        columns.append(tuple(Polynomial(R, f) for f in forms))
+    return tuple(columns)
 
 
 def sym_algebra_ideal(d: int) -> list:
@@ -125,7 +87,7 @@ def sym_algebra_ideal(d: int) -> list:
     S = ring_S(d)
     wpolys = [S.variable(v) for v in ring_W(d).vars]
     out = []
-    for col in linear_syzygies(d).columns:
+    for col in linear_syzygies(d):
         entry = S.zero()
         for wp, form in zip(wpolys, col):
             if not form.is_zero:
@@ -173,32 +135,23 @@ class IntegralityWitness:
 def integrality_witness(d: int) -> IntegralityWitness:
     """The degree-two equation of integrality for u_dd over the fiber.
 
-    Solves phi_W(sum a_s m_s) = x_d^4 over the degree-2 monomials of W by
-    reduced echelon form with free variables at zero (deterministic).
+    Solves phi_W(sum a_s m_s) = x_d^4 over the degree-2 monomials of W:
+    the relation among their images and x_d^4 that has 1 at x_d^4 and 0
+    at every other free column (``relations``; deterministic).
     """
     phi = hom_catalog(d).phi_W
     W, R, U = ring_W(d), ring_R(d), ring_U(d)
     wmons = monomials_of_degree(W, 2)
-    quartics = monomials_of_degree(R, 4)
-    rowindex = {m: p for p, m in enumerate(quartics)}
     images = []
     for m in wmons:
         support = [p for p, e in enumerate(m) if e]  # one position for a square
         images.append(phi[W.vars[support[0]]] * phi[W.vars[support[-1]]])
-    xd4 = tuple(4 if v.index == (d,) else 0 for v in R.vars)
     rhs = len(wmons)
-    rows = [{} for _ in quartics]
-    for col, img in enumerate(images):
-        for t, c in img.terms.items():
-            rows[rowindex[t]][col] = c
-    rows[rowindex[xd4]][rhs] = 1
-    reduced = rref(rows)
-    if rhs in reduced:
+    images.append(Polynomial(R, {R.monomial_of(*[xvar(d)] * 4): 1}))
+    vec = relations(images).get(rhs)
+    if vec is None:
         raise ArithmeticError("x_d^4 is not in the span of the quadric products")
-    sol = {pc: prow[rhs] for pc, prow in reduced.items() if rhs in prow}
-    combo = W.zero()
-    for col, coeff in sorted(sol.items()):
-        combo = combo + Polynomial(W, {wmons[col]: coeff})
+    combo = Polynomial(W, {wmons[s]: -a for s, a in vec.items() if s != rhs})
     udd2 = U.monomial_of(uvar(d, d), uvar(d, d))
     h = Polynomial(U, {udd2: 1}) - epsilon(combo)
     return IntegralityWitness(d, combo, h)

@@ -320,14 +320,23 @@ class TestRees:
 
     # The kernel basis is the one a reduced echelon form over the fixed
     # column numbering gives; these digests pin it (first 16 hex digits of
-    # the sha256 of the JSON output at d = 5).
-    @pytest.mark.parametrize("emit, digest", [
-        ("syzygies", "03c3543e1a6aa6b1"),
-        ("witness", "001729609d89fd15"),
-        ("J", "c614ff29ae78f22d"),
+    # the sha256 of the JSON output at d).  The ids name d when it is not 5.
+    _PINNED_REES = [
+        (5, "syzygies", "03c3543e1a6aa6b1"),
+        (5, "witness", "001729609d89fd15"),
+        (5, "J", "c614ff29ae78f22d"),
+        (5, "L", "25180471fe6f558a"),
+        (8, "syzygies", "bcbfeb8b8802d16d"),
+        (8, "witness", "d89124c8d03d719d"),
+        (8, "L", "05bd6d4f1333f3d1"),
+    ]
+
+    @pytest.mark.parametrize("d, emit, digest", _PINNED_REES, ids=[
+        f"{emit}-{digest}" if d == 5 else f"{emit}-d{d}-{digest}"
+        for d, emit, digest in _PINNED_REES
     ])
-    def test_canonical_basis_pinned(self, emit, digest):
-        r = run("rees", "--d", "5", "--emit", emit, "--format", "json")
+    def test_canonical_basis_pinned(self, d, emit, digest):
+        r = run("rees", "--d", str(d), "--emit", emit, "--format", "json")
         assert r.returncode == 0
         assert hashlib.sha256(r.stdout.encode()).hexdigest()[:16] == digest
 

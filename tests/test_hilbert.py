@@ -18,6 +18,7 @@ from fiberforge.hilbert import (
     hf_closed,
     hf_exact,
     monomials_of_degree,
+    relations,
     rref,
 )
 from fiberforge.rings import Polynomial, omega_order, ring_R, ring_W, wvar, xvar
@@ -220,6 +221,55 @@ class TestEchelonKernel:
         ech = echelon(rows)
         assert ech[0] == {0: 2, 2: 3}
         assert ech[1] == {1: 4, 2: 3}
+
+
+R3 = ring_R(3)
+
+# polynomials over R3 of degree at most 3 with small integer coefficients
+_r3_poly = st.dictionaries(
+    st.sampled_from([m for e in range(4) for m in monomials_of_degree(R3, e)]),
+    st.integers(-2, 2).filter(bool),
+    max_size=4,
+).map(lambda terms: Polynomial(R3, terms))
+
+
+@st.composite
+def _dependent_polys(draw):
+    """A shuffled list of polynomials, some of them integer combinations of
+    others, so the list has relations beyond those of its zero entries."""
+    base = draw(st.lists(_r3_poly, min_size=1, max_size=5))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    combos = [
+        sum((g.scale(c) for g, c in zip(base, cs)), R3.zero())
+        for cs in draw(st.lists(coeffs, max_size=3))
+    ]
+    return draw(st.permutations(base + combos))
+
+
+class TestRelations:
+    @settings(max_examples=200, deadline=None)
+    @given(_dependent_polys())
+    def test_one_relation_per_free_column(self, polys):
+        rels = relations(polys)
+        for f, vec in rels.items():
+            total = R3.zero()
+            for s, a in vec.items():
+                total = total + polys[s].scale(a)
+            assert total.is_zero
+            assert vec[f] == 1
+            assert not (set(vec) - {f}) & set(rels)
+        assert list(rels) == sorted(rels)
+        rows: dict = {}
+        for s, p in enumerate(polys):
+            for t, c in p.terms.items():
+                rows.setdefault(t, {})[s] = c
+        assert len(rels) == len(polys) - len(echelon(rows.values()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_dependent_polys())
+    def test_monomial_outside_the_span_is_a_pivot(self, polys):
+        x3_4 = Polynomial(R3, {R3.monomial_of(*[xvar(3)] * 4): 1})
+        assert relations(polys + [x3_4]).get(len(polys)) is None
 
 
 class TestClosedForms:

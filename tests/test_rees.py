@@ -10,11 +10,10 @@ import pytest
 
 from fiberforge import groebner, rees
 
-from fiberforge.candidate import phi_U, phi_W, generators_lambda
+from fiberforge.candidate import hom_catalog, phi_U, phi_W, generators_lambda
 from fiberforge.errors import DimensionTooSmall
 from fiberforge.groebner import buchberger, normal_form
 from fiberforge.rees import (
-    build_ideal_I,
     integrality_witness,
     linear_syzygies,
     power_check,
@@ -45,29 +44,34 @@ def _xpoly(d, *terms):
     return f
 
 
+def _quadrics(d):
+    return tuple(hom_catalog(d).phi_W.values())
+
+
 class TestQuadricIdeal:
+    """I is the quadrics ``hom_catalog(d).phi_W``, in w-variable order."""
+
     def test_d4_generators_exact(self):
-        ideal = build_ideal_I(4)
-        assert len(ideal.gens) == 9
+        gens = _quadrics(4)
+        assert len(gens) == 9
         want = set()
         for i in range(1, 5):
             for j in range(i + 1, 5):
                 want.add(_xpoly(4, (1, [i, j])))
         for k in range(1, 4):
             want.add(_xpoly(4, (1, [k, k]), (-1, [4, 4])))
-        assert set(ideal.gens) == want
+        assert set(gens) == want
 
     def test_count_general(self):
-        assert len(build_ideal_I(5).gens) == 14
-        assert len(build_ideal_I(6).gens) == 20
+        assert len(_quadrics(5)) == 14
+        assert len(_quadrics(6)) == 20
 
     def test_labels_align_with_w_sequence(self):
-        ideal = build_ideal_I(4)
-        assert ideal.labels == tuple(v.index for v in ring_W(4).vars)
+        assert list(hom_catalog(4).phi_W) == list(ring_W(4).vars)
 
     def test_dimension_too_small(self):
         with pytest.raises(DimensionTooSmall):
-            build_ideal_I(3)
+            hom_catalog(3)
 
     def test_rees_map_and_oracle_refuse_small_d_before_eliminating(self, monkeypatch):
         calls = []
@@ -95,10 +99,9 @@ class TestSyzygies:
 
     def test_columns_are_syzygies(self):
         for d in (4, 5):
-            ideal = build_ideal_I(d)
-            for col in linear_syzygies(d).columns:
+            for col in linear_syzygies(d):
                 total = ring_R(d).zero()
-                for form, g in zip(col, ideal.gens):
+                for form, g in zip(col, _quadrics(d)):
                     if not form.is_zero:
                         total = total + form * g
                 assert total.is_zero
@@ -153,8 +156,7 @@ class TestWitness:
 class TestPowerCheckPrefixes:
     def test_each_prefix_product_is_formed_once(self, monkeypatch):
         d, k = 6, 3
-        ideal = build_ideal_I(d)
-        gens = ideal.gens
+        gens = _quadrics(d)
         colindex = {m: p for p, m in enumerate(monomials_of_degree(ring_R(d), 2 * k))}
         # the rows as products multiplied out from scratch, in the same order
         want = [
@@ -163,7 +165,6 @@ class TestPowerCheckPrefixes:
         ]
         products, rows = [], []
         real_mul, real_echelon = Polynomial.__mul__, rees.echelon
-        monkeypatch.setattr(rees, "build_ideal_I", lambda _: ideal)
         monkeypatch.setattr(
             Polynomial, "__mul__", lambda f, g: products.append(1) or real_mul(f, g)
         )
