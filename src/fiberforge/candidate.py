@@ -25,6 +25,7 @@ from .groebner import GroebnerBasis, normal_form
 from .hilbert import monomials_of_degree, rref
 from .rings import (
     Polynomial,
+    RingMap,
     VarKind,
     apply_hom,
     omega_order,
@@ -142,12 +143,13 @@ def _part2(mat: SymMatrix) -> list:
 
 @dataclass(frozen=True)
 class HomCatalog:
-    """The maps between W, U and the ambient ring for one dimension d."""
+    """The maps between W, U and the ambient ring for one dimension d,
+    each a ``RingMap`` whose memo lives as long as the catalogue."""
 
     d: int
-    epsilon: dict
-    phi_W: dict
-    phi_U: dict
+    epsilon: RingMap
+    phi_W: RingMap
+    phi_U: RingMap
 
 
 def quadric_image(d: int, i: int, j: int) -> Polynomial:
@@ -178,7 +180,7 @@ def hom_catalog(d: int) -> HomCatalog:
         v: R.variable(xvar(v.index[0])) * R.variable(xvar(v.index[1]))
         for v in U.vars
     }
-    return HomCatalog(d, eps, phi_w, phi_u)
+    return HomCatalog(d, RingMap(eps, U), RingMap(phi_w, R), RingMap(phi_u, R))
 
 
 def epsilon(f: Polynomial) -> Polynomial:
@@ -377,23 +379,48 @@ def named_generator(key: str, params: tuple, d: int) -> CatalogEntry:
         raise DimensionTooSmall(f"need d >= 4, got {d}")
     if key not in _CATALOGUE:
         raise BadParams(f"unknown catalogue key {key}")
-    domain, expansion = _CATALOGUE[key]
     params = tuple(params)
-    if params not in domain(d):
+    if params not in _CATALOGUE[key][0](d):
         raise BadParams(f"invalid parameters {params} for catalogue key {key}")
-    mat = SymMatrix(d, VarKind.W)
+    return _entry(SymMatrix(d, VarKind.W), key, params)
+
+
+def _entry(mat: SymMatrix, key: str, params: tuple) -> CatalogEntry:
+    """The catalogue element ``key`` at ``params``, valid parameters."""
     W = mat.ring
+    expansion = _CATALOGUE[key][1]
     if callable(expansion):  # a cubic
-        terms, lead = expansion(d, *params)
+        terms, _ = expansion(mat.d, *params)
         value = W.zero()
         for sign, (a, b), quadric, ambient in terms:
             term = W.variable(wvar(a, b)) * _quadric(mat, quadric, ambient)
             value = value + term.scale(sign)
     else:
+        value = _quadric(mat, key, (1, 2, *params))
+    return CatalogEntry(key, params, value, _claimed_leading(mat.d, key, params))
+
+
+def _claimed_leading(d: int, key: str, params: tuple) -> tuple:
+    """The claimed leading monomial of ``key`` at ``params``, read off the
+    table without expanding the element."""
+    expansion = _CATALOGUE[key][1]
+    if callable(expansion):  # a cubic
+        lead = expansion(d, *params)[1]
+    else:
         ambient = (1, 2, *params)
-        value = _quadric(mat, key, ambient)
         lead = [(ambient[a - 1], ambient[b - 1]) for a, b in expansion[1]]
-    return CatalogEntry(key, params, value, W.monomial_of(*(wvar(a, b) for a, b in lead)))
+    return ring_W(d).monomial_of(*(wvar(a, b) for a, b in lead))
+
+
+def _valid_entries(d: int):
+    """The (key, params) of every catalogue element valid at d, in order."""
+    if d < 4:
+        raise DimensionTooSmall(f"need d >= 4, got {d}")
+    return [
+        (key, params)
+        for key, (domain, _) in _CATALOGUE.items()
+        for params in domain(d)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -402,10 +429,16 @@ def catalogue_entries(d: int) -> tuple:
 
     Built once per d and process, as ``generators_lambda`` is; a tuple,
     so callers copy before they reorder."""
-    return tuple(
-        named_generator(key, params, d)
-        for key, (domain, _) in _CATALOGUE.items()
-        for params in domain(d)
+    mat = SymMatrix(d, VarKind.W)
+    return tuple(_entry(mat, key, params) for key, params in _valid_entries(d))
+
+
+def claimed_leads(d: int) -> frozenset:
+    """The claimed leading monomials of the catalogue at d, read off the
+    table: ``{e.claimed_leading for e in catalogue_entries(d)}`` with no
+    element expanded."""
+    return frozenset(
+        _claimed_leading(d, key, params) for key, params in _valid_entries(d)
     )
 
 

@@ -94,9 +94,12 @@ def _k2(d):
 @lru_cache(maxsize=None)
 def _census_pairs(d: int) -> frozenset:
     """The degree-2 census as position pairs (p, q) with p <= q."""
-    return frozenset(
-        tuple(p for p, e in enumerate(m) for _ in range(e)) for m in census_degree2(d)
-    )
+    return frozenset(_positions(m) for m in census_degree2(d))
+
+
+def _positions(m: tuple) -> tuple:
+    """The sorted positions of a monomial, one per unit of exponent."""
+    return tuple(p for p, e in enumerate(m) for _ in range(e))
 
 
 @lru_cache(maxsize=None)
@@ -116,27 +119,45 @@ def t_set(d: int, ij: tuple, kl: tuple) -> frozenset:
     A multiple of the degree-2 census belongs to the tau-greatest pair
     that divides it; this makes the T-sets a partition of those multiples.
     The pairs are the census elements w_kl * w_ij, w_kl <= w_ij (so
-    w_kl is in S_ij).  As positions (p, q), p <= q, they compare by q,
-    then p; a monomial at positions x <= y <= z has the factor pairs
-    (y, z) >= (x, z) >= (x, y), so it belongs to the first in the census.
+    w_kl is in S_ij).  See ``_t_triples`` for how each is found.
     """
     if wvar(*kl) not in s_set(d, *ij):
         raise NotInS(f"w{kl} is not in S_{ij} at d={d}")
     W = ring_W(d)
-    target = (W.position(wvar(*kl)), W.position(wvar(*ij)))
+    triples = _t_triples(d, W.position(wvar(*kl)), W.position(wvar(*ij)))
+    return frozenset(_mono(W.nvars, *t) for t in triples)
+
+
+def _t_triples(d: int, p: int, q: int) -> frozenset:
+    """``t_set`` as sorted position triples, for the census pair at
+    positions (p, q), p <= q.
+
+    As positions, factor pairs compare by q, then p; a monomial at
+    positions x <= y <= z has the factor pairs (y, z) >= (x, z) >= (x, y),
+    so it belongs to the first in the census.
+    """
+    target = (p, q)
     pairs = _census_pairs(d)
     out = set()
-    for p in range(W.nvars):
-        x, y, z = sorted((p, *target))
+    for r in range(ring_W(d).nvars):
+        x, y, z = sorted((r, p, q))
         if next(f for f in ((y, z), (x, z), (x, y)) if f in pairs) == target:
-            out.add(_mono(W.nvars, x, y, z))
+            out.add((x, y, z))
     return frozenset(out)
 
 
 def t_total(d: int) -> frozenset:
     """All degree-3 monomials divisible by a degree-2 census element."""
     n = ring_W(d).nvars
-    return frozenset(_mono(n, p, q, r) for p, q in _census_pairs(d) for r in range(n))
+    return frozenset(_mono(n, *t) for t in _t_total_triples(d))
+
+
+def _t_total_triples(d: int) -> frozenset:
+    """``t_total`` as sorted position triples."""
+    n = ring_W(d).nvars
+    return frozenset(
+        tuple(sorted((p, q, r))) for p, q in _census_pairs(d) for r in range(n)
+    )
 
 
 def _g1(d):
@@ -341,9 +362,11 @@ def verify_census(d: int) -> CensusReport:
                 char_ok = False
     check("S membership characterization", True, char_ok)
 
-    # every T-set, built once per factor pair (w_ij, w_kl) with w_kl in S_ij
+    # every T-set as sorted position triples, built once per factor pair
+    # (w_ij, w_kl) with w_kl in S_ij; their sizes, unions and intersections
+    # are those of the exponent tuples, as a degree-3 monomial is its triple
     tsets = {
-        (ij, v.index): t_set(d, ij, v.index)
+        (ij, v.index): _t_triples(d, W.position(v), W.position(wvar(*ij)))
         for ij in nonempty
         for v in svals[ij]
     }
@@ -379,7 +402,7 @@ def verify_census(d: int) -> CensusReport:
     check("|T| closed form", count_closed(d, "Ttotal"), total)
     union = set().union(*all_t)
     check("T sets disjoint", total, len(union))
-    check("T sets cover the census multiples", True, t_total(d) == frozenset(union))
+    check("T sets cover the census multiples", True, _t_total_triples(d) == union)
 
     gsets = {fam: enum_census(d, fam).members for fam in ("G1", "G2", "G3", "G4")}
     for fam, members in gsets.items():
@@ -387,12 +410,12 @@ def verify_census(d: int) -> CensusReport:
     gall = set().union(*gsets.values())
     gtotal = sum(len(g) for g in gsets.values())
     check("G sets disjoint", gtotal, len(gall))
-    check("G disjoint from T", set(), gall & union)
+    check("G disjoint from T", set(), {m for m in gall if _positions(m) in union})
     check("Gsum closed form", count_closed(d, "Gsum"), gtotal)
 
-    from .candidate import catalogue_entries
+    from .candidate import claimed_leads
 
-    claimed = {e.claimed_leading for e in catalogue_entries(d)}
+    claimed = claimed_leads(d)
     missing = {m for m in gall if m not in claimed}
     check("every G monomial is a claimed catalogue lead", set(), missing)
 

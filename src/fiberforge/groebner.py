@@ -136,7 +136,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from math import comb
 from operator import and_, lshift, rshift
 
@@ -753,19 +753,25 @@ def buchberger(
 
 
 def transport(f: Polynomial, target: Ring) -> Polynomial:
-    """Re-express f in a ring containing all variables it actually uses."""
-    pos = [target.index.get(v) for v in f.ring.vars]
+    """Re-express f in a ring containing all variables it actually uses.
+
+    Reads the target's own ``index`` at the nonzero exponents only, and
+    keeps nothing between calls.
+    """
+    index = target.index
+    rvars = f.ring.vars
+    slots = range(len(rvars))
     n = target.nvars
     terms = {}
     for exps, c in f.terms.items():
         t = [0] * n
-        for p, e in zip(pos, exps):
-            if e:
-                if p is None:
-                    raise UnknownVariable(
-                        f"polynomial uses a variable not in ring {target.name}"
-                    )
-                t[p] = e
+        for p in compress(slots, exps):
+            q = index.get(rvars[p])
+            if q is None:
+                raise UnknownVariable(
+                    f"polynomial uses a variable not in ring {target.name}"
+                )
+            t[q] = exps[p]
         terms[tuple(t)] = c
     return Polynomial(target, terms)
 

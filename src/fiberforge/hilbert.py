@@ -109,27 +109,33 @@ def rref(rows) -> dict:
     return dict(sorted(done.items()))
 
 
-def relations(polys) -> dict:
-    """A basis of the linear relations among polynomials over one ring.
+def relations(polys, columns) -> dict:
+    """A basis of the linear relations among polynomials over one ring,
+    given by its vectors at the free columns among ``columns``.
 
     Column s of the coefficient matrix holds ``polys[s]``, one row per
-    monomial.  Returns ``{free column f: {s: a_s}}`` in column order, with
-    sum a_s * polys[s] = 0, a_f = 1 and a_g = 0 at every other free column
-    g: the null space read off ``rref``, so for a fixed list the result is
-    unique, as the reduced form is for a fixed column numbering.  A reduced
-    row is 1 at its pivot p and 0 at every other pivot, so each of its
-    other entries v sits in a free column f and gives a_p = -v there.
+    monomial.  Returns ``{free column f: {s: a_s}}`` for each free column
+    f in ``columns``, in their order, with sum a_s * polys[s] = 0, a_f = 1
+    and a_g = 0 at every other free column g: the null space read off
+    ``rref``, so for a fixed list each vector is unique, as the reduced
+    form is for a fixed column numbering.  A reduced row is 1 at its
+    pivot p and 0 at every other pivot, so each of its other entries v
+    sits in a free column f and gives a_p = -v there.  With ``columns``
+    all of ``range(len(polys))`` that is a basis of the null space; a
+    caller that needs one column passes only it, and no other vector is
+    built.
     """
     rows: dict = {}
     for s, poly in enumerate(polys):
         for t, c in poly.terms.items():
             rows.setdefault(t, {})[s] = c
     reduced = rref(rows.values())
-    out = {f: {f: 1} for f in range(len(polys)) if f not in reduced}
+    out = {f: {f: 1} for f in columns if f not in reduced}
     for p, prow in reduced.items():
         for f, v in prow.items():
-            if f != p:
-                out[f][p] = -v
+            vec = out.get(f)  # None at a pivot or an unrequested column
+            if vec is not None:
+                vec[p] = -v
     return out
 
 

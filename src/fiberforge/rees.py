@@ -21,6 +21,7 @@ from .groebner import GroebnerBasis, kernel_of_hom, transport
 from .hilbert import echelon, monomials_of_degree, relations
 from .rings import (
     Polynomial,
+    RingMap,
     ring_R,
     ring_Rees,
     ring_S,
@@ -73,7 +74,7 @@ def linear_syzygies(d: int) -> tuple:
     unknowns = [(k, m) for k in range(len(gens)) for m in monomials_of_degree(R, 1)]
     products = [Polynomial(R, {m: 1}) * gens[k] for k, m in unknowns]
     columns = []
-    for vec in relations(products).values():
+    for vec in relations(products, range(len(products))).values():
         forms = [{} for _ in gens]
         for s, a in vec.items():
             k, m = unknowns[s]
@@ -104,15 +105,17 @@ def rees_ideal(d: int) -> list:
     return out
 
 
-def rees_substitution(d: int) -> dict:
+def rees_substitution(d: int) -> RingMap:
     """The map S -> R[t] with x fixed and w_ij -> t*g_ij, over
-    ``ring_Rees(d)``; the quadrics g_ij are ``hom_catalog(d).phi_W``."""
+    ``ring_Rees(d)``; the quadrics g_ij are ``hom_catalog(d).phi_W``.
+
+    A new ``RingMap`` per call, whose memo goes with it."""
     T = ring_Rees(d)
     t = T.variable(tvar())
     hom = {v: T.variable(v) for v in ring_R(d).vars}
     for v, g in hom_catalog(d).phi_W.items():
         hom[v] = t * transport(g, T)
-    return hom
+    return RingMap(hom, T)
 
 
 def rees_kernel_oracle(d: int, deadline: float | None = None) -> GroebnerBasis:
@@ -137,7 +140,8 @@ def integrality_witness(d: int) -> IntegralityWitness:
 
     Solves phi_W(sum a_s m_s) = x_d^4 over the degree-2 monomials of W:
     the relation among their images and x_d^4 that has 1 at x_d^4 and 0
-    at every other free column (``relations``; deterministic).
+    at every other free column (``relations``; deterministic).  Only
+    that column's vector is built.
     """
     phi = hom_catalog(d).phi_W
     W, R, U = ring_W(d), ring_R(d), ring_U(d)
@@ -148,7 +152,7 @@ def integrality_witness(d: int) -> IntegralityWitness:
         images.append(phi[W.vars[support[0]]] * phi[W.vars[support[-1]]])
     rhs = len(wmons)
     images.append(Polynomial(R, {R.monomial_of(*[xvar(d)] * 4): 1}))
-    vec = relations(images).get(rhs)
+    vec = relations(images, (rhs,)).get(rhs)
     if vec is None:
         raise ArithmeticError("x_d^4 is not in the span of the quadric products")
     combo = Polynomial(W, {wmons[s]: -a for s, a in vec.items() if s != rhs})

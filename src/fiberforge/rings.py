@@ -28,10 +28,30 @@ two types is sound:
   ``Fraction(1, 1) / c`` in ``groebner._reducer`` (a test walks the
   source and checks that every ``/`` has a ``Fraction(...)`` call on its
   left), so no quotient of two ints is ever a ``float``.
+
+A ring map that is used more than once is a ``RingMap``: its images and
+a memo of monomial images, which ``apply_hom`` fills so that each map
+computes the image of each distinct source monomial once.  The memo is
+sound:
+
+- the images are immutable: the map copies them and has no setter, a
+  ``Polynomial`` is immutable by convention, and ``apply_hom`` only
+  reads the term dicts it stores;
+- an entry is keyed by the source ring itself, compared by identity, and
+  the exponent tuple, which names a monomial only over its ring: a
+  polynomial over another ring with as many variables, whose tuple means
+  other variables, never reads it, and the entry keeps its ring alive,
+  so no other ring takes that identity;
+- the memo lives and dies with its map: it is an attribute of the map,
+  and no table outside the map refers to it.
+
+A plain dict of images gets a memo for one call.  Position maps likewise
+belong to their ring (``Ring.index``, ``Ring.pair_positions``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -125,13 +145,14 @@ def _pair_sort_key(v: VariableId):
 class Ring:
     """A named polynomial ring with a fixed ascending variable sequence."""
 
-    __slots__ = ("name", "vars", "index", "d")
+    __slots__ = ("name", "vars", "index", "d", "_pairs")
 
     def __init__(self, name: str, variables: tuple, d: int):
         self.name = name
         self.vars = tuple(variables)
         self.index = {v: p for p, v in enumerate(self.vars)}
         self.d = d
+        self._pairs = None
 
     @property
     def nvars(self) -> int:
@@ -142,6 +163,22 @@ class Ring:
             return self.index[v]
         except KeyError:
             raise UnknownVariable(f"{v!r} not in ring {self.name}") from None
+
+    def pair_positions(self) -> dict:
+        """``{(i, j): position}`` of the pair variables w_ij or u_ij, under
+        both (i, j) and (j, i), built on first use; a pair the ring lacks
+        (the W corner) has no entry.  A ring with both w_ij and u_ij
+        raises BadIndex."""
+        if self._pairs is None:
+            pairs = {}
+            for p, v in enumerate(self.vars):
+                if v.kind is VarKind.W or v.kind is VarKind.U:
+                    i, j = v.index
+                    if (i, j) in pairs:
+                        raise BadIndex(f"ring {self.name} has two ({i},{j}) pairs")
+                    pairs[(i, j)] = pairs[(j, i)] = p
+            self._pairs = pairs
+        return self._pairs
 
     def variable(self, v: VariableId) -> "Polynomial":
         p = self.position(v)
@@ -421,33 +458,68 @@ def _product(t1: dict, t2: dict) -> dict:
     return {m: c for m, c in terms.items() if c}
 
 
-def apply_hom(f: Polynomial, hom: dict, target: Ring) -> Polynomial:
+class RingMap(Mapping):
+    """A read-only map ``VariableId -> Polynomial`` over ``target`` (a
+    copy of ``images``) with the memo ``apply_hom`` keeps for it; the
+    module docstring gives why the memo is sound."""
+
+    __slots__ = ("_images", "target", "_memo")
+
+    def __init__(self, images: dict, target: Ring):
+        for img in images.values():
+            if img.ring is not target:
+                raise RingMismatch("homomorphism images in mixed rings")
+        self._images = dict(images)
+        self.target = target
+        self._memo: dict = {}
+
+    def __getitem__(self, v: VariableId) -> Polynomial:
+        return self._images[v]
+
+    def __iter__(self):
+        return iter(self._images)
+
+    def __len__(self) -> int:
+        return len(self._images)
+
+
+def apply_hom(f: Polynomial, hom, target: Ring) -> Polynomial:
     """Apply a ring homomorphism given by variable images.
 
-    ``hom`` maps VariableId -> Polynomial over ``target``.  Every variable
+    ``hom`` maps VariableId -> Polynomial over ``target``: a ``RingMap``,
+    whose memo keeps the image of each source monomial across calls, or a
+    plain dict, which gets a memo for this call only.  Every variable
     occurring in ``f`` must have an image.
 
-    All products go into one accumulator dict.  The terms of each image
-    power v^e are computed once per call; a source term c*m adds c times
-    the product of the image powers of m, and zero coefficients are
+    All products go into one accumulator dict.  The image of a monomial
+    not yet in the memo is the product of the image powers v^e of its
+    variables, each computed once per call as ((v*v)*v)...; a source
+    term c*m adds c times the image of m, and zero coefficients are
     dropped once, at the end, so terms that cancel across source terms
     leave nothing behind.
     """
-    rvars = f.ring.vars
+    if isinstance(hom, RingMap):
+        if hom.target is not target:
+            raise RingMismatch(f"map into {hom.target.name}, not {target.name}")
+        images, memo = hom._images, hom._memo
+    else:
+        images, memo = hom, {}
+    ring = f.ring
+    rvars = ring.vars
     powers: dict = {}  # (position, exponent) -> terms of image^exponent
 
     def power(pos: int, e: int) -> dict:
+        # iterative, so that no cycle through the closure outlives the call
         got = powers.get((pos, e))
         if got is None:
-            if e == 1:
-                img = hom.get(rvars[pos])
-                if img is None:
-                    raise PartialHomomorphism(f"no image for {rvars[pos]!r}")
-                if img.ring is not target:
-                    raise RingMismatch("homomorphism images in mixed rings")
-                got = img.terms
-            else:
-                got = _product(power(pos, e - 1), power(pos, 1))
+            img = images.get(rvars[pos])
+            if img is None:
+                raise PartialHomomorphism(f"no image for {rvars[pos]!r}")
+            if img.ring is not target:
+                raise RingMismatch("homomorphism images in mixed rings")
+            got = img.terms
+            for _ in range(e - 1):
+                got = _product(got, img.terms)
             powers[(pos, e)] = got
         return got
 
@@ -455,11 +527,14 @@ def apply_hom(f: Polynomial, hom: dict, target: Ring) -> Polynomial:
     acc: dict = {}
     get = acc.get
     for exps, c in f.terms.items():
-        term = one
-        for pos, e in enumerate(exps):
-            if e:
-                p = power(pos, e)
-                term = p if term is one else _product(term, p)
+        term = memo.get((ring, exps))
+        if term is None:
+            term = one
+            for pos, e in enumerate(exps):
+                if e:
+                    p = power(pos, e)
+                    term = p if term is one else _product(term, p)
+            memo[(ring, exps)] = term
         for m, v in term.items():
             acc[m] = get(m, 0) + c * v
     return Polynomial(target, {m: v for m, v in acc.items() if v})

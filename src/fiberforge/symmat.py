@@ -4,6 +4,14 @@ The W-matrix has entry w_ij for i != j and w_ii on the diagonal, except the
 (d,d) corner which is the zero polynomial.  The U-matrix keeps u_dd.  Minor
 brackets are evaluated exactly in the row/column order given: swapping two
 rows or two columns flips the sign.
+
+``minor2`` builds no entry polynomial: it writes the two +-1 terms of the
+value from ``Ring.pair_positions``, a table the matrix's ring builds once
+and owns; a product with the missing corner, which has no position, is
+zero.  Keeping the table is sound: a ring's variables never change; each
+key names one variable, as a ring holds pairs of one kind; and the table
+lives and dies with its ring.  ``SymMatrix.entry`` stays the definition
+the minors are tested against.
 """
 
 from __future__ import annotations
@@ -53,7 +61,12 @@ class Minor2:
 
 
 def minor2(mat: SymMatrix, rows: tuple, cols: tuple) -> Minor2:
-    """det of the submatrix with rows/cols taken in the order written."""
+    """det of the submatrix with rows/cols taken in the order written.
+
+    entry(a1, b1) * entry(a2, b2) - entry(a1, b2) * entry(a2, b1), in that
+    term order, written from positions (module docstring).  The two
+    monomials never coincide, as that needs a1 = a2 or b1 = b2.
+    """
     a1, a2 = rows
     b1, b2 = cols
     if a1 == a2 or b1 == b2:
@@ -61,7 +74,18 @@ def minor2(mat: SymMatrix, rows: tuple, cols: tuple) -> Minor2:
     for i in (a1, a2, b1, b2):
         if not (1 <= i <= mat.d):
             raise BadIndex(f"index {i} outside 1..{mat.d}")
-    value = mat.entry(a1, b1) * mat.entry(a2, b2) - mat.entry(a1, b2) * mat.entry(a2, b1)
+    pos = mat.ring.pair_positions()
+    n = mat.ring.nvars
+    terms = {}
+    for c, e1, e2 in ((1, (a1, b1), (a2, b2)), (-1, (a1, b2), (a2, b1))):
+        p, q = pos.get(e1), pos.get(e2)
+        if p is None or q is None:
+            continue  # a factor is the missing W corner
+        exps = [0] * n
+        exps[p] += 1
+        exps[q] += 1
+        terms[tuple(exps)] = c
+    value = Polynomial(mat.ring, terms)
     a_class = len({a1, a2} & {b1, b2})
     return Minor2((a1, a2), (b1, b2), a_class, value)
 

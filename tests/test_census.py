@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fiberforge import candidate
 from fiberforge.census import (
     CensusReport,
     census_degree2,
@@ -222,3 +223,22 @@ class TestVerify:
     def test_ok_reads_the_rows(self):
         assert CensusReport(4, [("a", 1, 1), ("b", {1}, {1})]).ok
         assert not CensusReport(4, [("a", 1, 1), ("b", [3], [2])]).ok
+
+
+class TestClaimedLeads:
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_read_off_the_table(self, d):
+        claimed = candidate.claimed_leads(d)
+        assert claimed == {e.claimed_leading for e in candidate.catalogue_entries(d)}
+
+    def test_verify_census_expands_no_element(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a catalogue element was expanded")
+
+        monkeypatch.setattr(candidate, "_entry", refuse)
+        monkeypatch.setattr(candidate, "_quadric", refuse)
+        candidate.catalogue_entries.cache_clear()
+        try:
+            assert verify_census(6).ok
+        finally:
+            candidate.catalogue_entries.cache_clear()

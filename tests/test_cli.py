@@ -280,16 +280,16 @@ class TestVerify:
         assert a.stdout == b.stdout
 
     def test_catalogue_built_once(self, monkeypatch, capsys):
-        # census and the errata check both read the catalogue; one verify
-        # builds each entry exactly once
+        # census reads the claimed leads off the table and the errata check
+        # expands the catalogue; one verify builds each entry exactly once
         built = []
-        named_generator = candidate.named_generator
+        entry = candidate._entry
 
-        def counting(key, params, d):
-            built.append((key, tuple(params), d))
-            return named_generator(key, params, d)
+        def counting(mat, key, params):
+            built.append((key, tuple(params), mat.d))
+            return entry(mat, key, params)
 
-        monkeypatch.setattr(candidate, "named_generator", counting)
+        monkeypatch.setattr(candidate, "_entry", counting)
         candidate.catalogue_entries.cache_clear()
         try:
             assert cli.main(["verify", "--d", "5", "--seed", "3"]) == 0

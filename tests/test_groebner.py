@@ -458,6 +458,46 @@ class TestCriterionFreeCertificate:
         _assert_certified(gens, gb)
 
 
+def _outside_sizes():
+    """The size of every cache outside a ring: each ``lru_cache`` and each
+    module-level dict, set or list of the package, and the memos of the
+    d = 4 ring maps."""
+    from fiberforge import candidate, census, hilbert, rees, rings, symmat
+
+    sizes = {}
+    for mod in (rings, symmat, candidate, census, groebner, hilbert, rees, cli):
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_info"):
+                sizes[f"{mod.__name__}.{name}"] = obj.cache_info().currsize
+            elif isinstance(obj, (dict, set, list)):
+                sizes[f"{mod.__name__}.{name}"] = len(obj)
+    maps = hom_catalog(4)
+    for name in ("epsilon", "phi_W", "phi_U"):
+        sizes[f"hom_catalog(4).{name}"] = len(getattr(maps, name)._memo)
+    return sizes
+
+
+class TestPerCallRings:
+    def test_leave_no_cache_grown(self):
+        """``kernel_of_hom`` and ``transport`` on rings built per call grow
+        no cache outside those rings.  The first run fills what the
+        long-lived rings key; the later ones, each on new rings, add
+        nothing."""
+        S = ring_S(4)
+        f = S.variable(wvar(1, 2)) * S.variable(xvar(3)) - S.variable(wvar(4, 3))
+
+        def run():
+            kernel_of_hom(ring_W(4), ring_R(4), hom_catalog(4).phi_W)
+            joint = Ring("joint", (tvar(),) + S.vars, 4)
+            assert transport(transport(f, joint), S) == f
+
+        run()
+        before = _outside_sizes()
+        run()
+        run()
+        assert _outside_sizes() == before
+
+
 class TestElimination:
     def test_elimination_order_blocks(self):
         order = elimination_order(W4, frozenset({wvar(1, 1)}))

@@ -250,7 +250,7 @@ class TestRelations:
     @settings(max_examples=200, deadline=None)
     @given(_dependent_polys())
     def test_one_relation_per_free_column(self, polys):
-        rels = relations(polys)
+        rels = relations(polys, range(len(polys)))
         for f, vec in rels.items():
             total = R3.zero()
             for s, a in vec.items():
@@ -266,10 +266,20 @@ class TestRelations:
         assert len(rels) == len(polys) - len(echelon(rows.values()))
 
     @settings(max_examples=100, deadline=None)
+    @given(_dependent_polys(), st.data())
+    def test_requested_columns_only(self, polys, data):
+        """Asked for some columns, it returns the full basis's vectors at
+        those of them that are free, in the order asked, and no other."""
+        full = relations(polys, range(len(polys)))
+        cols = data.draw(st.permutations(range(len(polys))))[: len(polys) // 2]
+        assert relations(polys, cols) == {f: full[f] for f in cols if f in full}
+        assert list(relations(polys, cols)) == [f for f in cols if f in full]
+
+    @settings(max_examples=100, deadline=None)
     @given(_dependent_polys())
     def test_monomial_outside_the_span_is_a_pivot(self, polys):
         x3_4 = Polynomial(R3, {R3.monomial_of(*[xvar(3)] * 4): 1})
-        assert relations(polys + [x3_4]).get(len(polys)) is None
+        assert relations(polys + [x3_4], (len(polys),)).get(len(polys)) is None
 
 
 class TestClosedForms:

@@ -1,6 +1,7 @@
 """Ring core: variables, the omega order, arithmetic, homomorphisms."""
 
 import ast
+import gc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from fiberforge.errors import (
 from fiberforge.rings import (
     OrderSpec,
     Polynomial,
+    Ring,
+    RingMap,
     apply_hom,
     elimination_order,
     format_monomial,
@@ -371,6 +374,60 @@ class TestApplyHomReference:
     @settings(max_examples=40, deadline=None)
     def test_rees_substitution_d4(self, f, g):
         _check_against_reference(f, g, rees_substitution(4), ring_Rees(4))
+
+
+_W11 = W4.variable(wvar(1, 1))
+
+
+class TestRingMapMemo:
+    """A ``RingMap`` keeps the image of each source monomial across calls."""
+
+    # one monomial under two coefficients, so the second reads the memo
+    @given(st.lists(_variable_poly_strategy(W4), min_size=1, max_size=4))
+    @example([_W11.scale(2), _W11.scale(-3) + _DIAGONAL_DIFFERENCE])
+    @settings(max_examples=60, deadline=None)
+    def test_memoized_equals_per_call_and_repeats(self, polys):
+        maps = hom_catalog(4)
+        for images, target in ((maps.phi_W, ring_R(4)), (maps.epsilon, ring_U(4))):
+            memoized = RingMap(dict(images), target)
+            per_call = dict(images)
+            first = [apply_hom(f, memoized, target) for f in polys]
+            assert first == [apply_hom(f, per_call, target) for f in polys]
+            assert [apply_hom(f, memoized, target) for f in polys] == first
+
+    def test_other_ring_never_reads_this_rings_entry(self):
+        # same number of variables, listed the other way round: the tuple
+        # (1, 0, ..., 0) is w_11 over W4 and w_34 over the other ring
+        R = ring_R(4)
+        flipped = Ring("W4flipped", tuple(reversed(W4.vars)), 4)
+        hom = RingMap(dict(hom_catalog(4).phi_W), R)
+        e = (1,) + (0,) * (W4.nvars - 1)
+        assert apply_hom(Polynomial(W4, {e: 1}), hom, R) == hom[W4.vars[0]]
+        got = apply_hom(Polynomial(flipped, {e: 1}), hom, R)
+        assert got == hom[flipped.vars[0]] != hom[W4.vars[0]]
+        assert set(hom._memo) == {(W4, e), (flipped, e)}
+
+    def test_leaves_no_reference_cycle(self):
+        """Everything ``apply_hom`` makes for one call goes when it
+        returns, without waiting for the cycle collector."""
+        f = (_W11 * _W11 * _W11 - _DIAGONAL_DIFFERENCE).scale(2)
+        gc.collect()
+        gc.disable()
+        try:
+            apply_hom(f, dict(hom_catalog(4).phi_W), ring_R(4))
+            apply_hom(f, hom_catalog(4).phi_W, ring_R(4))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_read_only_and_one_target(self):
+        hom = hom_catalog(4).phi_W
+        with pytest.raises(TypeError):
+            hom[wvar(1, 2)] = ring_R(4).one()
+        with pytest.raises(RingMismatch):
+            RingMap({wvar(1, 2): ring_R(4).one(), wvar(1, 3): ring_U(4).one()}, ring_R(4))
+        with pytest.raises(RingMismatch):
+            apply_hom(_W11, hom, ring_U(4))
 
 
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fiberforge"

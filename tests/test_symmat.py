@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from fiberforge.errors import BadIndex, NotA1
-from fiberforge.rings import VarKind, ring_W, wvar
+from fiberforge.rings import Ring, VarKind, ring_W, uvar, wvar
 from fiberforge.symmat import (
     SymMatrix,
     delta,
@@ -51,6 +51,31 @@ class TestMinor2:
         m = principal_minor(M4, 3, 4)
         w34 = W4.variable(wvar(3, 4))
         assert m.value == -(w34 * w34)
+
+
+class TestMinorFromPositions:
+    @pytest.mark.parametrize("kind", [VarKind.W, VarKind.U])
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_equals_the_entry_products(self, d, kind):
+        """Every ordered row and column pair, the corner included: the
+        value equals entry(a1,b1)*entry(a2,b2) - entry(a1,b2)*entry(a2,b1),
+        with its terms in the same order."""
+        mat = SymMatrix(d, kind)
+        e = mat.entry
+        ordered = list(itertools.permutations(range(1, d + 1), 2))
+        corner = 0
+        for (a1, a2), (b1, b2) in itertools.product(ordered, ordered):
+            got = minor2(mat, (a1, a2), (b1, b2)).value
+            want = e(a1, b1) * e(a2, b2) - e(a1, b2) * e(a2, b1)
+            assert got.ring is mat.ring
+            assert list(got.terms.items()) == list(want.terms.items())
+            corner += d in (a1, a2) and d in (b1, b2)
+        assert corner > 0
+
+    def test_pair_table_refuses_two_kinds(self):
+        mixed = Ring("WU", (wvar(1, 2), uvar(1, 2)), 2)
+        with pytest.raises(BadIndex):
+            mixed.pair_positions()
 
 
 class TestComplements:
