@@ -225,11 +225,12 @@ def minor_ideal_U_basis(d: int) -> GroebnerBasis:
     Every generator is a quadric, so N_1 = 0 and the basis is the unique
     monic spanning set of N_2 whose leads are distinct and whose other
     terms are not leads: the rref of the generators' rows with columns
-    sorted by ``descending_key``, whose pivots are in(N)_2.  Sorted by
-    lead, it equals ``buchberger(minor_ideal_U(d), order, max_degree=2)``.
+    in descending order (``monomials_of_degree``), whose pivots are
+    in(N)_2.  Sorted by lead, it equals
+    ``buchberger(minor_ideal_U(d), order, max_degree=2)``.
     """
     order = omega_order(ring_U(d))
-    cols = monomials_of_degree(order.ring, 2, order)
+    cols = monomials_of_degree(order.ring, 2)
     colindex = {e: p for p, e in enumerate(cols)}
     rows = rref({colindex[t]: c for t, c in g.terms.items()} for g in minor_ideal_U(d))
     elements = tuple(

@@ -28,7 +28,7 @@ from math import comb
 from numbers import Rational
 
 from .errors import BadParams, NotInS, OutOfTable
-from .hilbert import hf_closed
+from .hilbert import _exponents, _positions, hf_closed
 from .rings import omega_order, ring_W, wvar
 
 
@@ -45,18 +45,17 @@ def _wm(d, *vids) -> tuple:
     return ring_W(d).monomial_of(*vids)
 
 
-def _mono(n: int, *positions) -> tuple:
-    """The exponent tuple, over n variables, of a product of positions."""
-    exps = [0] * n
-    for p in positions:
-        exps[p] += 1
-    return tuple(exps)
-
-
 @lru_cache(maxsize=None)
 def census_degree2(d: int) -> frozenset:
     """[in]_2 = K0 + K1 + K2, enumerated straight from the definitions."""
-    return frozenset().union(*(enum_census(d, f).members for f in _BY_DEGREE[2]))
+    return frozenset().union(*(members for _, members in _k_sets(d)))
+
+
+@lru_cache(maxsize=None)
+def _k_sets(d: int) -> tuple:
+    """``(family, members)`` for each degree-2 family, enumerated once
+    per d: the census and ``verify_census``'s counts read them here."""
+    return tuple((f, enum_census(d, f).members) for f in _BY_DEGREE[2])
 
 
 def _k0(d):
@@ -97,11 +96,6 @@ def _census_pairs(d: int) -> frozenset:
     return frozenset(_positions(m) for m in census_degree2(d))
 
 
-def _positions(m: tuple) -> tuple:
-    """The sorted positions of a monomial, one per unit of exponent."""
-    return tuple(p for p, e in enumerate(m) for _ in range(e))
-
-
 @lru_cache(maxsize=None)
 def s_set(d: int, i: int, j: int) -> frozenset:
     """Variables w_kl with w_kl * w_ij in the degree-2 census, w_kl <= w_ij."""
@@ -125,7 +119,7 @@ def t_set(d: int, ij: tuple, kl: tuple) -> frozenset:
         raise NotInS(f"w{kl} is not in S_{ij} at d={d}")
     W = ring_W(d)
     triples = _t_triples(d, W.position(wvar(*kl)), W.position(wvar(*ij)))
-    return frozenset(_mono(W.nvars, *t) for t in triples)
+    return frozenset(_exponents(W.nvars, t) for t in triples)
 
 
 def _t_triples(d: int, p: int, q: int) -> frozenset:
@@ -134,22 +128,28 @@ def _t_triples(d: int, p: int, q: int) -> frozenset:
 
     As positions, factor pairs compare by q, then p; a monomial at
     positions x <= y <= z has the factor pairs (y, z) >= (x, z) >= (x, y),
-    so it belongs to the first in the census.
+    so it belongs to the first in the census.  With the third position r,
+    the triple and its claim follow from where r falls, with no sort:
+    r < p gives (r, p, q), whose first pair is (p, q) itself;
+    p <= r <= q gives (p, r, q), which (p, q) gets when r = p or (r, q)
+    is not in the census; q < r gives (p, q, r), which (p, q) gets when
+    neither (q, r) nor (p, r) is.
     """
-    target = (p, q)
     pairs = _census_pairs(d)
-    out = set()
-    for r in range(ring_W(d).nvars):
-        x, y, z = sorted((r, p, q))
-        if next(f for f in ((y, z), (x, z), (x, y)) if f in pairs) == target:
-            out.add((x, y, z))
+    out = [(r, p, q) for r in range(p)]
+    out += [(p, r, q) for r in range(p, q + 1) if r == p or (r, q) not in pairs]
+    out += [
+        (p, q, r)
+        for r in range(q + 1, ring_W(d).nvars)
+        if (q, r) not in pairs and (p, r) not in pairs
+    ]
     return frozenset(out)
 
 
 def t_total(d: int) -> frozenset:
     """All degree-3 monomials divisible by a degree-2 census element."""
     n = ring_W(d).nvars
-    return frozenset(_mono(n, *t) for t in _t_total_triples(d))
+    return frozenset(_exponents(n, t) for t in _t_total_triples(d))
 
 
 def _t_total_triples(d: int) -> frozenset:
@@ -333,8 +333,8 @@ def verify_census(d: int) -> CensusReport:
     def check(name, expected, actual):
         checks.append((name, expected, actual))
 
-    for fam in _BY_DEGREE[2]:
-        check(f"|{fam}|", count_closed(d, fam), len(enum_census(d, fam).members))
+    for fam, members in _k_sets(d):
+        check(f"|{fam}|", count_closed(d, fam), len(members))
     check("degree-2 census size", hf_closed("IX2", d), len(census_degree2(d)))
 
     svals = {}

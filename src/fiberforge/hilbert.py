@@ -23,21 +23,52 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .errors import DimensionTooSmall, NotHomogeneous, OutOfTable, RingMismatch
-from .rings import OrderSpec, Ring, omega_order
+from .rings import Ring
 
 
-def monomials_of_degree(ring: Ring, k: int, order: OrderSpec | None = None) -> list:
+def monomials_of_degree(ring: Ring, k: int) -> list:
     """The exponent tuples of all degree-k monomials of the ring,
-    descending under the order."""
+    descending under ``omega_order``: the expansions of ``_multisets``."""
     n = ring.nvars
-    out = []
-    for combo in itertools.combinations_with_replacement(range(n), k):
-        exps = [0] * n
-        for p in combo:
-            exps[p] += 1
-        out.append(tuple(exps))
-    out.sort(key=(order or omega_order(ring)).descending_key)
+    return [_exponents(n, c) for c in _multisets(n, k)]
+
+
+def _multisets(n: int, k: int) -> list:
+    """The degree-k monomials over n variables as position multisets
+    (sorted position tuples of length k), descending under ``omega_order``.
+
+    ``combinations_with_replacement`` yields the multisets in ascending
+    lexicographic order, so this is that list reversed, with no sort.
+    Within one degree ``omega_order`` lists monomials by ascending
+    exponent tuple (``descending_key`` is (-degree, exponents)), and
+    ascending exponent tuples are descending multisets: let e < e' be
+    exponent tuples of degree k, first different at index i, e_i < e'_i.
+    Both hold the same count of every position below i, so their
+    multisets agree up to those and the e_i copies of i that follow; the
+    next entry is a further copy of i in the multiset of e' and a
+    position above i in that of e (its remaining degree sits above i).
+    So the multiset of e' is the smaller one.
+    """
+    out = list(itertools.combinations_with_replacement(range(n), k))
+    out.reverse()
     return out
+
+
+def _exponents(n: int, positions) -> tuple:
+    """The exponent tuple, over n variables, of a position multiset."""
+    exps = [0] * n
+    for p in positions:
+        exps[p] += 1
+    return tuple(exps)
+
+
+def _positions(exps: tuple) -> tuple:
+    """The position multiset of an exponent tuple, one entry per unit of
+    exponent."""
+    out: list = []
+    for p in itertools.compress(range(len(exps)), exps):
+        out += [p] * exps[p]
+    return tuple(out)
 
 
 def echelon(rows) -> dict:
@@ -168,10 +199,12 @@ def echelon_leads(gens, k: int) -> dict:
 
     The pivots of degree j are in(I)_j, as for any Macaulay matrix with
     columns in descending order (Lazard, EUROCAL 1983).  The columns are
-    sorted by ``descending_key`` and a row's pivot is its smallest column,
-    so each stored row is an element of I_j whose leading monomial is its
-    pivot.  The pivots are distinct and there are dim I_j = dim in(I)_j of
-    them, so they are exactly in(I)_j.
+    the position multisets of ``_multisets``, which lists them descending
+    under ``omega_order`` with no sort, and a row's pivot is its smallest
+    column, so each stored row is an element of I_j whose leading monomial
+    is its pivot.  The pivots are distinct and there are dim I_j =
+    dim in(I)_j of them, so they are exactly in(I)_j.  Only the pivots are
+    expanded back to exponent tuples.
     """
     leads: dict = {j: [] for j in range(k + 1)}
     gens = [g for g in gens if not g.is_zero]
@@ -186,41 +219,45 @@ def echelon_leads(gens, k: int) -> dict:
     by_degree: dict = {}
     for g in gens:
         by_degree.setdefault(g.degree(), []).append(g)
-    order = omega_order(ring)
+    n = ring.nvars
     pivots: dict = {}
-    prev = None
+    previndex = None
     for j in range(min(by_degree), k + 1):
-        cols = monomials_of_degree(ring, j, order)
-        colindex = {e: p for p, e in enumerate(cols)}
+        cols = _multisets(n, j)
+        colindex = {m: c for c, m in enumerate(cols)}
         rows = [
-            {colindex[t]: c for t, c in g.terms.items()}
+            {colindex[_positions(t)]: c for t, c in g.terms.items()}
             for g in by_degree.get(j, ())
         ]
         if pivots:
-            for shift in _variable_shifts(prev, colindex):
+            for shift in _variable_shifts(n, previndex, cols):
                 rows.extend(
                     {shift[c]: v for c, v in row.items()} for row in pivots.values()
                 )
         pivots = echelon(rows)
-        leads[j] = [cols[c] for c in sorted(pivots)]
-        prev = cols
+        del rows  # freed before the pivots are expanded
+        leads[j] = [_exponents(n, cols[c]) for c in sorted(pivots)]
+        previndex = colindex
     return leads
 
 
-def _variable_shifts(cols, colindex) -> list:
-    """Per variable x, the column of x * m for the monomial m of each column.
+def _variable_shifts(n: int, previndex: dict, cols: list) -> list:
+    """Per variable x_p, the column of x_p * m for the monomial m of each
+    column of the degree below.
 
-    ``cols`` lists the exponent tuples of one degree in column order,
-    ``colindex`` numbers the columns of the next degree.
+    ``cols`` lists the position multisets of one degree in column order,
+    ``previndex`` numbers those of the degree below.  Deleting one copy of
+    a position p from a multiset m gives the m' with x_p * m' = m, and
+    every pair (m', p) arises so from exactly one m, once per distinct
+    position of m.
     """
-    shifts = []
-    for p in range(len(cols[0])):
-        shift = []
-        for e in cols:
-            up = list(e)
-            up[p] += 1
-            shift.append(colindex[tuple(up)])
-        shifts.append(shift)
+    shifts = [[0] * len(previndex) for _ in range(n)]
+    for c, m in enumerate(cols):
+        last = None
+        for i, p in enumerate(m):
+            if p != last:
+                shifts[p][previndex[m[:i] + m[i + 1:]]] = c
+                last = p
     return shifts
 
 

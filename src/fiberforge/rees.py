@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -36,30 +35,62 @@ from .rings import (
 def power_check(d: int, k: int) -> bool:
     """True iff k-fold products of the generators span all degree-2k forms.
 
+    That is a rank: the products' coefficient matrix spans the degree-2k
+    forms iff its rank is C(d+2k-1, 2k), their dimension.  No relabelling
+    of the columns changes a rank, so each monomial is its exponent tuple
+    packed into one int, and the products are formed on the packed terms
+    by ``_packed_product``.  The packing reads the exponents as the digits
+    of a base-(2k+1) number, most significant first.  Every exponent of a
+    monomial of degree at most 2k is a digit below the base, so distinct
+    monomials pack to distinct ints, and the pack of a product of such
+    monomials is the sum of their packs, with no carry.  The packed ints
+    also ascend as the exponent tuples do, so the columns keep the order
+    of ``monomials_of_degree`` and ``echelon`` picks the same pivots.
+
     ``combinations_with_replacement`` yields the combinations in
     lexicographic order, so those sharing a (k-1)-fold prefix come in one
     run: each prefix product is formed once, when its run starts, and
     times the last factor gives the product, the same left-to-right
-    product as multiplying the combination out.  Each product becomes its
-    ``echelon`` row at once and is dropped, where ``hf_exact`` on the
-    products would hold them all at once (a higher memory peak) and add
-    its homogeneity and degree passes.
+    product as multiplying the combination out.  Each product is an
+    ``echelon`` row as it stands.
     """
-    gens = tuple(hom_catalog(d).phi_W.values())
-    R = ring_R(d)
-    basis = monomials_of_degree(R, 2 * k)
-    colindex = {m: p for p, m in enumerate(basis)}
+    base = 2 * k + 1
+    gens = [
+        {_pack(t, base): c for t, c in g.terms.items()}
+        for g in hom_catalog(d).phi_W.values()
+    ]
     rows = []
     head = prefix = None
     for combo in itertools.combinations_with_replacement(range(len(gens)), k):
         if combo[:-1] != head:
             head = combo[:-1]
             factors = [gens[i] for i in head]
-            prefix = functools.reduce(operator.mul, factors) if factors else None
+            prefix = functools.reduce(_packed_product, factors) if factors else None
         last = gens[combo[-1]]
-        p = last if prefix is None else prefix * last
-        rows.append({colindex[t]: c for t, c in p.terms.items()})
+        rows.append(last if prefix is None else _packed_product(prefix, last))
     return len(echelon(rows)) == comb(d + 2 * k - 1, 2 * k)
+
+
+def _pack(exps: tuple, base: int) -> int:
+    """An exponent tuple as the digits of one int in ``base``, most
+    significant first."""
+    v = 0
+    for e in exps:
+        v = v * base + e
+    return v
+
+
+def _packed_product(f: dict, g: dict) -> dict:
+    """The terms of the product of two packed term dicts, zeros dropped:
+    ``rings``' product of term dicts, with a sum of ints for a monomial
+    product (see ``power_check`` for when that is exact)."""
+    terms: dict = {}
+    get = terms.get
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = m1 + m2
+            terms[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in terms.items() if c}
 
 
 def linear_syzygies(d: int) -> tuple:

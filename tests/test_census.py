@@ -1,11 +1,12 @@
 """Tests for the monomial census: K sets, S sets, T partitions, G families."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from fiberforge import candidate
+from fiberforge import candidate, census
 from fiberforge.census import (
     CensusReport,
     census_degree2,
@@ -242,3 +243,46 @@ class TestClaimedLeads:
             assert verify_census(6).ok
         finally:
             candidate.catalogue_entries.cache_clear()
+
+
+def _sorted_next_triples(d, p, q):
+    """The T set of the census pair (p, q) as positions, by sorting each
+    triple and taking the first of its factor pairs in the census."""
+    pairs = census._census_pairs(d)
+    out = set()
+    for r in range(ring_W(d).nvars):
+        x, y, z = sorted((r, p, q))
+        if next(f for f in ((y, z), (x, z), (x, y)) if f in pairs) == (p, q):
+            out.add((x, y, z))
+    return frozenset(out)
+
+
+class TestTriplesByCase:
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_cases_match_the_sorted_definition(self, d):
+        pairs = census._census_pairs(d)
+        assert pairs
+        for p, q in pairs:
+            assert census._t_triples(d, p, q) == _sorted_next_triples(d, p, q)
+
+
+class TestKSetsOnce:
+    def test_verify_census_enumerates_each_k_set_once(self, monkeypatch):
+        calls = []
+        for fam in ("K0", "K1", "K2"):
+            row = census.FAMILIES[fam]
+
+            def spy(d, enum=row.enum, fam=fam):
+                calls.append(fam)
+                return enum(d)
+
+            monkeypatch.setitem(census.FAMILIES, fam, replace(row, enum=spy))
+        cached = (census._k_sets, census.census_degree2, census._census_pairs, census.s_set)
+        for fn in cached:
+            fn.cache_clear()
+        try:
+            assert verify_census(5).ok
+        finally:
+            for fn in cached:
+                fn.cache_clear()
+        assert sorted(calls) == ["K0", "K1", "K2"]

@@ -1,5 +1,6 @@
 """Tests for exact Hilbert-function values and their closed forms."""
 
+import itertools
 import pytest
 from fractions import Fraction
 import random
@@ -21,7 +22,17 @@ from fiberforge.hilbert import (
     relations,
     rref,
 )
-from fiberforge.rings import Polynomial, omega_order, ring_R, ring_W, wvar, xvar
+from fiberforge.rees import rees_ideal
+from fiberforge.rings import (
+    Polynomial,
+    omega_order,
+    ring_R,
+    ring_S,
+    ring_U,
+    ring_W,
+    wvar,
+    xvar,
+)
 
 W4 = ring_W(4)
 R4 = ring_R(4)
@@ -57,9 +68,23 @@ class TestMonomialEnumeration:
 
     def test_descending(self):
         order = omega_order(W4)
-        ms = monomials_of_degree(W4, 2, order)
+        ms = monomials_of_degree(W4, 2)
         keys = [order.key(m) for m in ms]
         assert keys == sorted(keys, reverse=True)
+
+    @pytest.mark.parametrize(
+        "ring", [W4, ring_R(5), ring_U(4), ring_S(4)], ids=lambda r: r.name
+    )
+    def test_reversed_multisets_are_the_descending_sort(self, ring):
+        # every degree-k exponent tuple, built by counting and then sorted
+        n = ring.nvars
+        for k in range(5):
+            every = [
+                tuple(combo.count(p) for p in range(n))
+                for combo in itertools.combinations_with_replacement(range(n), k)
+            ]
+            want = sorted(every, key=omega_order(ring).descending_key)
+            assert monomials_of_degree(ring, k) == want
 
 
 class TestExactValues:
@@ -182,6 +207,16 @@ class TestDegreeByDegree:
         one = R4.one().scale(Fraction(-3))
         for k in range(4):
             assert hf_exact([one, _x(1, 2)], k) == comb(k + 3, 3)
+
+    def test_two_variable_kinds_match_groebner_leads(self):
+        # J over S = R[w]: x and w variables in one ring
+        gens = rees_ideal(4)
+        leads = echelon_leads(gens, 3)
+        key = omega_order(ring_S(4)).descending_key
+        for j in range(4):
+            assert set(leads[j]) == _groebner_leads(gens, j)
+            assert leads[j] == sorted(leads[j], key=key)
+        assert len(leads[3]) > len(leads[2]) > 0
 
     def test_shuffle_invariant_d6(self):
         gens = _lambda_gens(6)

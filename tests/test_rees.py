@@ -22,7 +22,7 @@ from fiberforge.rees import (
     rees_substitution,
     sym_algebra_ideal,
 )
-from fiberforge.hilbert import monomials_of_degree
+from fiberforge.hilbert import hf_exact
 from fiberforge.rings import (
     Polynomial,
     apply_hom,
@@ -153,20 +153,45 @@ class TestWitness:
         assert wit.h.degree() == 2
 
 
+def _unpack(m, base, n):
+    """The exponent tuple of a packed monomial: n digits in ``base``,
+    most significant first."""
+    digits = []
+    for _ in range(n):
+        m, e = divmod(m, base)
+        digits.append(e)
+    return tuple(reversed(digits))
+
+
+class TestPackedPowers:
+    """power_check forms its products on packed ints; the rank of the
+    products multiplied out as polynomials must give the same verdict."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_verdict_matches_rank_of_polynomial_products(self, d, k):
+        products = [
+            reduce(mul, combo)
+            for combo in itertools.combinations_with_replacement(_quadrics(d), k)
+        ]
+        want = hf_exact(products, 2 * k) == comb(d + 2 * k - 1, 2 * k)
+        assert power_check(d, k) is want
+        assert want is (k > 1)
+
+
 class TestPowerCheckPrefixes:
     def test_each_prefix_product_is_formed_once(self, monkeypatch):
         d, k = 6, 3
         gens = _quadrics(d)
-        colindex = {m: p for p, m in enumerate(monomials_of_degree(ring_R(d), 2 * k))}
         # the rows as products multiplied out from scratch, in the same order
         want = [
-            [(colindex[t], c) for t, c in reduce(mul, combo).terms.items()]
+            list(reduce(mul, combo).terms.items())
             for combo in itertools.combinations_with_replacement(gens, k)
         ]
         products, rows = [], []
-        real_mul, real_echelon = Polynomial.__mul__, rees.echelon
+        real_product, real_echelon = rees._packed_product, rees.echelon
         monkeypatch.setattr(
-            Polynomial, "__mul__", lambda f, g: products.append(1) or real_mul(f, g)
+            rees, "_packed_product", lambda f, g: products.append(1) or real_product(f, g)
         )
         monkeypatch.setattr(
             rees, "echelon", lambda r: rows.extend(r) or real_echelon(r)
@@ -175,4 +200,6 @@ class TestPowerCheckPrefixes:
         # one product per twofold prefix and one per threefold combination
         n = len(gens)
         assert len(products) == comb(n + 1, 2) + comb(n + 2, 3)
-        assert [list(r.items()) for r in rows] == want
+        nvars = ring_R(d).nvars
+        got = [[(_unpack(m, 2 * k + 1, nvars), c) for m, c in r.items()] for r in rows]
+        assert got == want
