@@ -28,7 +28,8 @@ from .rings import Ring
 
 def monomials_of_degree(ring: Ring, k: int) -> list:
     """The exponent tuples of all degree-k monomials of the ring,
-    descending under ``omega_order``: the expansions of ``_multisets``."""
+    descending under ``omega_order``: the expansions of ``_multisets``,
+    whose docstring argues the order, with no sort."""
     n = ring.nvars
     return [_exponents(n, c) for c in _multisets(n, k)]
 
