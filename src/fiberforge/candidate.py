@@ -20,9 +20,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadParams, DimensionTooSmall
-from .groebner import GroebnerBasis, normal_form
-from .hilbert import monomials_of_degree, rref
+from .errors import BadParams, BeyondTruncation, DimensionTooSmall
+from .hilbert import rref
 from .rings import (
     Polynomial,
     RingMap,
@@ -199,12 +198,25 @@ def phi_U(f: Polynomial) -> Polynomial:
     return apply_hom(f, hom_catalog(d).phi_U, ring_R(d))
 
 
-def check_criterion_c(f: Polynomial, gbN) -> bool:
-    """True iff the image of f under epsilon reduces to zero modulo the
-    2x2-minor ideal of the U-matrix (a sufficient membership test)."""
-    if f.is_zero:
-        return True
-    return normal_form(epsilon(f), gbN).is_zero
+def check_criterion_c(f: Polynomial, basis: dict) -> bool:
+    """True iff epsilon(f), for f of degree at most 2, lies in the
+    2x2-minor ideal N of the U-matrix; ``basis`` is ``minor_ideal_U_basis``.
+
+    One pass: for each term c*m of epsilon(f) whose m is a lead, subtract
+    c times the row of m.  A reduced row is 0 at every other lead, so each
+    subtraction clears its own lead and changes only non-lead columns.
+    What remains is the normal form modulo the rows, the degree-2
+    truncated reduced Groebner basis of N, so it is zero iff the image
+    lies in N (which starts in degree 2): ``normal_form``'s verdict.
+    """
+    if f.degree() > 2:
+        raise BeyondTruncation(f"degree {f.degree()} input against the degree-2 rows")
+    terms = epsilon(f).terms
+    rest = dict(terms)
+    for m, c in terms.items():
+        for k, v in basis.get(m, {}).items():
+            rest[k] = rest.get(k, 0) - c * v
+    return not any(rest.values())
 
 
 def minor_ideal_U(d: int) -> list:
@@ -218,26 +230,20 @@ def minor_ideal_U(d: int) -> list:
     return [g for g in gens if not g.is_zero]
 
 
-def minor_ideal_U_basis(d: int) -> GroebnerBasis:
+def minor_ideal_U_basis(d: int) -> dict:
     """The degree-2 truncated reduced Groebner basis of the 2x2-minor
-    ideal N of the U-matrix under ``omega_order``, from one ``rref``.
+    ideal N of the U-matrix under ``omega_order``, as ``{lead: row}``:
+    the ``rref`` of the minors, with exponent tuples as the columns.
 
-    Every generator is a quadric, so N_1 = 0 and the basis is the unique
+    Every minor is a quadric, so N_1 = 0 and that basis is the unique
     monic spanning set of N_2 whose leads are distinct and whose other
-    terms are not leads: the rref of the generators' rows with columns
-    in descending order (``monomials_of_degree``), whose pivots are
-    in(N)_2.  Sorted by lead, it equals
-    ``buchberger(minor_ideal_U(d), order, max_degree=2)``.
+    terms are not leads.  A pivot of ``echelon`` is a row's least column,
+    and within one degree the least exponent tuple is the greatest
+    monomial under ``omega_order`` (the argument is in
+    ``hilbert._multisets``).  So the pivots are in(N)_2, and the rows are
+    that basis.
     """
-    order = omega_order(ring_U(d))
-    cols = monomials_of_degree(order.ring, 2)
-    colindex = {e: p for p, e in enumerate(cols)}
-    rows = rref({colindex[t]: c for t, c in g.terms.items()} for g in minor_ideal_U(d))
-    elements = tuple(
-        Polynomial(order.ring, {cols[j]: v for j, v in rows[c].items()})
-        for c in sorted(rows, key=lambda c: order.key(cols[c]))
-    )
-    return GroebnerBasis(order, elements, truncation_degree=2)
+    return rref(g.terms for g in minor_ideal_U(d))
 
 
 # -- named generator catalogue ------------------------------------------------

@@ -56,8 +56,7 @@ Order data is computed once.  The engine keeps these invariants:
   appended to: an earlier reducer never changes, so the first divisor
   stays first, and a prefix without a divisor stays without one.
   ``buchberger`` keeps one memo for its main loop, whose basis only
-  grows, and a ``GroebnerBasis`` one for all its normal forms, whose
-  reducers never change; an inter-reduction call gets a memo of its own.
+  grows; a normal form or an inter-reduction gets a memo of its own.
 - Truncation.  With ``max_degree``, a pair whose lcm has higher degree
   is never pushed; in a degree-2 truncation of quadrics no pair is.
 - Pair queue.  A pair whose leading terms are coprime is marked handled
@@ -136,7 +135,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
+from itertools import repeat
 from math import comb
 from operator import and_, lshift, rshift
 
@@ -147,7 +146,6 @@ from .errors import (
     NotHomogeneous,
     RingMismatch,
     UnfixedSharedVariable,
-    UnknownVariable,
 )
 from .rings import (
     OrderSpec,
@@ -155,6 +153,7 @@ from .rings import (
     Ring,
     elimination_order,
     omega_order,
+    transport,
 )
 
 _FIELD_BITS = 16  # bits per packed field, its guard bit included
@@ -411,9 +410,8 @@ class GroebnerBasis:
     ``truncation_degree`` is None for a full basis; otherwise normal forms
     are only valid for homogeneous input of degree at most that bound.
     ``reducers`` is derived from the elements on first use, so a basis
-    that is only compared is never packed, and ``memo`` is the reducer
-    memo of every ``normal_form`` against them (valid for good, as the
-    reducers never change); neither takes part in equality or hashing.
+    that is only compared is never packed; it takes no part in equality
+    or hashing.
     """
 
     order: OrderSpec
@@ -423,10 +421,6 @@ class GroebnerBasis:
     @cached_property
     def reducers(self) -> tuple:
         return tuple(_reducers(self.elements, self.order))
-
-    @cached_property
-    def memo(self) -> dict:
-        return {}
 
     def leading_monomials(self) -> list:
         unpack = _layout(self.order).unpack
@@ -568,7 +562,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
             f"{gb.truncation_degree}"
         )
     layout = _layout(gb.order)
-    rem = _reduce_terms(_packed(f, layout), layout, gb.reducers, memo=gb.memo)
+    rem = _reduce_terms(_packed(f, layout), layout, gb.reducers)
     unpack = layout.unpack
     return Polynomial(f.ring, {unpack(m): c for m, c in rem.items()})
 
@@ -750,30 +744,6 @@ def buchberger(
         err.partial = _basis(order, found, max_degree)
         raise
     return _basis(order, reduced, max_degree)
-
-
-def transport(f: Polynomial, target: Ring) -> Polynomial:
-    """Re-express f in a ring containing all variables it actually uses.
-
-    Reads the target's own ``index`` at the nonzero exponents only, and
-    keeps nothing between calls.
-    """
-    index = target.index
-    rvars = f.ring.vars
-    slots = range(len(rvars))
-    n = target.nvars
-    terms = {}
-    for exps, c in f.terms.items():
-        t = [0] * n
-        for p in compress(slots, exps):
-            q = index.get(rvars[p])
-            if q is None:
-                raise UnknownVariable(
-                    f"polynomial uses a variable not in ring {target.name}"
-                )
-            t[q] = exps[p]
-        terms[tuple(t)] = c
-    return Polynomial(target, terms)
 
 
 def eliminate(

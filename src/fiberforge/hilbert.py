@@ -73,7 +73,8 @@ def _positions(exps: tuple) -> tuple:
 
 
 def echelon(rows) -> dict:
-    """Row echelon form of sparse rational rows ``{column: value}``.
+    """Row echelon form of sparse rational rows ``{column: value}``; a
+    column may be any totally ordered key (an int, an exponent tuple).
 
     Each row is scaled to integers and reduced incrementally against the
     pivots found so far, sparsest rows first; a row's pivot is its
@@ -122,8 +123,8 @@ def rref(rows) -> dict:
 
     Back-substitutes the output of ``echelon``; returns ``{pivot column:
     row}`` in pivot order, each row with entry 1 at its pivot and 0 at
-    every other pivot column.  For a fixed column numbering this form is
-    unique.
+    every other pivot column.  Columns are keys as in ``echelon``; for a
+    fixed column order this form is unique.
     """
     done: dict = {}
     for c, row in sorted(echelon(rows).items(), reverse=True):

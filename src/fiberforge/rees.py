@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .candidate import epsilon, generators_lambda, hom_catalog
-from .groebner import GroebnerBasis, kernel_of_hom, transport
+from .groebner import GroebnerBasis, kernel_of_hom
 from .hilbert import echelon, monomials_of_degree, relations
 from .rings import (
     Polynomial,
@@ -26,6 +26,7 @@ from .rings import (
     ring_S,
     ring_U,
     ring_W,
+    transport,
     tvar,
     uvar,
     xvar,

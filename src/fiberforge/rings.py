@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from operator import add, itemgetter
 
 from .errors import (
@@ -538,6 +539,27 @@ def apply_hom(f: Polynomial, hom, target: Ring) -> Polynomial:
         for m, v in term.items():
             acc[m] = get(m, 0) + c * v
     return Polynomial(target, {m: v for m, v in acc.items() if v})
+
+
+def transport(f: Polynomial, target: Ring) -> Polynomial:
+    """Re-express f in a ring containing all variables it actually uses,
+    reading the target's own ``index`` at the nonzero exponents only."""
+    index = target.index
+    rvars = f.ring.vars
+    slots = range(len(rvars))
+    n = target.nvars
+    terms = {}
+    for exps, c in f.terms.items():
+        t = [0] * n
+        for p in compress(slots, exps):
+            q = index.get(rvars[p])
+            if q is None:
+                raise UnknownVariable(
+                    f"polynomial uses a variable not in ring {target.name}"
+                )
+            t[q] = exps[p]
+        terms[tuple(t)] = c
+    return Polynomial(target, terms)
 
 
 # -- serialization ---------------------------------------------------------

@@ -151,13 +151,19 @@ class TestCriterion5Membership:
     def test_epsilon_reduces_mod_minor_ideal(self, d):
         from fiberforge.rings import ring_U
 
+        # the full basis of N stays the reference for the rank route's rows
         gbN = groebner.buchberger(
             candidate.minor_ideal_U(d), omega_order(ring_U(d))
         )
-        ok = all(
-            candidate.check_criterion_c(rec.value, gbN)
+        rows = candidate.minor_ideal_U_basis(d)
+        verdicts = [
+            (
+                groebner.normal_form(candidate.epsilon(rec.value), gbN).is_zero,
+                candidate.check_criterion_c(rec.value, rows),
+            )
             for rec in candidate.generators_lambda(d, "all")
-        )
+        ]
+        ok = all(by_basis and by_rows for by_basis, by_rows in verdicts)
         _report(f"criterion-5b generator images reduce to 0 mod 2x2 minors, d={d}",
                 ok)
 

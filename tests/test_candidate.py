@@ -1,10 +1,12 @@
 """Tests for the candidate-ideal generators and the named catalogue."""
 
 import itertools
+from functools import lru_cache
 from math import comb
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from fiberforge.candidate import (
     DOCUMENTED_ERRATA_KEYS,
@@ -20,8 +22,8 @@ from fiberforge.candidate import (
     phi_W,
     quadric_image,
 )
-from fiberforge.errors import BadParams, DimensionTooSmall
-from fiberforge.groebner import buchberger
+from fiberforge.errors import BadParams, BeyondTruncation, DimensionTooSmall
+from fiberforge.groebner import buchberger, normal_form
 from fiberforge.rings import (
     Polynomial,
     omega_order,
@@ -31,6 +33,17 @@ from fiberforge.rings import (
 )
 
 W4 = ring_W(4)
+
+
+@lru_cache(maxsize=None)
+def _full_basis_N(d):
+    """The full reduced Groebner basis of the 2x2-minor ideal N of U: the
+    reference that criterion-c's rows are checked against."""
+    return buchberger(minor_ideal_U(d), omega_order(ring_U(d)))
+
+
+def _in_N_by_normal_form(f):
+    return normal_form(epsilon(f), _full_basis_N(f.ring.d)).is_zero
 
 
 def _wpoly(d, *terms):
@@ -115,24 +128,48 @@ class TestHomomorphisms:
         assert not f.is_zero and f.degree() == 2
 
     def test_epsilon_criterion_c(self):
-        gbN = buchberger(minor_ideal_U(4), omega_order(ring_U(4)))
+        basis = minor_ideal_U_basis(4)
         for rec in generators_lambda(4, "all"):
-            assert check_criterion_c(rec.value, gbN)
+            assert check_criterion_c(rec.value, basis)
+            assert _in_N_by_normal_form(rec.value)
 
     def test_epsilon_nonmember(self):
         w12 = W4.variable(wvar(1, 2))
-        for gbN in (
-            buchberger(minor_ideal_U(4), omega_order(ring_U(4))),
-            minor_ideal_U_basis(4),
-        ):
-            assert not check_criterion_c(w12 * w12, gbN)
+        assert not check_criterion_c(w12 * w12, minor_ideal_U_basis(4))
+        assert not _in_N_by_normal_form(w12 * w12)
+        with pytest.raises(BeyondTruncation):  # the rows stop at degree 2
+            check_criterion_c(w12 * w12 * w12, minor_ideal_U_basis(4))
 
     @pytest.mark.parametrize("d", [4, 5, 6, 7])
     def test_minor_ideal_basis_is_truncated_buchberger(self, d):
-        got = minor_ideal_U_basis(d)
-        want = buchberger(minor_ideal_U(d), omega_order(ring_U(d)), max_degree=2)
-        assert got.elements == want.elements
-        assert got == want and repr(got) == repr(want)
+        rows = minor_ideal_U_basis(d)
+        order = omega_order(ring_U(d))
+        got = tuple(Polynomial(order.ring, rows[m]) for m in sorted(rows, key=order.key))
+        want = buchberger(minor_ideal_U(d), order, max_degree=2)
+        assert got == want.elements
+        assert all(rows[m][m] == 1 and Polynomial(order.ring, rows[m]).leading() == (1, m)
+                   for m in rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([4, 5]), st.data())
+    def test_criterion_c_agrees_with_the_full_basis(self, d, data):
+        # a small-integer combination of Lambda's generators, which lies in
+        # N, plus in some draws one quadric monomial of W, which does not
+        gens = generators_lambda(d)
+        W = ring_W(d)
+        f = W.zero()
+        for index, coeff in data.draw(st.lists(st.tuples(
+            st.integers(0, len(gens) - 1), st.integers(-3, 3).filter(bool),
+        ), max_size=5)):
+            f = f + gens[index].value.scale(coeff)
+        extra = data.draw(st.none() | st.tuples(
+            st.integers(0, W.nvars - 1), st.integers(0, W.nvars - 1),
+            st.integers(-3, 3).filter(bool),
+        ))
+        if extra is not None:
+            p, q, coeff = extra
+            f = f + W.variable(W.vars[p]) * W.variable(W.vars[q]).scale(coeff)
+        assert check_criterion_c(f, minor_ideal_U_basis(d)) == _in_N_by_normal_form(f)
 
     def test_epsilon_is_a_ring_map(self):
         f = _wpoly(4, (1, [(1, 1), (2, 2)]))

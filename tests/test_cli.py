@@ -12,7 +12,7 @@ import pytest
 
 from fiberforge import candidate, cli, groebner, rees
 from fiberforge.errors import BudgetExceeded
-from fiberforge.rings import poly_to_json
+from fiberforge.rings import poly_to_json, ring_W, wvar
 
 CMD = [sys.executable, "-m", "fiberforge"]
 
@@ -171,8 +171,10 @@ class TestOneDeadline:
 
 
 class TestLayering:
-    """``verify`` calls ``buchberger`` only in its oracle checks; the rank
-    route in ``hilbert`` does not even import the Groebner engine."""
+    """``verify`` calls ``buchberger`` only in its oracle checks and
+    ``normal_form`` never; the rank route (``hilbert``, ``candidate``,
+    ``census``, ``symmat`` and ``rings``) does not even import the
+    Groebner engine."""
 
     @pytest.mark.parametrize("argv, oracle", [
         (("verify", "--d", "5"), False),
@@ -181,20 +183,37 @@ class TestLayering:
         (("verify", "--d", "4", "--check", "all"), True),  # the d=4 fiber oracle
     ], ids=["all-d5", "initial-d4", "membership-d4", "all-d4"])
     def test_buchberger_only_in_oracles(self, monkeypatch, capsys, argv, oracle):
-        calls = []
-        real = groebner.buchberger
+        calls, reductions = [], []
+        real, real_normal_form = groebner.buchberger, groebner.normal_form
 
         def spy(gens, order, max_degree=None, deadline=None):
             calls.append(max_degree)
             return real(gens, order, max_degree, deadline)
 
-        monkeypatch.setattr(groebner, "buchberger", spy)
+        def normal_form_spy(f, gb):
+            reductions.append(f)
+            return real_normal_form(f, gb)
+
+        # rebound in every module, so a ``from .groebner import`` is caught too
+        for mod in [m for n, m in sys.modules.items() if n.startswith("fiberforge.")]:
+            for name, fn in list(vars(mod).items()):
+                if fn is real:
+                    monkeypatch.setattr(mod, name, spy)
+                elif fn is real_normal_form:
+                    monkeypatch.setattr(mod, name, normal_form_spy)
         assert cli.main(list(argv)) == 0
         capsys.readouterr()
         assert bool(calls) == oracle, calls
+        assert reductions == []
 
-    def test_hilbert_does_not_import_groebner(self):
-        code = "import sys, fiberforge.hilbert; print('fiberforge.groebner' in sys.modules)"
+    @pytest.mark.parametrize(
+        "module", ["hilbert", "candidate", "census", "symmat", "rings"]
+    )
+    def test_rank_route_does_not_import_groebner(self, module):
+        code = (
+            f"import sys, fiberforge.{module}; "
+            "print('fiberforge.groebner' in sys.modules)"
+        )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True, timeout=60)
         assert r.returncode == 0, r.stderr
@@ -299,6 +318,25 @@ class TestVerify:
         capsys.readouterr()
         assert sorted(built) == sorted((e.key, e.params, 5) for e in entries)
         assert len(set(built)) == len(built) == len(entries) > 0
+
+    def test_membership_fails_on_a_non_member(self, monkeypatch, capsys):
+        # w12^2 is not killed by the quadric map (it maps to x1^2 x2^2), and
+        # its image u12^2 is not in the minor ideal: both checks fail and
+        # name the record
+        real = candidate.generators_lambda
+        W = ring_W(5)
+        w12 = W.variable(wvar(1, 2))
+        control = candidate._record(0, (1, 2), "control w12^2", w12 * w12)
+        monkeypatch.setattr(
+            candidate, "generators_lambda", lambda d, part="all": real(d, part) + (control,)
+        )
+        code = cli.main(["verify", "--d", "5", "--check", "membership", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == report["exitCode"] == 1
+        assert [(c["name"], c["status"], c["actual"]) for c in report["checks"]] == [
+            ("phiW-kills-all-generators", "FAIL", "['control w12^2']"),
+            ("criterion-c", "FAIL", "['control w12^2']"),
+        ]
 
 
 class TestOracle:

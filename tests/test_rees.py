@@ -127,7 +127,7 @@ class TestReesIdeal:
     def test_candidate_lives_in_rees_ideal(self):
         S = ring_S(4)
         gb = buchberger(rees_ideal(4), omega_order(S))
-        from fiberforge.groebner import transport
+        from fiberforge.rings import transport
 
         gens = [transport(rec.value, S) for rec in generators_lambda(4)]
         assert all(normal_form(f, gb).is_zero for f in gens)
