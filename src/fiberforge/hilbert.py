@@ -4,8 +4,12 @@ The rank route is deliberately independent of the Groebner engine: the
 degree-k slice of an ideal is spanned by generator multiples, and its
 dimension is the rank of the coefficient matrix.  ``echelon_leads`` builds
 the slices degree by degree and reads the initial monomials off their
-pivots; ``hf_exact`` counts those of the top degree.  Closed forms for the
-same numbers live in ``hf_closed`` so the two can be compared.
+pivots.  ``hf_values`` builds the same slices below the top degree and
+counts the top one by parity blocks: a variable's class in (Z/2)^d is the
+sum of its indices (``parity_classes``), and when the generators allow it,
+one block per S_{d-1}-orbit of classes is eliminated (``orbit``).  Closed
+forms for the same numbers live in ``hf_closed`` so the two can be
+compared.
 
 One exact kernel serves every linear-algebra computation in the package:
 ``echelon`` is an exact sparse elimination on integer rows, used
@@ -23,7 +27,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .errors import DimensionTooSmall, NotHomogeneous, OutOfTable, RingMismatch
-from .rings import Ring
+from .rings import Ring, VariableId
 
 
 def monomials_of_degree(ring: Ring, k: int) -> list:
@@ -77,45 +81,62 @@ def echelon(rows) -> dict:
     column may be any totally ordered key (an int, an exponent tuple).
 
     Each row is scaled to integers and reduced incrementally against the
-    pivots found so far, sparsest rows first; a row's pivot is its
-    smallest column.  Against a pivot whose pivot entry is +-1 the row
-    subtracts a multiple of it in place; against any other pivot the step
-    is fraction-free and the result is divided by its content.  A row is
-    made primitive once, when it is stored.  Returns ``{pivot column:
-    primitive integer row}``, whose length is the rank.
+    pivots found so far (``_reduce``), sparsest rows first; a row's pivot
+    is its smallest column.  A row whose entries are all ints skips the
+    scaling: its common denominator is 1, so the scaling would give the
+    same entries, and only its zeros are dropped.  A row is made primitive
+    once, when it is stored.  Returns ``{pivot column: primitive integer
+    row}``, whose length is the rank.
     """
     pivots: dict = {}
     for row in sorted(rows, key=len):
-        denom = 1
-        for v in row.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        row = {j: v.numerator * (denom // v.denominator) for j, v in row.items() if v}
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = _primitive(row)
-                break
-            a, b = piv[c], row[c]
-            if a == 1 or a == -1:
-                f = a * b  # b / a, as 1 / a == a
-                for j, v in piv.items():
-                    s = row.get(j, 0) - f * v
-                    if s:
-                        row[j] = s
-                    else:
-                        del row[j]
-                continue
-            new = {}
-            for j, v in row.items():
-                s = a * v - b * piv.get(j, 0)
-                if s:
-                    new[j] = s
-            for j, v in piv.items():
-                if j not in row:
-                    new[j] = -b * v
-            row = _primitive(new)
+        if all(type(v) is int for v in row.values()):
+            row = {j: v for j, v in row.items() if v} if 0 in row.values() else dict(row)
+        else:
+            denom = 1
+            for v in row.values():
+                denom = denom * v.denominator // gcd(denom, v.denominator)
+            row = {j: v.numerator * (denom // v.denominator) for j, v in row.items() if v}
+        row = _reduce(row, pivots)
+        if row:
+            pivots[min(row)] = _primitive(row)
     return pivots
+
+
+def _reduce(row: dict, pivots: dict) -> dict:
+    """An integer row reduced against ``echelon`` pivots until its smallest
+    column has none; ``{}`` iff the row lies in their span.  The row may
+    be changed in place.
+
+    Against a pivot whose pivot entry is +-1 the row subtracts a multiple
+    of it; against any other pivot the step is fraction-free and the
+    result is divided by its content.
+    """
+    while row:
+        c = min(row)
+        piv = pivots.get(c)
+        if piv is None:
+            break
+        a, b = piv[c], row[c]
+        if a == 1 or a == -1:
+            f = a * b  # b / a, as 1 / a == a
+            for j, v in piv.items():
+                s = row.get(j, 0) - f * v
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+            continue
+        new = {}
+        for j, v in row.items():
+            s = a * v - b * piv.get(j, 0)
+            if s:
+                new[j] = s
+        for j, v in piv.items():
+            if j not in row:
+                new[j] = -b * v
+        row = _primitive(new)
+    return row
 
 
 def rref(rows) -> dict:
@@ -181,37 +202,111 @@ def _primitive(row: dict) -> dict:
 
 
 def hf_exact(gens, k: int) -> int:
-    """Dimension of the degree-k slice of the ideal generated by ``gens``:
-    the number of its initial monomials of degree k (``echelon_leads``)."""
-    return len(echelon_leads(gens, k).get(k, ()))
+    """Dimension of the degree-k slice of the ideal generated by ``gens``
+    (``hf_values``)."""
+    return hf_values(gens, k).get(k, 0)
+
+
+def hf_values(gens, k: int) -> dict:
+    """``{j: dim I_j}`` for j = 0..k, I the ideal generated by ``gens``.
+
+    Degrees below k are the ranks of ``_slices``, the recursion of
+    ``echelon_leads``.  Degree k is counted by blocks.  Give each variable
+    its class in (Z/2)^d (``parity_classes``).  If every generator is
+    parity-homogeneous, so is every row of the recursion, as ``echelon``
+    reduces a row only by a pivot of its own class; so dim I_k is the sum
+    over classes b of dim I_{k,b}, the rank of the rows of class b.
+
+    A permutation s of 1..d-1, fixing d, acts on the variables through
+    their indices and on classes by permuting bits; the class of s(m) is
+    s(class of m).  Let j* be the top generator degree and j* < k.  Then
+    I_k = R_{k-j*} * I_{j*}, as every multiple of a generator factors
+    through I_{j*}.  If s maps span I_{j*} into itself, it maps it onto
+    itself (s is a graded automorphism), so s maps I_k onto itself and
+    block b onto block s(b): dim I_{k,b} = dim I_{k,s(b)}.  The
+    transposition (1 2) and the cycle (1 2 ... d-1) generate S_{d-1}; once
+    both keep span I_{j*} (``_invariant``), the blocks of one orbit have
+    one dimension, and only the representative of each orbit is
+    eliminated, its rank multiplied by the orbit size (``orbit``).
+    Otherwise (j* = k, a generator not parity-homogeneous, or span I_{j*}
+    not kept) every variable gets class 0: one block, every row.
+
+    Degree k's columns are monomials packed into ints in base k + 1
+    (``pack``), so no column list of degree k is built: a shift by x_p
+    adds the pack of x_p.
+    """
+    dims = {j: 0 for j in range(k + 1)}
+    ring, by_degree = _by_degree(gens, k)
+    if not by_degree:
+        return dims
+    n = ring.nvars
+    top, low = max(by_degree), 0
+    classes = parity_classes(ring)
+    cols = pivots = None
+    for j, cols, colindex, pivots in _slices(n, by_degree, k - 1):
+        dims[j] = len(pivots)
+        if j == top and _homogeneous(sum(by_degree.values(), []), classes):
+            perms = symmetry_generators(ring)
+            if perms is not None and _invariant(perms, cols, colindex, pivots):
+                low = (1 << (ring.d - 1)) - 1
+    if not low:
+        classes = [0] * n
+    # degree k: the rows of representative classes only, each block in the
+    # order of ``_slices``: the generators, then the greatest variable first.
+    # Generators of degree k occur only when top == k, where every class is 0.
+    gen_rows = _term_rows(by_degree.get(k, ()), lambda t: pack(t, k + 1))
+    weight = [(k + 1) ** (n - 1 - p) for p in range(n)]
+    by_class: dict = {}  # class -> the pivot rows of degree k - 1, packed
+    if pivots:
+        key = [sum(weight[p] for p in m) for m in cols]
+        for c, row in pivots.items():
+            by_class.setdefault(_class(cols[c], classes), []).append(
+                {key[j]: v for j, v in row.items()}
+            )
+    for beta in {0} | {g ^ c for g in by_class for c in set(classes)}:
+        rep, size = orbit(beta, low)
+        if rep != beta:
+            continue
+        rows = gen_rows if beta == 0 else []
+        for p in reversed(range(n)):
+            w = weight[p]
+            rows.extend(
+                {m + w: v for m, v in row.items()}
+                for row in by_class.get(beta ^ classes[p], ())
+            )
+        dims[k] += size * len(echelon(rows))
+    return dims
 
 
 def echelon_leads(gens, k: int) -> dict:
     """The initial monomials of the ideal generated by ``gens`` under
     ``omega_order``: ``{j: exponent tuples, descending}`` for j = 0..k.
 
-    For homogeneous generators I_j = R_1 * I_{j-1} + span{g : deg g = j},
-    because a multiple m * g with deg m = j - deg g > 0 factors as
-    x * (m' * g) with x a variable and m' * g in I_{j-1}.  Any basis of
-    I_{j-1} may stand in for it, so the rows of degree j are the
-    ``echelon`` pivot rows of degree j - 1 times every variable, plus the
-    generators of degree j: no row is carried for every multiple of every
-    generator.  The recursion runs exactly over Q from the lowest
-    generator degree to k, so the rank in degree j is dim I_j.
-
     The pivots of degree j are in(I)_j, as for any Macaulay matrix with
-    columns in descending order (Lazard, EUROCAL 1983).  The columns are
-    the position multisets of ``_multisets``, which lists them descending
-    under ``omega_order`` with no sort, and a row's pivot is its smallest
-    column, so each stored row is an element of I_j whose leading monomial
-    is its pivot.  The pivots are distinct and there are dim I_j =
-    dim in(I)_j of them, so they are exactly in(I)_j.  Only the pivots are
-    expanded back to exponent tuples.
+    columns in descending order (Lazard, EUROCAL 1983).  The columns of
+    ``_slices`` are the position multisets of ``_multisets``, which lists
+    them descending under ``omega_order`` with no sort, and a row's pivot
+    is its smallest column, so each stored row is an element of I_j whose
+    leading monomial is its pivot.  The pivots are distinct and there are
+    dim I_j = dim in(I)_j of them, so they are exactly in(I)_j.  Only the
+    pivots are expanded back to exponent tuples.
     """
     leads: dict = {j: [] for j in range(k + 1)}
+    ring, by_degree = _by_degree(gens, k)
+    if by_degree:
+        n = ring.nvars
+        for j, cols, _, pivots in _slices(n, by_degree, k):
+            leads[j] = [_exponents(n, cols[c]) for c in sorted(pivots)]
+    return leads
+
+
+def _by_degree(gens, k: int) -> tuple:
+    """The ring and ``{degree: generators}`` of the nonzero generators of
+    degree at most k, after checking that all nonzero generators share one
+    ring and are homogeneous; ``(None, {})`` for none or for k < 0."""
     gens = [g for g in gens if not g.is_zero]
     if not gens or k < 0:
-        return leads
+        return None, {}
     ring = gens[0].ring
     for g in gens:
         if g.ring is not ring:
@@ -220,17 +315,31 @@ def echelon_leads(gens, k: int) -> dict:
             raise NotHomogeneous(f"inhomogeneous generator: {g!r}")
     by_degree: dict = {}
     for g in gens:
-        by_degree.setdefault(g.degree(), []).append(g)
-    n = ring.nvars
+        deg = g.degree()
+        if deg <= k:
+            by_degree.setdefault(deg, []).append(g)
+    return ring, by_degree
+
+
+def _slices(n: int, by_degree: dict, k: int):
+    """Yield ``(j, cols, colindex, pivots)`` for j from the lowest generator
+    degree to k: the ``_multisets`` columns of degree j, their numbering,
+    and the ``echelon`` pivot rows of I_j on them.
+
+    For homogeneous generators I_j = R_1 * I_{j-1} + span{g : deg g = j},
+    because a multiple m * g with deg m = j - deg g > 0 factors as
+    x * (m' * g) with x a variable and m' * g in I_{j-1}.  Any basis of
+    I_{j-1} may stand in for it, so the rows of degree j are the pivot
+    rows of degree j - 1 times every variable, plus the generators of
+    degree j: no row is carried for every multiple of every generator.
+    The recursion runs exactly over Q, so the rank in degree j is dim I_j.
+    """
     pivots: dict = {}
     previndex = None
     for j in range(min(by_degree), k + 1):
         cols = _multisets(n, j)
         colindex = {m: c for c, m in enumerate(cols)}
-        rows = [
-            {colindex[_positions(t)]: c for t, c in g.terms.items()}
-            for g in by_degree.get(j, ())
-        ]
+        rows = _term_rows(by_degree.get(j, ()), lambda t: colindex[_positions(t)])
         if pivots:
             # greatest variable (the last position) first: no row order
             # changes the pivot columns, and this one took 3-7% fewer
@@ -240,10 +349,104 @@ def echelon_leads(gens, k: int) -> dict:
                     {shift[c]: v for c, v in row.items()} for row in pivots.values()
                 )
         pivots = echelon(rows)
-        del rows  # freed before the pivots are expanded
-        leads[j] = [_exponents(n, cols[c]) for c in sorted(pivots)]
+        del rows  # freed before the caller reads the pivots
+        yield j, cols, colindex, pivots
         previndex = colindex
-    return leads
+
+
+def _term_rows(gens, key) -> list:
+    """Each generator's terms as a row ``{key(t): c}``; ``key`` runs once
+    per distinct exponent tuple t, however many generators share it."""
+    col = {t: key(t) for t in set().union(*(g.terms for g in gens))}
+    return [{col[t]: c for t, c in g.terms.items()} for g in gens]
+
+
+def pack(exps: tuple, base: int) -> int:
+    """An exponent tuple as the digits of one int in ``base``, most
+    significant first.  When every exponent is below the base, distinct
+    tuples pack to distinct ints, the pack of a product is the sum of the
+    packs (no digit carries), and packs ascend as the tuples do."""
+    v = 0
+    for e in exps:
+        v = v * base + e
+    return v
+
+
+def parity_classes(ring: Ring) -> list:
+    """The class in (Z/2)^d of each variable of the ring, as a bitmask with
+    bit i - 1 for index i: x_i has {i}, w_ij and u_ij have {i} + {j} (0 on
+    the diagonal), and t has 0.  A monomial's class is the sum (xor) of
+    its variables' classes.  The quadric g_ij of w_ij, x_i x_j or
+    x_i^2 - x_d^2, has the class of w_ij, so phi_W, epsilon and the minors
+    of the symmetric matrices are homogeneous for it.
+    """
+    out = []
+    for v in ring.vars:
+        c = 0
+        for i in v.index:
+            c ^= 1 << (i - 1)
+        out.append(c)
+    return out
+
+
+def _class(positions, classes: list) -> int:
+    """The class of the monomial of a position multiset (a position met
+    twice cancels)."""
+    c = 0
+    for p in positions:
+        c ^= classes[p]
+    return c
+
+
+def _homogeneous(gens, classes: list) -> bool:
+    """True iff all terms of each generator have one class; the class of
+    each distinct exponent tuple is computed once."""
+    term_class = {
+        t: _class(_positions(t), classes) for t in set().union(*(g.terms for g in gens))
+    }
+    return all(len({term_class[t] for t in g.terms}) == 1 for g in gens)
+
+
+def orbit(beta: int, low: int) -> tuple:
+    """``(representative, size)`` of the orbit of the class ``beta`` under
+    the permutations of the bits set in ``low``.  A permutation keeps the
+    number w of beta's bits in ``low`` and its other bits, and reaches
+    every class that agrees there, so those label the orbit: it has
+    C(|low|, w) classes, and its representative has the lowest w bits of
+    ``low`` (``low`` is always 0 or the bits 0..d-2 here).  With ``low``
+    0 every class is its own orbit."""
+    w = (beta & low).bit_count()
+    return ((1 << w) - 1) | (beta & ~low), comb(low.bit_count(), w)
+
+
+def symmetry_generators(ring: Ring):
+    """The position permutations of the ring's variables under (1 2) and
+    (1 2 ... d-1), which fix d and generate S_{d-1}; ``[]`` for d < 3,
+    and None if one of them moves a variable out of the ring."""
+    m = ring.d - 1
+    if m < 2:
+        return []
+    perms = []
+    for sigma in ({1: 2, 2: 1}, {i: i % m + 1 for i in range(1, m + 1)}):
+        perm = []
+        for v in ring.vars:
+            p = ring.index.get(VariableId(v.kind, tuple(sigma.get(i, i) for i in v.index)))
+            if p is None:
+                return None
+            perm.append(p)
+        perms.append(perm)
+    return perms
+
+
+def _invariant(perms: list, cols: list, colindex: dict, pivots: dict) -> bool:
+    """True iff each position permutation maps the span of the pivot rows
+    into itself: the image of every pivot row reduces to 0 against them."""
+    for perm in perms:
+        image = [colindex[tuple(sorted(perm[p] for p in m))] for m in cols]
+        for row in pivots.values():
+            if _reduce({image[c]: v for c, v in row.items()}, pivots):
+                return False
+    return True
 
 
 def _variable_shifts(n: int, previndex: dict, cols: list) -> list:

@@ -17,7 +17,15 @@ from math import comb
 
 from .candidate import epsilon, generators_lambda, hom_catalog
 from .groebner import GroebnerBasis, kernel_of_hom
-from .hilbert import echelon, monomials_of_degree, relations
+from .hilbert import (
+    echelon,
+    monomials_of_degree,
+    orbit,
+    pack,
+    parity_classes,
+    relations,
+    symmetry_generators,
+)
 from .rings import (
     Polynomial,
     RingMap,
@@ -36,49 +44,86 @@ from .rings import (
 def power_check(d: int, k: int) -> bool:
     """True iff k-fold products of the generators span all degree-2k forms.
 
-    That is a rank: the products' coefficient matrix spans the degree-2k
-    forms iff its rank is C(d+2k-1, 2k), their dimension.  No relabelling
-    of the columns changes a rank, so each monomial is its exponent tuple
-    packed into one int, and the products are formed on the packed terms
-    by ``_packed_product``.  The packing reads the exponents as the digits
-    of a base-(2k+1) number, most significant first.  Every exponent of a
-    monomial of degree at most 2k is a digit below the base, so distinct
-    monomials pack to distinct ints, and the pack of a product of such
-    monomials is the sum of their packs, with no carry.  The packed ints
-    also ascend as the exponent tuples do, so the columns keep the order
-    of ``monomials_of_degree`` and ``echelon`` picks the same pivots.
+    The generator g_ij has the class of w_ij in (Z/2)^d
+    (``hilbert.parity_classes``), and a product of generators the sum of
+    their classes, so the products split into blocks by class, and they
+    span the degree-2k forms iff each block beta spans the forms of class
+    beta.  Those are the monomials whose odd exponents sit exactly at
+    beta: C((2k - |beta|)/2 + d - 1, d - 1) of them, for each even beta
+    with |beta| <= 2k.  So the check is one rank per block.
 
-    ``combinations_with_replacement`` yields the combinations in
-    lexicographic order, so those sharing a (k-1)-fold prefix come in one
-    run: each prefix product is formed once, when its run starts, and
-    times the last factor gives the product, the same left-to-right
-    product as multiplying the combination out.  Each product is an
-    ``echelon`` row as it stands.
+    A permutation s of 1..d-1 acts on R by permuting the x_i, and it maps
+    block beta onto block s(beta) when it maps the generator set onto
+    itself: the k-fold products are then permuted among themselves.  If
+    (1 2) and (1 2 ... d-1), which generate S_{d-1}, both map every g_ij
+    to g_s(i)s(j), the blocks of one orbit (``hilbert.orbit``) have one
+    rank, and only the representative's is computed.  Otherwise every
+    class is its own orbit.
+
+    No relabelling of the columns changes a rank, so each monomial is its
+    exponent tuple packed into one int in base 2k + 1 (``hilbert.pack``),
+    and the products are formed on the packed terms by ``_packed_product``:
+    every exponent of a monomial of degree at most 2k is a digit below the
+    base, so the pack of a product of such monomials is the sum of their
+    packs.  The packs ascend as the exponent tuples do, so ``echelon``
+    picks the pivots the exponent tuples would give.
+
+    ``combinations_with_replacement`` yields the (k-1)-fold prefixes in
+    lexicographic order, and a product is its prefix times a last factor
+    of index at least the prefix's last.  Each prefix product is formed
+    once, if some last factor completes it to a representative class, the
+    same left-to-right product as multiplying the combination out.
     """
     base = 2 * k + 1
-    gens = [
-        {_pack(t, base): c for t, c in g.terms.items()}
-        for g in hom_catalog(d).phi_W.values()
-    ]
-    rows = []
-    head = prefix = None
-    for combo in itertools.combinations_with_replacement(range(len(gens)), k):
-        if combo[:-1] != head:
-            head = combo[:-1]
-            factors = [gens[i] for i in head]
-            prefix = functools.reduce(_packed_product, factors) if factors else None
-        last = gens[combo[-1]]
-        rows.append(last if prefix is None else _packed_product(prefix, last))
-    return len(echelon(rows)) == comb(d + 2 * k - 1, 2 * k)
+    catalog = hom_catalog(d).phi_W
+    W = ring_W(d)
+    classes = parity_classes(W)
+    gens, gen_class, by_class = [], [], {}
+    for v, g in catalog.items():
+        beta = classes[W.index[v]]
+        by_class.setdefault(beta, []).append(len(gens))
+        gen_class.append(beta)
+        gens.append({pack(t, base): c for t, c in g.terms.items()})
+    low = (1 << (d - 1)) - 1 if _stable(catalog, W, ring_R(d)) else 0
+    counts = {}  # representative class -> its number of degree-2k monomials
+    for size in range(0, min(2 * k, d) + 1, 2):
+        for odd in itertools.combinations(range(d), size):
+            rep, _ = orbit(sum(1 << i for i in odd), low)
+            counts[rep] = comb(k - size // 2 + d - 1, d - 1)
+    blocks = {beta: [] for beta in counts}
+    for head in itertools.combinations_with_replacement(range(len(gens)), k - 1):
+        gamma = 0
+        for i in head:
+            gamma ^= gen_class[i]
+        first = head[-1] if head else 0
+        prefix = None
+        for beta, rows in blocks.items():
+            lasts = [gens[i] for i in by_class.get(beta ^ gamma, ()) if i >= first]
+            if not lasts:
+                continue
+            if head and prefix is None:
+                prefix = functools.reduce(_packed_product, [gens[i] for i in head])
+            rows.extend(_packed_product(prefix, g) if head else g for g in lasts)
+    return all(len(echelon(blocks[beta])) == n for beta, n in counts.items())
 
 
-def _pack(exps: tuple, base: int) -> int:
-    """An exponent tuple as the digits of one int in ``base``, most
-    significant first."""
-    v = 0
-    for e in exps:
-        v = v * base + e
-    return v
+def _stable(catalog, W, R) -> bool:
+    """True iff (1 2) and (1 2 ... d-1) map every generator g_ij, a
+    polynomial over R, to the generator g_s(i)s(j) of the image of w_ij."""
+    wperms, xperms = symmetry_generators(W), symmetry_generators(R)
+    if wperms is None or xperms is None:
+        return False
+    for wperm, xperm in zip(wperms, xperms):
+        for v, g in catalog.items():
+            moved = {}
+            for t, c in g.terms.items():
+                e = [0] * len(t)
+                for p, x in enumerate(t):
+                    e[xperm[p]] = x
+                moved[tuple(e)] = c
+            if moved != catalog[W.vars[wperm[W.index[v]]]].terms:
+                return False
+    return True
 
 
 def _packed_product(f: dict, g: dict) -> dict:

@@ -13,12 +13,16 @@ from fiberforge.candidate import generators_lambda
 from fiberforge.census import census_degree2
 from fiberforge.errors import DimensionTooSmall, NotHomogeneous, OutOfTable, RingMismatch
 from fiberforge.groebner import buchberger
+from fiberforge import hilbert
 from fiberforge.hilbert import (
     echelon,
     echelon_leads,
     hf_closed,
     hf_exact,
+    hf_values,
     monomials_of_degree,
+    orbit,
+    parity_classes,
     relations,
     rref,
 )
@@ -30,6 +34,7 @@ from fiberforge.rings import (
     ring_S,
     ring_U,
     ring_W,
+    VariableId,
     wvar,
     xvar,
 )
@@ -251,6 +256,24 @@ class TestEchelonKernel:
         for row in rows:
             assert _reduce(row, reduced) == {}
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda ncols: st.lists(
+                st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols).map(
+                    lambda vals: dict(enumerate(vals))
+                ),
+                max_size=7,
+            )
+        )
+    )
+    def test_int_rows_give_the_pivots_of_the_same_fractions(self, rows):
+        # int rows skip the rescaling; zero entries are dropped on both paths
+        before = [dict(r) for r in rows]
+        as_fractions = [{j: Fraction(v) for j, v in r.items()} for r in rows]
+        assert echelon(rows) == echelon(as_fractions)
+        assert rows == before
+
     def test_integer_pivot_rows_are_primitive(self):
         rows = [{0: Fraction(1, 2), 2: Fraction(3, 4)}, {0: 2, 1: 4, 2: 6}]
         ech = echelon(rows)
@@ -364,3 +387,148 @@ class TestInitialIdeal:
         assert set(got) == want
         order = omega_order(W4)
         assert got == sorted(want, key=order.descending_key)
+
+
+def _sigma(f, perm):
+    """f with the positions of its exponent tuples permuted by ``perm``."""
+    terms = {}
+    for t, c in f.terms.items():
+        e = [0] * len(t)
+        for p, x in enumerate(t):
+            e[perm[p]] = x
+        terms[tuple(e)] = c
+    return Polynomial(f.ring, terms)
+
+
+def _position_perms(ring):
+    """Every permutation of 1..d-1, fixing d, as a position permutation."""
+    d = ring.d
+    out = []
+    for images in itertools.permutations(range(1, d)):
+        sigma = dict(zip(range(1, d), images))
+        out.append([
+            ring.index[VariableId(v.kind, tuple(sigma.get(i, i) for i in v.index))]
+            for v in ring.vars
+        ])
+    return out
+
+
+@st.composite
+def _orbit_gens(draw, d):
+    """The S_{d-1}-orbit of one or two quadrics over W with small integer
+    coefficients, parity-homogeneous in most draws, plus a few arbitrary
+    quadrics."""
+    W = ring_W(d)
+    classes = parity_classes(W)
+    by_class = {}
+    for m in monomials_of_degree(W, 2):
+        beta = 0
+        for p, e in enumerate(m):
+            if e % 2:
+                beta ^= classes[p]
+        by_class.setdefault(beta, []).append(m)
+    every = monomials_of_degree(W, 2)
+    gens = []
+    perms = _position_perms(W)
+    for _ in range(draw(st.integers(1, 2))):
+        monos = by_class[draw(st.sampled_from(sorted(by_class)))]
+        if draw(st.integers(0, 3)) == 0:
+            monos = every
+        terms = draw(st.dictionaries(
+            st.sampled_from(monos), st.integers(-2, 2).filter(bool),
+            min_size=1, max_size=3,
+        ))
+        f = Polynomial(W, terms)
+        gens.extend(_sigma(f, perm) for perm in perms)
+    for _ in range(draw(st.integers(0, 2))):
+        terms = draw(st.dictionaries(
+            st.sampled_from(every), st.integers(-2, 2).filter(bool),
+            min_size=1, max_size=3,
+        ))
+        gens.append(Polynomial(W, terms))
+    return draw(st.permutations(gens))
+
+
+def _spy(monkeypatch, name):
+    """Record every return value of ``hilbert.<name>``."""
+    seen = []
+    real = getattr(hilbert, name)
+    monkeypatch.setattr(hilbert, name, lambda *a: seen.append(real(*a)) or seen[-1])
+    return seen
+
+
+class TestOrbitCounts:
+    """hf_values counts its top degree by one block per orbit; the plain
+    route's leads are the reference."""
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8, 9])
+    def test_counts_equal_the_leads_on_lambda(self, d):
+        gens = _lambda_gens(d)
+        leads = echelon_leads(gens, 3)
+        assert hf_values(gens, 3) == {j: len(leads[j]) for j in range(4)}
+
+    @pytest.mark.parametrize("part", [0, 1, 2])
+    def test_counts_equal_the_leads_on_each_part(self, part):
+        gens = [rec.value for rec in generators_lambda(6, part)]
+        leads = echelon_leads(gens, 3)
+        assert hf_values(gens, 3) == {j: len(leads[j]) for j in range(4)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([4, 5]).flatmap(_orbit_gens))
+    def test_orbits_of_random_quadrics(self, gens):
+        assert hf_exact(gens, 3) == len(echelon_leads(gens, 3)[3])
+
+    def test_lambda_takes_the_orbit_route(self, monkeypatch):
+        # degree 3 at d >= 7 has seven orbits: (w, b) with w + b even and
+        # at most 6, w the class's weight on 1..d-1 and b its bit d
+        gens = _lambda_gens(7)
+        invariant = _spy(monkeypatch, "_invariant")
+        blocks = []
+        real = hilbert.echelon
+        monkeypatch.setattr(hilbert, "echelon", lambda rows: blocks.append(1) or real(rows))
+        assert hf_exact(gens, 3) == hf_closed("IX3", 7)
+        assert invariant == [True]
+        assert len(blocks) == 1 + 7  # degree 2 whole, then the orbits
+
+    def test_a_non_invariant_span_counts_every_row(self, monkeypatch):
+        W = ring_W(6)
+        extra = Polynomial(W, {W.monomial_of(wvar(1, 2), wvar(3, 4)): 1})
+        gens = _lambda_gens(6) + [extra]
+        invariant = _spy(monkeypatch, "_invariant")
+        assert hf_exact(gens, 3) == len(echelon_leads(gens, 3)[3])
+        assert invariant == [False]
+
+    def test_a_wrong_class_fails_the_homogeneity_check(self, monkeypatch):
+        real = hilbert.parity_classes
+
+        def wrong(ring):
+            classes = real(ring)
+            classes[ring.index[wvar(1, 2)]] = 0
+            return classes
+
+        monkeypatch.setattr(hilbert, "parity_classes", wrong)
+        homogeneous = _spy(monkeypatch, "_homogeneous")
+        invariant = _spy(monkeypatch, "_invariant")
+        gens = _lambda_gens(5)
+        assert hf_exact(gens, 3) == len(echelon_leads(gens, 3)[3]) == hf_closed("IX3", 5)
+        assert homogeneous == [False]
+        assert invariant == []
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 9])
+    def test_orbit_sizes_cover_every_class(self, d):
+        low = (1 << (d - 1)) - 1
+        sizes = {}
+        for beta in range(1 << d):
+            rep, size = orbit(beta, low)
+            sizes.setdefault(rep, set()).add(size)
+            assert orbit(rep, low) == (rep, size)
+        assert all(len(s) == 1 for s in sizes.values())
+        assert sum(s.pop() for s in sizes.values()) == 1 << d
+        assert orbit(0b101, 0) == (0b101, 1)
+
+    def test_classes_follow_the_indices(self):
+        W = ring_W(5)
+        classes = parity_classes(W)
+        assert classes[W.index[wvar(2, 4)]] == 0b1010
+        assert classes[W.index[wvar(3, 3)]] == 0
+        assert parity_classes(ring_R(4)) == [1, 2, 4, 8]

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 from functools import reduce
 from math import comb
 from operator import mul
@@ -22,7 +23,7 @@ from fiberforge.rees import (
     rees_substitution,
     sym_algebra_ideal,
 )
-from fiberforge.hilbert import hf_exact
+from fiberforge.hilbert import echelon, echelon_leads, orbit, pack
 from fiberforge.rings import (
     Polynomial,
     apply_hom,
@@ -31,6 +32,7 @@ from fiberforge.rings import (
     ring_Rees,
     ring_S,
     ring_W,
+    wvar,
     xvar,
 )
 
@@ -164,8 +166,9 @@ def _unpack(m, base, n):
 
 
 class TestPackedPowers:
-    """power_check forms its products on packed ints; the rank of the
-    products multiplied out as polynomials must give the same verdict."""
+    """power_check forms its products on packed ints, by blocks; the rank of
+    the products multiplied out as polynomials, counted by the plain
+    route's leads, must give the same verdict."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("d", [4, 5, 6])
@@ -174,32 +177,96 @@ class TestPackedPowers:
             reduce(mul, combo)
             for combo in itertools.combinations_with_replacement(_quadrics(d), k)
         ]
-        want = hf_exact(products, 2 * k) == comb(d + 2 * k - 1, 2 * k)
+        rank = len(echelon_leads(products, 2 * k)[2 * k])
+        want = rank == comb(d + 2 * k - 1, 2 * k)
         assert power_check(d, k) is want
         assert want is (k > 1)
+
+
+def _whole_slice_verdict(d, k):
+    """I^k = m^{2k} as one rank: every k-fold product, packed, in one matrix."""
+    base = 2 * k + 1
+    gens = [{pack(t, base): c for t, c in g.terms.items()} for g in _quadrics(d)]
+    rows = [
+        reduce(rees._packed_product, combo)
+        for combo in itertools.combinations_with_replacement(gens, k)
+    ]
+    return len(echelon(rows)) == comb(d + 2 * k - 1, 2 * k)
+
+
+def _class_of(combo):
+    """The class of a product of quadrics g_ij, as ``parity_classes`` has it."""
+    beta = 0
+    for v in combo:
+        for i in v.index:
+            beta ^= 1 << (i - 1)
+    return beta
+
+
+class TestPowerCheckBlocks:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_blocks_give_the_whole_slice_verdict(self, d, k):
+        assert power_check(d, k) is _whole_slice_verdict(d, k)
+
+    def _count_blocks(self, monkeypatch):
+        blocks = []
+        real = rees.echelon
+        monkeypatch.setattr(rees, "echelon", lambda rows: blocks.append(1) or real(rows))
+        return blocks
+
+    def test_one_block_per_orbit(self, monkeypatch):
+        # d = 5, k = 2: the orbits (w, b) with w + b even and at most 4,
+        # w <= 4: (0,0), (2,0), (4,0), (1,1), (3,1)
+        blocks = self._count_blocks(monkeypatch)
+        assert power_check(5, 2) is True
+        assert len(blocks) == 5
+
+    def test_an_unstable_generator_set_counts_every_class(self, monkeypatch):
+        # g_12 doubled: the same span, but (1 2 ... d-1) no longer maps the
+        # generator set onto itself, so every even class of weight <= 4 of
+        # the five indices is a block: 1 + C(5, 2) + C(5, 4)
+        d = 5
+        phi = dict(hom_catalog(d).phi_W)
+        phi[wvar(1, 2)] = phi[wvar(1, 2)].scale(2)
+        monkeypatch.setattr(rees, "hom_catalog", lambda d: SimpleNamespace(phi_W=phi))
+        blocks = self._count_blocks(monkeypatch)
+        assert power_check(d, 2) is True
+        assert len(blocks) == 1 + comb(5, 2) + comb(5, 4)
 
 
 class TestPowerCheckPrefixes:
     def test_each_prefix_product_is_formed_once(self, monkeypatch):
         d, k = 6, 3
-        gens = _quadrics(d)
-        # the rows as products multiplied out from scratch, in the same order
-        want = [
-            list(reduce(mul, combo).terms.items())
-            for combo in itertools.combinations_with_replacement(gens, k)
+        catalog = hom_catalog(d).phi_W
+        low = (1 << (d - 1)) - 1
+        combos = [
+            combo
+            for combo in itertools.combinations_with_replacement(list(catalog), k)
+            if orbit(_class_of(combo), low)[0] == _class_of(combo)
         ]
-        products, rows = [], []
+        # the rows as products multiplied out from scratch, block by block
+        want = {}
+        for combo in combos:
+            product = reduce(mul, [catalog[v] for v in combo])
+            want.setdefault(_class_of(combo), []).append(list(product.terms.items()))
+        products, blocks = [], []
         real_product, real_echelon = rees._packed_product, rees.echelon
         monkeypatch.setattr(
             rees, "_packed_product", lambda f, g: products.append(1) or real_product(f, g)
         )
         monkeypatch.setattr(
-            rees, "echelon", lambda r: rows.extend(r) or real_echelon(r)
+            rees, "echelon", lambda r: blocks.append(list(r)) or real_echelon(r)
         )
         assert power_check(d, k) is True
-        # one product per twofold prefix and one per threefold combination
-        n = len(gens)
-        assert len(products) == comb(n + 1, 2) + comb(n + 2, 3)
+        # one product per twofold prefix that some row extends, one per row
+        prefixes = {combo[:-1] for combo in combos}
+        assert len(products) == len(prefixes) + len(combos)
         nvars = ring_R(d).nvars
-        got = [[(_unpack(m, 2 * k + 1, nvars), c) for m, c in r.items()] for r in rows]
+        got = {}
+        for rows in blocks:
+            rows = [[(_unpack(m, 2 * k + 1, nvars), c) for m, c in r.items()] for r in rows]
+            first = rows[0][0][0]
+            got[sum(1 << i for i, e in enumerate(first) if e % 2)] = rows
+        assert len(got) == len(blocks)
         assert got == want
