@@ -242,7 +242,7 @@ def hf_values(gens, k: int) -> dict:
     n = ring.nvars
     top, low = max(by_degree), 0
     classes = parity_classes(ring)
-    cols = pivots = None
+    pivots = None
     for j, cols, colindex, pivots in _slices(n, by_degree, k - 1):
         dims[j] = len(pivots)
         if j == top and _homogeneous(sum(by_degree.values(), []), classes):
@@ -399,12 +399,10 @@ def _class(positions, classes: list) -> int:
 
 
 def _homogeneous(gens, classes: list) -> bool:
-    """True iff all terms of each generator have one class; the class of
-    each distinct exponent tuple is computed once."""
-    term_class = {
-        t: _class(_positions(t), classes) for t in set().union(*(g.terms for g in gens))
-    }
-    return all(len({term_class[t] for t in g.terms}) == 1 for g in gens)
+    """True iff all terms of each generator have one class: keyed by class
+    (``_term_rows``), each generator's terms collapse to one entry."""
+    rows = _term_rows(gens, lambda t: _class(_positions(t), classes))
+    return all(len(row) == 1 for row in rows)
 
 
 def orbit(beta: int, low: int) -> tuple:
