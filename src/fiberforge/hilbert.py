@@ -5,15 +5,15 @@ degree-k slice of an ideal is spanned by generator multiples, and its
 dimension is the rank of the coefficient matrix.  ``echelon_leads`` builds
 the slices degree by degree and reads the initial monomials off their
 pivots.  ``hf_values`` builds the same slices below the top degree and
-counts the top one by parity blocks: a variable's class in (Z/2)^d is the
-sum of its indices (``parity_classes``), and when the generators allow it,
-one block per S_{d-1}-orbit of classes is eliminated (``orbit``).  Closed
-forms for the same numbers live in ``hf_closed`` so the two can be
-compared.
+counts the top one by parity blocks, as ``power_dim`` counts the span of
+k-fold products: one certificate (``_certificate``) decides for both
+whether the span splits by classes, and whether one block per
+S_{d-1}-orbit of classes suffices (``orbit``).  Closed forms for the same
+numbers live in ``hf_closed`` so the two can be compared.
 
 One exact kernel serves every linear-algebra computation in the package:
 ``echelon`` is an exact sparse elimination on integer rows, used
-for ranks here and in ``rees.power_check``; ``rref`` back-substitutes its
+for every rank here; ``rref`` back-substitutes its
 result into the unique reduced form, used for the degree-2 basis of the
 minor ideal in ``candidate``; ``relations`` reads the null space off it,
 used for the kernels in ``rees`` (the linear syzygies and the
@@ -22,9 +22,10 @@ integrality witness).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, inf
 
 from .errors import DimensionTooSmall, NotHomogeneous, OutOfTable, RingMismatch
 from .rings import Ring, VariableId
@@ -211,50 +212,38 @@ def hf_values(gens, k: int) -> dict:
     """``{j: dim I_j}`` for j = 0..k, I the ideal generated by ``gens``.
 
     Degrees below k are the ranks of ``_slices``, the recursion of
-    ``echelon_leads``.  Degree k is counted by blocks.  Give each variable
-    its class in (Z/2)^d (``parity_classes``).  If every generator is
-    parity-homogeneous, so is every row of the recursion, as ``echelon``
-    reduces a row only by a pivot of its own class; so dim I_k is the sum
-    over classes b of dim I_{k,b}, the rank of the rows of class b.
-
-    A permutation s of 1..d-1, fixing d, acts on the variables through
-    their indices and on classes by permuting bits; the class of s(m) is
-    s(class of m).  Let j* be the top generator degree and j* < k.  Then
-    I_k = R_{k-j*} * I_{j*}, as every multiple of a generator factors
-    through I_{j*}.  If s maps span I_{j*} into itself, it maps it onto
-    itself (s is a graded automorphism), so s maps I_k onto itself and
-    block b onto block s(b): dim I_{k,b} = dim I_{k,s(b)}.  The
-    transposition (1 2) and the cycle (1 2 ... d-1) generate S_{d-1}; once
-    both keep span I_{j*} (``_invariant``), the blocks of one orbit have
-    one dimension, and only the representative of each orbit is
-    eliminated, its rank multiplied by the orbit size (``orbit``).
-    Otherwise (j* = k, a generator not parity-homogeneous, or span I_{j*}
-    not kept) every variable gets class 0: one block, every row.
+    ``echelon_leads``.  Degree k is counted by the blocks of
+    ``_certificate`` on V = I_{j*}, j* < k the top generator degree: every
+    multiple of a generator factors through V, so I_k = R_{k-j*} * V.  The
+    recursion's rows are homogeneous, as ``echelon`` reduces a row only by
+    a pivot of its own class, so block b's rows are the pivot rows of
+    degree k - 1 of class b + (class of x_p), each times x_p.  Only each
+    orbit's representative is eliminated, its rank multiplied by the
+    orbit size.  When j* = k, or the certificate has no classes, every
+    variable gets class 0: one block, every row.
 
     Degree k's columns are monomials packed into ints in base k + 1
     (``pack``), so no column list of degree k is built: a shift by x_p
     adds the pack of x_p.
     """
     dims = {j: 0 for j in range(k + 1)}
-    ring, by_degree = _by_degree(gens, k)
+    ring, by_degree, positions = _by_degree(gens, k)
     if not by_degree:
         return dims
     n = ring.nvars
-    top, low = max(by_degree), 0
-    classes = parity_classes(ring)
-    pivots = None
-    for j, cols, colindex, pivots in _slices(n, by_degree, k - 1):
+    top = max(by_degree)
+    gen_classes = pivots = None
+    low = 0
+    for j, cols, colindex, pivots in _slices(n, by_degree, positions, k - 1):
         dims[j] = len(pivots)
-        if j == top and _homogeneous(sum(by_degree.values(), []), classes):
-            perms = symmetry_generators(ring)
-            if perms is not None and _invariant(perms, cols, colindex, pivots):
-                low = (1 << (ring.d - 1)) - 1
-    if not low:
-        classes = [0] * n
+        if j == top:
+            gen_classes, low = _certificate(ring, by_degree, positions, cols, colindex, pivots)
+    classes = [0] * n if gen_classes is None else parity_classes(ring)
     # degree k: the rows of representative classes only, each block in the
     # order of ``_slices``: the generators, then the greatest variable first.
     # Generators of degree k occur only when top == k, where every class is 0.
-    gen_rows = _term_rows(by_degree.get(k, ()), lambda t: pack(t, k + 1))
+    packs = {t: pack(t, k + 1) for t, m in positions.items() if len(m) == k}
+    gen_rows = _term_rows(by_degree.get(k, ()), packs)
     weight = [(k + 1) ** (n - 1 - p) for p in range(n)]
     by_class: dict = {}  # class -> the pivot rows of degree k - 1, packed
     if pivots:
@@ -278,6 +267,82 @@ def hf_values(gens, k: int) -> dict:
     return dims
 
 
+def power_dim(gens, k: int) -> int:
+    """The dimension of the span of the k-fold products of ``gens``, for
+    k >= 1, counted by the blocks of ``_certificate``.
+
+    When the generators share one degree, V is their span, and the
+    products span V^k, being multilinear in their factors.  Block b holds
+    the products whose factors' classes sum to b, and only blocks of
+    representative classes are built.  The generators' classes are those
+    of the nonzero blocks of V, a set the certificate's permutations keep.
+    So a class s(r) + c of i factors, r the representative of the first
+    i - 1 factors' class and c the last's, has the representative of
+    r + s^-1(c), and s^-1(c) is a generator class: the representatives of
+    i factors are those of r + c' over such r and generator classes c'.
+    When the generators have more than one degree, or the certificate has
+    no classes, every generator gets class 0: one block, every product.
+
+    No relabelling of the columns changes a rank, so each monomial is its
+    exponent tuple packed into one int in base k * e + 1 (``pack``), e the
+    top generator degree: every exponent of a product of at most k
+    generators is a digit below the base, so ``_packed_product`` adds the
+    packs of two monomials to multiply them.
+
+    ``combinations_with_replacement`` yields the (k-1)-fold prefixes in
+    lexicographic order, and a product is its prefix times a last factor
+    of index at least the prefix's last.  Each prefix product is formed
+    once, if some last factor completes it to a representative class, the
+    same left-to-right product as multiplying the combination out.
+    """
+    ring, by_degree, positions = _by_degree(gens, inf)
+    if not by_degree:
+        return 0
+    top = max(by_degree)
+    gens = sum(by_degree.values(), [])
+    gen_classes, low = None, 0
+    if len(by_degree) == 1:
+        [(_, cols, colindex, pivots)] = _slices(ring.nvars, by_degree, positions, top)
+        gen_classes, low = _certificate(ring, by_degree, positions, cols, colindex, pivots)
+    if gen_classes is None:
+        gen_classes = [0] * len(gens)
+    packed = _term_rows(gens, {t: pack(t, k * top + 1) for t in positions})
+    by_class: dict = {}
+    for i, beta in enumerate(gen_classes):
+        by_class.setdefault(beta, []).append(i)
+    reps = {0}  # the representative classes of the i-fold products
+    for _ in range(k):
+        reps = {orbit(r ^ c, low)[0] for r in reps for c in by_class}
+    blocks: dict = {beta: [] for beta in reps}
+    for head in itertools.combinations_with_replacement(range(len(gens)), k - 1):
+        gamma = 0
+        for i in head:
+            gamma ^= gen_classes[i]
+        first = head[-1] if head else 0
+        prefix = None
+        for beta, rows in blocks.items():
+            lasts = [packed[i] for i in by_class.get(beta ^ gamma, ()) if i >= first]
+            if not lasts:
+                continue
+            if head and prefix is None:
+                prefix = functools.reduce(_packed_product, [packed[i] for i in head])
+            rows.extend(_packed_product(prefix, g) if head else g for g in lasts)
+    return sum(orbit(beta, low)[1] * len(echelon(rows)) for beta, rows in blocks.items())
+
+
+def _packed_product(f: dict, g: dict) -> dict:
+    """The terms of the product of two packed term dicts, zeros dropped:
+    ``rings``' product of term dicts, with a sum of ints for a monomial
+    product (see ``power_dim`` for when that is exact)."""
+    terms: dict = {}
+    get = terms.get
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = m1 + m2
+            terms[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in terms.items() if c}
+
+
 def echelon_leads(gens, k: int) -> dict:
     """The initial monomials of the ideal generated by ``gens`` under
     ``omega_order``: ``{j: exponent tuples, descending}`` for j = 0..k.
@@ -292,39 +357,43 @@ def echelon_leads(gens, k: int) -> dict:
     pivots are expanded back to exponent tuples.
     """
     leads: dict = {j: [] for j in range(k + 1)}
-    ring, by_degree = _by_degree(gens, k)
+    ring, by_degree, positions = _by_degree(gens, k)
     if by_degree:
         n = ring.nvars
-        for j, cols, _, pivots in _slices(n, by_degree, k):
+        for j, cols, _, pivots in _slices(n, by_degree, positions, k):
             leads[j] = [_exponents(n, cols[c]) for c in sorted(pivots)]
     return leads
 
 
-def _by_degree(gens, k: int) -> tuple:
-    """The ring and ``{degree: generators}`` of the nonzero generators of
-    degree at most k, after checking that all nonzero generators share one
-    ring and are homogeneous; ``(None, {})`` for none or for k < 0."""
+def _by_degree(gens, k) -> tuple:
+    """The ring, ``{degree: generators}`` of the nonzero generators of
+    degree at most k, and ``{t: _positions(t)}`` over their distinct terms
+    t, after checking that they share one ring and are homogeneous;
+    ``(None, {}, {})`` for none or for k < 0.  Degrees, classes and
+    columns are all read off these multisets."""
     gens = [g for g in gens if not g.is_zero]
     if not gens or k < 0:
-        return None, {}
+        return None, {}, {}
     ring = gens[0].ring
+    positions = {t: _positions(t) for t in set().union(*(g.terms for g in gens))}
+    by_degree: dict = {}
     for g in gens:
         if g.ring is not ring:
             raise RingMismatch(f"generators over {ring.name} and {g.ring.name}")
-        if not g.is_homogeneous():
+        degrees = {len(positions[t]) for t in g.terms}
+        if len(degrees) > 1:
             raise NotHomogeneous(f"inhomogeneous generator: {g!r}")
-    by_degree: dict = {}
-    for g in gens:
-        deg = g.degree()
+        deg = degrees.pop()
         if deg <= k:
             by_degree.setdefault(deg, []).append(g)
-    return ring, by_degree
+    return ring, by_degree, positions
 
 
-def _slices(n: int, by_degree: dict, k: int):
+def _slices(n: int, by_degree: dict, positions: dict, k: int):
     """Yield ``(j, cols, colindex, pivots)`` for j from the lowest generator
     degree to k: the ``_multisets`` columns of degree j, their numbering,
-    and the ``echelon`` pivot rows of I_j on them.
+    and the ``echelon`` pivot rows of I_j on them.  A generator term's
+    column is its multiset in ``positions`` (``_by_degree``).
 
     For homogeneous generators I_j = R_1 * I_{j-1} + span{g : deg g = j},
     because a multiple m * g with deg m = j - deg g > 0 factors as
@@ -339,7 +408,8 @@ def _slices(n: int, by_degree: dict, k: int):
     for j in range(min(by_degree), k + 1):
         cols = _multisets(n, j)
         colindex = {m: c for c, m in enumerate(cols)}
-        rows = _term_rows(by_degree.get(j, ()), lambda t: colindex[_positions(t)])
+        col = {t: colindex[m] for t, m in positions.items() if len(m) == j}
+        rows = _term_rows(by_degree.get(j, ()), col)
         if pivots:
             # greatest variable (the last position) first: no row order
             # changes the pivot columns, and this one took 3-7% fewer
@@ -354,10 +424,9 @@ def _slices(n: int, by_degree: dict, k: int):
         previndex = colindex
 
 
-def _term_rows(gens, key) -> list:
-    """Each generator's terms as a row ``{key(t): c}``; ``key`` runs once
-    per distinct exponent tuple t, however many generators share it."""
-    col = {t: key(t) for t in set().union(*(g.terms for g in gens))}
+def _term_rows(gens, col: dict) -> list:
+    """Each generator's terms as a row ``{col[t]: c}``, ``col`` computed
+    once per distinct exponent tuple t, however many generators share it."""
     return [{col[t]: c for t, c in g.terms.items()} for g in gens]
 
 
@@ -398,13 +467,6 @@ def _class(positions, classes: list) -> int:
     return c
 
 
-def _homogeneous(gens, classes: list) -> bool:
-    """True iff all terms of each generator have one class: keyed by class
-    (``_term_rows``), each generator's terms collapse to one entry."""
-    rows = _term_rows(gens, lambda t: _class(_positions(t), classes))
-    return all(len(row) == 1 for row in rows)
-
-
 def orbit(beta: int, low: int) -> tuple:
     """``(representative, size)`` of the orbit of the class ``beta`` under
     the permutations of the bits set in ``low``.  A permutation keeps the
@@ -436,15 +498,44 @@ def symmetry_generators(ring: Ring):
     return perms
 
 
-def _invariant(perms: list, cols: list, colindex: dict, pivots: dict) -> bool:
-    """True iff each position permutation maps the span of the pivot rows
-    into itself: the image of every pivot row reduces to 0 against them."""
+def _certificate(ring: Ring, by_degree: dict, positions: dict, cols, colindex, pivots) -> tuple:
+    """``(classes, low)`` for counting a span built from V by products
+    (R_m * V, V^k) by blocks: V is spanned by the generators of
+    ``by_degree`` and their multiples, and its ``echelon`` pivot rows on
+    the columns ``cols`` (numbered by ``colindex``) are ``pivots``.
+
+    A monomial's class in (Z/2)^d is the sum of its variables'
+    (``parity_classes``), read off its multiset in ``positions``.  If each
+    generator is parity-homogeneous, ``classes`` lists their classes, in
+    the order of ``by_degree``; then such a span is spanned by homogeneous
+    elements, so its dimension is the sum of its blocks', one per class.
+    Otherwise it is None, and ``low`` 0.
+
+    A permutation s of 1..d-1, fixing d, acts on the variables through
+    their indices and maps the forms of class b onto those of class s(b).
+    If s maps V into itself, it maps V onto itself (s is a graded
+    automorphism), so it maps such a span onto itself and its block b
+    onto its block s(b).  So when (1 2) and (1 2 ... d-1), which generate
+    S_{d-1}, both keep V (the image of every pivot row reduces to 0),
+    the blocks of one orbit have one dimension, and ``low`` is the bits
+    1..d-1 of ``orbit``; otherwise ``low`` is 0, and every class is its
+    own orbit.
+    """
+    classes = parity_classes(ring)
+    col = {t: _class(m, classes) for t, m in positions.items()}
+    rows = _term_rows(sum(by_degree.values(), []), col)
+    if any(len(row) != 1 for row in rows):
+        return None, 0
+    gen_classes = [c for row in rows for c in row]
+    perms = symmetry_generators(ring)
+    if perms is None:
+        return gen_classes, 0
     for perm in perms:
         image = [colindex[tuple(sorted(perm[p] for p in m))] for m in cols]
         for row in pivots.values():
             if _reduce({image[c]: v for c, v in row.items()}, pivots):
-                return False
-    return True
+                return gen_classes, 0
+    return gen_classes, (1 << (ring.d - 1)) - 1
 
 
 def _variable_shifts(n: int, previndex: dict, cols: list) -> list:

@@ -10,22 +10,12 @@ produces the degree-two equation of integrality.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from math import comb
 
 from .candidate import epsilon, generators_lambda, hom_catalog
 from .groebner import GroebnerBasis, kernel_of_hom
-from .hilbert import (
-    echelon,
-    monomials_of_degree,
-    orbit,
-    pack,
-    parity_classes,
-    relations,
-    symmetry_generators,
-)
+from .hilbert import monomials_of_degree, power_dim, relations
 from .rings import (
     Polynomial,
     RingMap,
@@ -42,101 +32,12 @@ from .rings import (
 
 
 def power_check(d: int, k: int) -> bool:
-    """True iff k-fold products of the generators span all degree-2k forms.
-
-    The generator g_ij has the class of w_ij in (Z/2)^d
-    (``hilbert.parity_classes``), and a product of generators the sum of
-    their classes, so the products split into blocks by class, and they
-    span the degree-2k forms iff each block beta spans the forms of class
-    beta.  Those are the monomials whose odd exponents sit exactly at
-    beta: C((2k - |beta|)/2 + d - 1, d - 1) of them, for each even beta
-    with |beta| <= 2k.  So the check is one rank per block.
-
-    A permutation s of 1..d-1 acts on R by permuting the x_i, and it maps
-    block beta onto block s(beta) when it maps the generator set onto
-    itself: the k-fold products are then permuted among themselves.  If
-    (1 2) and (1 2 ... d-1), which generate S_{d-1}, both map every g_ij
-    to g_s(i)s(j), the blocks of one orbit (``hilbert.orbit``) have one
-    rank, and only the representative's is computed.  Otherwise every
-    class is its own orbit.
-
-    No relabelling of the columns changes a rank, so each monomial is its
-    exponent tuple packed into one int in base 2k + 1 (``hilbert.pack``),
-    and the products are formed on the packed terms by ``_packed_product``:
-    every exponent of a monomial of degree at most 2k is a digit below the
-    base, so the pack of a product of such monomials is the sum of their
-    packs.  The packs ascend as the exponent tuples do, so ``echelon``
-    picks the pivots the exponent tuples would give.
-
-    ``combinations_with_replacement`` yields the (k-1)-fold prefixes in
-    lexicographic order, and a product is its prefix times a last factor
-    of index at least the prefix's last.  Each prefix product is formed
-    once, if some last factor completes it to a representative class, the
-    same left-to-right product as multiplying the combination out.
-    """
-    base = 2 * k + 1
-    catalog = hom_catalog(d).phi_W
-    W = ring_W(d)
-    classes = parity_classes(W)
-    gens, gen_class, by_class = [], [], {}
-    for v, g in catalog.items():
-        beta = classes[W.index[v]]
-        by_class.setdefault(beta, []).append(len(gens))
-        gen_class.append(beta)
-        gens.append({pack(t, base): c for t, c in g.terms.items()})
-    low = (1 << (d - 1)) - 1 if _stable(catalog, W, ring_R(d)) else 0
-    counts = {}  # representative class -> its number of degree-2k monomials
-    for size in range(0, min(2 * k, d) + 1, 2):
-        for odd in itertools.combinations(range(d), size):
-            rep, _ = orbit(sum(1 << i for i in odd), low)
-            counts[rep] = comb(k - size // 2 + d - 1, d - 1)
-    blocks = {beta: [] for beta in counts}
-    for head in itertools.combinations_with_replacement(range(len(gens)), k - 1):
-        gamma = 0
-        for i in head:
-            gamma ^= gen_class[i]
-        first = head[-1] if head else 0
-        prefix = None
-        for beta, rows in blocks.items():
-            lasts = [gens[i] for i in by_class.get(beta ^ gamma, ()) if i >= first]
-            if not lasts:
-                continue
-            if head and prefix is None:
-                prefix = functools.reduce(_packed_product, [gens[i] for i in head])
-            rows.extend(_packed_product(prefix, g) if head else g for g in lasts)
-    return all(len(echelon(blocks[beta])) == n for beta, n in counts.items())
-
-
-def _stable(catalog, W, R) -> bool:
-    """True iff (1 2) and (1 2 ... d-1) map every generator g_ij, a
-    polynomial over R, to the generator g_s(i)s(j) of the image of w_ij."""
-    wperms, xperms = symmetry_generators(W), symmetry_generators(R)
-    if wperms is None or xperms is None:
-        return False
-    for wperm, xperm in zip(wperms, xperms):
-        for v, g in catalog.items():
-            moved = {}
-            for t, c in g.terms.items():
-                e = [0] * len(t)
-                for p, x in enumerate(t):
-                    e[xperm[p]] = x
-                moved[tuple(e)] = c
-            if moved != catalog[W.vars[wperm[W.index[v]]]].terms:
-                return False
-    return True
-
-
-def _packed_product(f: dict, g: dict) -> dict:
-    """The terms of the product of two packed term dicts, zeros dropped:
-    ``rings``' product of term dicts, with a sum of ints for a monomial
-    product (see ``power_check`` for when that is exact)."""
-    terms: dict = {}
-    get = terms.get
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            m = m1 + m2
-            terms[m] = get(m, 0) + c1 * c2
-    return {m: c for m, c in terms.items() if c}
+    """True iff the k-fold products of the generators span all degree-2k
+    forms, I^k = m^{2k}: iff their span, counted by parity blocks and
+    S_{d-1}-orbits (``hilbert.power_dim``), has dimension
+    C(2k + d - 1, 2k), the number of degree-2k monomials."""
+    gens = list(hom_catalog(d).phi_W.values())
+    return power_dim(gens, k) == comb(2 * k + d - 1, 2 * k)
 
 
 def linear_syzygies(d: int) -> tuple:

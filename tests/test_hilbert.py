@@ -482,21 +482,22 @@ class TestOrbitCounts:
         # degree 3 at d >= 7 has seven orbits: (w, b) with w + b even and
         # at most 6, w the class's weight on 1..d-1 and b its bit d
         gens = _lambda_gens(7)
-        invariant = _spy(monkeypatch, "_invariant")
+        certificate = _spy(monkeypatch, "_certificate")
         blocks = []
         real = hilbert.echelon
         monkeypatch.setattr(hilbert, "echelon", lambda rows: blocks.append(1) or real(rows))
         assert hf_exact(gens, 3) == hf_closed("IX3", 7)
-        assert invariant == [True]
+        assert [low for _, low in certificate] == [(1 << 6) - 1]
         assert len(blocks) == 1 + 7  # degree 2 whole, then the orbits
 
     def test_a_non_invariant_span_counts_every_row(self, monkeypatch):
         W = ring_W(6)
         extra = Polynomial(W, {W.monomial_of(wvar(1, 2), wvar(3, 4)): 1})
         gens = _lambda_gens(6) + [extra]
-        invariant = _spy(monkeypatch, "_invariant")
+        certificate = _spy(monkeypatch, "_certificate")
         assert hf_exact(gens, 3) == len(echelon_leads(gens, 3)[3])
-        assert invariant == [False]
+        [(classes, low)] = certificate
+        assert classes is not None and low == 0
 
     def test_a_wrong_class_fails_the_homogeneity_check(self, monkeypatch):
         real = hilbert.parity_classes
@@ -507,12 +508,11 @@ class TestOrbitCounts:
             return classes
 
         monkeypatch.setattr(hilbert, "parity_classes", wrong)
-        homogeneous = _spy(monkeypatch, "_homogeneous")
-        invariant = _spy(monkeypatch, "_invariant")
+        monkeypatch.setattr(hilbert, "symmetry_generators", lambda ring: pytest.fail())
+        certificate = _spy(monkeypatch, "_certificate")
         gens = _lambda_gens(5)
         assert hf_exact(gens, 3) == len(echelon_leads(gens, 3)[3]) == hf_closed("IX3", 5)
-        assert homogeneous == [False]
-        assert invariant == []
+        assert certificate == [(None, 0)]
 
     @pytest.mark.parametrize("d", [4, 5, 6, 9])
     def test_orbit_sizes_cover_every_class(self, d):

@@ -9,7 +9,7 @@ from operator import mul
 
 import pytest
 
-from fiberforge import groebner, rees
+from fiberforge import groebner, hilbert, rees
 
 from fiberforge.candidate import hom_catalog, phi_U, phi_W, generators_lambda
 from fiberforge.errors import DimensionTooSmall
@@ -183,12 +183,13 @@ class TestPackedPowers:
         assert want is (k > 1)
 
 
-def _whole_slice_verdict(d, k):
+def _whole_slice_verdict(d, k, quadrics=None):
     """I^k = m^{2k} as one rank: every k-fold product, packed, in one matrix."""
     base = 2 * k + 1
-    gens = [{pack(t, base): c for t, c in g.terms.items()} for g in _quadrics(d)]
+    quadrics = _quadrics(d) if quadrics is None else quadrics
+    gens = [{pack(t, base): c for t, c in g.terms.items()} for g in quadrics]
     rows = [
-        reduce(rees._packed_product, combo)
+        reduce(hilbert._packed_product, combo)
         for combo in itertools.combinations_with_replacement(gens, k)
     ]
     return len(echelon(rows)) == comb(d + 2 * k - 1, 2 * k)
@@ -210,29 +211,54 @@ class TestPowerCheckBlocks:
         assert power_check(d, k) is _whole_slice_verdict(d, k)
 
     def _count_blocks(self, monkeypatch):
-        blocks = []
-        real = rees.echelon
-        monkeypatch.setattr(rees, "echelon", lambda rows: blocks.append(1) or real(rows))
-        return blocks
+        """Every ``echelon`` call: the generators' own slice for the
+        certificate, then one per product block."""
+        calls = []
+        real = hilbert.echelon
+        monkeypatch.setattr(hilbert, "echelon", lambda rows: calls.append(1) or real(rows))
+        return calls
 
     def test_one_block_per_orbit(self, monkeypatch):
         # d = 5, k = 2: the orbits (w, b) with w + b even and at most 4,
         # w <= 4: (0,0), (2,0), (4,0), (1,1), (3,1)
-        blocks = self._count_blocks(monkeypatch)
+        calls = self._count_blocks(monkeypatch)
         assert power_check(5, 2) is True
-        assert len(blocks) == 5
+        assert len(calls) == 1 + 5
+
+    def _patch_quadric(self, monkeypatch, d, v, g):
+        """I with the quadric of w-variable v replaced by g."""
+        phi = dict(hom_catalog(d).phi_W)
+        phi[v] = g
+        monkeypatch.setattr(rees, "hom_catalog", lambda d: SimpleNamespace(phi_W=phi))
+        return tuple(phi.values())
 
     def test_an_unstable_generator_set_counts_every_class(self, monkeypatch):
-        # g_12 doubled: the same span, but (1 2 ... d-1) no longer maps the
-        # generator set onto itself, so every even class of weight <= 4 of
-        # the five indices is a block: 1 + C(5, 2) + C(5, 4)
         d = 5
-        phi = dict(hom_catalog(d).phi_W)
-        phi[wvar(1, 2)] = phi[wvar(1, 2)].scale(2)
-        monkeypatch.setattr(rees, "hom_catalog", lambda d: SimpleNamespace(phi_W=phi))
-        blocks = self._count_blocks(monkeypatch)
-        assert power_check(d, 2) is True
-        assert len(blocks) == 1 + comb(5, 2) + comb(5, 4)
+        calls = self._count_blocks(monkeypatch)
+        # g_12 doubled: no longer the image of g_23 under (1 2 ... d-1), but
+        # the span is the same, so the orbits still count
+        doubled = self._patch_quadric(monkeypatch, d, wvar(1, 2), _xpoly(d, (2, [1, 2])))
+        assert power_check(d, 2) is _whole_slice_verdict(d, 2, doubled) is True
+        assert len(calls) == 1 + 5
+        # g_11 = x_1^2 - 2 x_d^2: a new span that (1 2) does not keep, so
+        # every even class of weight <= 4 of the five indices is a block:
+        # 1 + C(5, 2) + C(5, 4)
+        calls.clear()
+        g11 = _xpoly(d, (1, [1, 1]), (-2, [d, d]))
+        broken = self._patch_quadric(monkeypatch, d, wvar(1, 1), g11)
+        assert power_check(d, 2) is _whole_slice_verdict(d, 2, broken) is True
+        assert len(calls) == 1 + 1 + comb(5, 2) + comb(5, 4)
+
+    def test_a_generator_outside_its_class_counts_one_block(self, monkeypatch):
+        # g_11 + x_1 x_2 spans with the others what g_11 does, but its terms
+        # have the classes 0 and {1, 2}, so no class blocks apply: the
+        # products are one block, and the verdict is the whole slice's
+        d = 5
+        calls = self._count_blocks(monkeypatch)
+        g11 = _xpoly(d, (1, [1, 1]), (-1, [d, d]), (1, [1, 2]))
+        mixed = self._patch_quadric(monkeypatch, d, wvar(1, 1), g11)
+        assert power_check(d, 2) is _whole_slice_verdict(d, 2, mixed) is True
+        assert len(calls) == 1 + 1
 
 
 class TestPowerCheckPrefixes:
@@ -251,14 +277,15 @@ class TestPowerCheckPrefixes:
             product = reduce(mul, [catalog[v] for v in combo])
             want.setdefault(_class_of(combo), []).append(list(product.terms.items()))
         products, blocks = [], []
-        real_product, real_echelon = rees._packed_product, rees.echelon
+        real_product, real_echelon = hilbert._packed_product, hilbert.echelon
         monkeypatch.setattr(
-            rees, "_packed_product", lambda f, g: products.append(1) or real_product(f, g)
+            hilbert, "_packed_product", lambda f, g: products.append(1) or real_product(f, g)
         )
         monkeypatch.setattr(
-            rees, "echelon", lambda r: blocks.append(list(r)) or real_echelon(r)
+            hilbert, "echelon", lambda r: blocks.append(list(r)) or real_echelon(r)
         )
         assert power_check(d, k) is True
+        del blocks[0]  # the generators' own slice, for the certificate
         # one product per twofold prefix that some row extends, one per row
         prefixes = {combo[:-1] for combo in combos}
         assert len(products) == len(prefixes) + len(combos)
