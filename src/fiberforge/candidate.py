@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadParams, BeyondTruncation, DimensionTooSmall
-from .hilbert import rref
+from .hilbert import monomials_of_degree, rref
 from .rings import (
     Polynomial,
     RingMap,
@@ -44,7 +44,7 @@ class GeneratorRecord:
     indices: tuple
     provenance: str
     value: Polynomial
-    leading: tuple  # exponents over ring_W(d)
+    leading: tuple  # a monomial over ring_W(d)
 
 
 def _record(part, indices, provenance, value) -> GeneratorRecord:
@@ -233,17 +233,21 @@ def minor_ideal_U(d: int) -> list:
 def minor_ideal_U_basis(d: int) -> dict:
     """The degree-2 truncated reduced Groebner basis of the 2x2-minor
     ideal N of the U-matrix under ``omega_order``, as ``{lead: row}``:
-    the ``rref`` of the minors, with exponent tuples as the columns.
+    the ``rref`` of the minors, each row and lead read back as monomials.
 
     Every minor is a quadric, so N_1 = 0 and that basis is the unique
     monic spanning set of N_2 whose leads are distinct and whose other
-    terms are not leads.  A pivot of ``echelon`` is a row's least column,
-    and within one degree the least exponent tuple is the greatest
-    monomial under ``omega_order`` (the argument is in
-    ``hilbert._multisets``).  So the pivots are in(N)_2, and the rows are
-    that basis.
+    terms are not leads.  A pivot of ``echelon`` is a row's least column.
+    The columns are numbered in the order of ``monomials_of_degree``,
+    which lists the quadrics descending under ``omega_order``, so each
+    pivot is its row's greatest monomial: the pivots are in(N)_2, and the
+    rows are that basis.  The monomials themselves as the columns would
+    make each pivot its row's least monomial.
     """
-    return rref(g.terms for g in minor_ideal_U(d))
+    cols = monomials_of_degree(ring_U(d), 2)
+    colindex = {m: c for c, m in enumerate(cols)}
+    reduced = rref({colindex[t]: c for t, c in g.terms.items()} for g in minor_ideal_U(d))
+    return {cols[p]: {cols[j]: v for j, v in row.items()} for p, row in reduced.items()}
 
 
 # -- named generator catalogue ------------------------------------------------
@@ -267,7 +271,7 @@ class CatalogEntry:
     key: str
     params: tuple
     value: Polynomial
-    claimed_leading: tuple  # exponents over ring_W(d)
+    claimed_leading: tuple  # a monomial over ring_W(d)
 
 
 def _no_params(d):

@@ -9,10 +9,11 @@ Degree 3: the T-sets partition the multiples of the degree-2 census by
 their tau-greatest factorization; the G-families are the listed monomials
 not divisible by any degree-2 census element.
 
-A monomial is its exponent tuple over ``ring_W(d)``.  The census orders
-variables by tau, the key (max index, min index) of w_ij, and a factor
-pair (w_ij, w_kl) with w_kl <= w_ij by (tau(w_ij), tau(w_kl))
-lexicographically.  It compares positions in ``ring_W(d)`` instead:
+A monomial is its position multiset over ``ring_W(d)``, so a degree-3
+monomial is the sorted position triple the T sets are built from.  The
+census orders variables by tau, the key (max index, min index) of w_ij,
+and a factor pair (w_ij, w_kl) with w_kl <= w_ij by (tau(w_ij),
+tau(w_kl)) lexicographically.  It compares positions in ``ring_W(d)`` instead:
 that ring lists its variables sorted by tau, and no two variables share
 a key (the key determines the index pair), so tau(a) <= tau(b) exactly
 when pos(a) <= pos(b), and pairs compare as their positions do.
@@ -28,7 +29,7 @@ from math import comb
 from numbers import Rational
 
 from .errors import BadParams, NotInS, OutOfTable
-from .hilbert import _exponents, _positions, hf_closed
+from .hilbert import hf_closed
 from .rings import omega_order, ring_W, wvar
 
 
@@ -91,19 +92,13 @@ def _k2(d):
 
 
 @lru_cache(maxsize=None)
-def _census_pairs(d: int) -> frozenset:
-    """The degree-2 census as position pairs (p, q) with p <= q."""
-    return frozenset(_positions(m) for m in census_degree2(d))
-
-
-@lru_cache(maxsize=None)
 def s_set(d: int, i: int, j: int) -> frozenset:
     """Variables w_kl with w_kl * w_ij in the degree-2 census, w_kl <= w_ij."""
     if not (1 <= i <= j <= d) or (i, j) == (d, d):
         raise BadParams(f"S needs a valid variable pair, got {(i, j)}")
     W = ring_W(d)
     q = W.position(wvar(i, j))
-    pairs = _census_pairs(d)
+    pairs = census_degree2(d)
     return frozenset(W.vars[p] for p in range(q + 1) if (p, q) in pairs)
 
 
@@ -118,13 +113,11 @@ def t_set(d: int, ij: tuple, kl: tuple) -> frozenset:
     if wvar(*kl) not in s_set(d, *ij):
         raise NotInS(f"w{kl} is not in S_{ij} at d={d}")
     W = ring_W(d)
-    triples = _t_triples(d, W.position(wvar(*kl)), W.position(wvar(*ij)))
-    return frozenset(_exponents(W.nvars, t) for t in triples)
+    return _t_triples(d, W.position(wvar(*kl)), W.position(wvar(*ij)))
 
 
 def _t_triples(d: int, p: int, q: int) -> frozenset:
-    """``t_set`` as sorted position triples, for the census pair at
-    positions (p, q), p <= q.
+    """``t_set`` for the census pair at positions (p, q), p <= q.
 
     As positions, factor pairs compare by q, then p; a monomial at
     positions x <= y <= z has the factor pairs (y, z) >= (x, z) >= (x, y),
@@ -135,7 +128,7 @@ def _t_triples(d: int, p: int, q: int) -> frozenset:
     is not in the census; q < r gives (p, q, r), which (p, q) gets when
     neither (q, r) nor (p, r) is.
     """
-    pairs = _census_pairs(d)
+    pairs = census_degree2(d)
     out = [(r, p, q) for r in range(p)]
     out += [(p, r, q) for r in range(p, q + 1) if r == p or (r, q) not in pairs]
     out += [
@@ -149,14 +142,8 @@ def _t_triples(d: int, p: int, q: int) -> frozenset:
 def t_total(d: int) -> frozenset:
     """All degree-3 monomials divisible by a degree-2 census element."""
     n = ring_W(d).nvars
-    return frozenset(_exponents(n, t) for t in _t_total_triples(d))
-
-
-def _t_total_triples(d: int) -> frozenset:
-    """``t_total`` as sorted position triples."""
-    n = ring_W(d).nvars
     return frozenset(
-        tuple(sorted((p, q, r))) for p, q in _census_pairs(d) for r in range(n)
+        tuple(sorted((p, q, r))) for p, q in census_degree2(d) for r in range(n)
     )
 
 
@@ -362,9 +349,7 @@ def verify_census(d: int) -> CensusReport:
                 char_ok = False
     check("S membership characterization", True, char_ok)
 
-    # every T-set as sorted position triples, built once per factor pair
-    # (w_ij, w_kl) with w_kl in S_ij; their sizes, unions and intersections
-    # are those of the exponent tuples, as a degree-3 monomial is its triple
+    # every T-set, built once per factor pair (w_ij, w_kl) with w_kl in S_ij
     tsets = {
         (ij, v.index): _t_triples(d, W.position(v), W.position(wvar(*ij)))
         for ij in nonempty
@@ -402,7 +387,7 @@ def verify_census(d: int) -> CensusReport:
     check("|T| closed form", count_closed(d, "Ttotal"), total)
     union = set().union(*all_t)
     check("T sets disjoint", total, len(union))
-    check("T sets cover the census multiples", True, _t_total_triples(d) == union)
+    check("T sets cover the census multiples", True, t_total(d) == union)
 
     gsets = {fam: enum_census(d, fam).members for fam in ("G1", "G2", "G3", "G4")}
     for fam, members in gsets.items():
@@ -410,7 +395,7 @@ def verify_census(d: int) -> CensusReport:
     gall = set().union(*gsets.values())
     gtotal = sum(len(g) for g in gsets.values())
     check("G sets disjoint", gtotal, len(gall))
-    check("G disjoint from T", set(), {m for m in gall if _positions(m) in union})
+    check("G disjoint from T", set(), gall & union)
     check("Gsum closed form", count_closed(d, "Gsum"), gtotal)
 
     from .candidate import claimed_leads

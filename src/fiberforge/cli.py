@@ -163,7 +163,7 @@ def cmd_hf(args) -> int:
     else:
         gens = _lambda_values(args.d, _PART[args.ideal])
     gens = _maybe_shuffle(args, gens)
-    value = hilbert.hf_exact(gens, args.degree)
+    value = hilbert.hf_exact(gens, args.degree, args.deadline)
     expected = None
     if args.ideal in ("lambda", "oracle") and args.degree in (2, 3):
         expected = hilbert.hf_closed(f"IX{args.degree}", args.d)

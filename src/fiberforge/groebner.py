@@ -19,9 +19,11 @@ Order data is computed once.  The engine keeps these invariants:
   ``OrderSpec.descending_key``: it is the mixed-radix number whose
   digits are (-degree, exponents) per block, most significant first,
   each smaller in size than half the radix, so it compares as that
-  digit tuple, which is ``descending_key``.  ``_reducers`` packs on
-  entry; ``_basis``, ``normal_form`` and ``leading_monomials`` unpack on
-  exit.
+  digit tuple, which is the order of ``OrderSpec.descending_key``.
+  ``_reducers`` packs each position multiset on entry, as the sum of
+  its positions' units (a 1 in the position's field and in its block's
+  degree field); ``_basis``, ``normal_form`` and ``leading_monomials``
+  unpack on exit.
 - Overflow is an error, never a wrap.  ``_Layout.pack`` refuses a block
   degree (hence an exponent) that reaches the guard.  Every other
   monomial the engine creates is a lcm or a sum q + b with q and b
@@ -33,7 +35,7 @@ Order data is computed once.  The engine keeps these invariants:
   fields is a sum of at most twice a guard less 2.  So testing the
   guard bits of each lcm, S-polynomial term and reduction term, as the
   engine does, finds every overflow; it raises ``MonomialOverflow``.
-- Leading exponents.  Every polynomial the engine holds sits in a
+- Leading monomials.  Every polynomial the engine holds sits in a
   reducer ``(support, packed lead, monic packed terms)``.  The lead is
   found once, when the polynomial enters the engine or when reduction
   changes it, and never again: ``buchberger`` and ``_interreduce`` keep
@@ -135,9 +137,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
 from math import comb
-from operator import and_, lshift, rshift
 
 from .errors import (
     BeyondTruncation,
@@ -164,7 +164,7 @@ class _Layout:
 
     __slots__ = (
         "blocks", "shifts", "degree_shifts", "block_masks", "value",
-        "guard_shift", "guards", "degmask",
+        "guard_shift", "guards", "degmask", "units",
     )
 
     def __init__(self, blocks: tuple, nvars: int, width: int):
@@ -184,20 +184,29 @@ class _Layout:
         )
         self.guards = sum((self.value + 1) << s for s in shift.values())
         self.degmask = sum(self.value << s for s in self.degree_shifts)
+        self.units = [0] * nvars  # per position: 1 in its field and its block's degree
+        for blk, s in zip(blocks, self.degree_shifts):
+            for p in blk:
+                self.units[p] = (1 << shift["pos", p]) + (1 << s)
 
-    def pack(self, exps: tuple) -> int:
-        m = sum(map(lshift, exps, self.shifts))
-        for blk, s in zip(self.blocks, self.degree_shifts):
-            deg = sum(map(exps.__getitem__, blk))
-            if deg > self.value:  # a degree in range bounds the block's exponents
-                raise MonomialOverflow(
-                    f"block degree {deg} exceeds the packed field's {self.value}"
-                )
-            m += deg << s
-        return m
+    def pack(self, m: tuple) -> int:
+        """A position multiset, packed.  Its length bounds every block
+        degree, so only a monomial longer than a field's value has its
+        block degrees counted."""
+        if len(m) > self.value:
+            for blk in self.blocks:
+                deg = sum(map(m.count, blk))
+                if deg > self.value:  # a degree in range bounds the block's exponents
+                    raise MonomialOverflow(
+                        f"block degree {deg} exceeds the packed field's {self.value}"
+                    )
+        return sum(map(self.units.__getitem__, m))
 
     def unpack(self, m: int) -> tuple:
-        return tuple(map(and_, map(rshift, repeat(m), self.shifts), repeat(self.value)))
+        value = self.value
+        return tuple(
+            p for p, s in enumerate(self.shifts) for _ in range((m >> s) & value)
+        )
 
     def degree(self, m: int) -> int:
         value = self.value
@@ -342,10 +351,7 @@ class _StandardCount:
     """
 
     def __init__(self, layout: _Layout, weights: tuple, quotient_nvars: int):
-        n = len(weights)
-        self.units = tuple(
-            layout.pack(tuple(int(q == p) for q in range(n))) for p in range(n)
-        )
+        self.units = layout.units  # the pack of each variable
         self.weights = weights
         self.nvars = quotient_nvars
         self.sets = {0: {0: 0}}
@@ -840,12 +846,12 @@ def kernel_of_hom(
     }
     for v in source.vars:
         f = images[v]
-        for exps in f.terms:
-            for u, e in zip(f.ring.vars, exps):
-                if e and u in source.index and u not in fixed:
-                    raise UnfixedSharedVariable(
-                        f"the image of {v!r} uses {u!r}, which the map moves"
-                    )
+        for p in sorted(set().union(*f.terms)):
+            u = f.ring.vars[p]
+            if u in source.index and u not in fixed:
+                raise UnfixedSharedVariable(
+                    f"the image of {v!r} uses {u!r}, which the map moves"
+                )
     eliminated = tuple(v for v in target.vars if v not in source.index)
     joint = Ring(f"{target.name}+{source.name}", eliminated + source.vars, target.d)
     gens = [

@@ -24,73 +24,66 @@ from __future__ import annotations
 
 import functools
 import itertools
+import time
 from fractions import Fraction
 from math import comb, gcd, inf
 
-from .errors import DimensionTooSmall, NotHomogeneous, OutOfTable, RingMismatch
+from .errors import (
+    BudgetExceeded,
+    DimensionTooSmall,
+    NotHomogeneous,
+    OutOfTable,
+    RingMismatch,
+)
 from .rings import Ring, VariableId
 
 
 def monomials_of_degree(ring: Ring, k: int) -> list:
-    """The exponent tuples of all degree-k monomials of the ring,
-    descending under ``omega_order``: the expansions of ``_multisets``,
-    whose docstring argues the order, with no sort."""
-    n = ring.nvars
-    return [_exponents(n, c) for c in _multisets(n, k)]
+    """All degree-k monomials of the ring, descending under
+    ``omega_order``: ``_multisets``."""
+    return _multisets(ring.nvars, k)
 
 
 def _multisets(n: int, k: int) -> list:
-    """The degree-k monomials over n variables as position multisets
-    (sorted position tuples of length k), descending under ``omega_order``.
+    """The degree-k monomials over n variables (position multisets, the
+    sorted position tuples of length k), descending under ``omega_order``.
 
     ``combinations_with_replacement`` yields the multisets in ascending
-    lexicographic order, so this is that list reversed, with no sort.
-    Within one degree ``omega_order`` lists monomials by ascending
-    exponent tuple (``descending_key`` is (-degree, exponents)), and
-    ascending exponent tuples are descending multisets: let e < e' be
-    exponent tuples of degree k, first different at index i, e_i < e'_i.
-    Both hold the same count of every position below i, so their
-    multisets agree up to those and the e_i copies of i that follow; the
-    next entry is a further copy of i in the multiset of e' and a
-    position above i in that of e (its remaining degree sits above i).
-    So the multiset of e' is the smaller one.
+    lexicographic order, so this is that list reversed, with no sort:
+    within one degree ``omega_order`` compares monomials as their
+    multisets compare as tuples (``rings.OrderSpec`` gives the argument).
     """
     out = list(itertools.combinations_with_replacement(range(n), k))
     out.reverse()
     return out
 
 
-def _exponents(n: int, positions) -> tuple:
-    """The exponent tuple, over n variables, of a position multiset."""
-    exps = [0] * n
-    for p in positions:
-        exps[p] += 1
-    return tuple(exps)
-
-
-def _positions(exps: tuple) -> tuple:
-    """The position multiset of an exponent tuple, one entry per unit of
-    exponent."""
-    out: list = []
-    for p in itertools.compress(range(len(exps)), exps):
-        out += [p] * exps[p]
-    return tuple(out)
-
-
-def echelon(rows) -> dict:
+def echelon(rows, deadline=None, ticks=None) -> dict:
     """Row echelon form of sparse rational rows ``{column: value}``; a
-    column may be any totally ordered key (an int, an exponent tuple).
+    column may be any totally ordered key.  A row's pivot is its smallest
+    column, so a caller that reads leading monomials off the pivots
+    numbers its columns in descending monomial order, as the position in
+    ``_multisets``: with monomials themselves as the columns, the pivot
+    would be the least monomial of its row's degree.
 
     Each row is scaled to integers and reduced incrementally against the
-    pivots found so far (``_reduce``), sparsest rows first; a row's pivot
-    is its smallest column.  A row whose entries are all ints skips the
+    pivots found so far (``_reduce``), sparsest rows first.  A row whose
+    entries are all ints skips the
     scaling: its common denominator is 1, so the scaling would give the
     same entries, and only its zeros are dropped.  A row is made primitive
     once, when it is stored.  Returns ``{pivot column: primitive integer
     row}``, whose length is the rank.
+
+    With a ``deadline``, every 64th row polls ``time.monotonic()`` and
+    raises BudgetExceeded once it has passed.  The rows are counted by
+    ``ticks``, an ``itertools.count(1)`` that a caller may share across
+    calls, so that many small eliminations still poll.
     """
     pivots: dict = {}
+    ticks = ticks or itertools.count(1)
     for row in sorted(rows, key=len):
+        if deadline is not None and next(ticks) % 64 == 0 and time.monotonic() > deadline:
+            raise BudgetExceeded("deadline passed during elimination")
         if all(type(v) is int for v in row.values()):
             row = {j: v for j, v in row.items() if v} if 0 in row.values() else dict(row)
         else:
@@ -202,14 +195,15 @@ def _primitive(row: dict) -> dict:
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def hf_exact(gens, k: int) -> int:
+def hf_exact(gens, k: int, deadline=None) -> int:
     """Dimension of the degree-k slice of the ideal generated by ``gens``
     (``hf_values``)."""
-    return hf_values(gens, k).get(k, 0)
+    return hf_values(gens, k, deadline).get(k, 0)
 
 
-def hf_values(gens, k: int) -> dict:
-    """``{j: dim I_j}`` for j = 0..k, I the ideal generated by ``gens``.
+def hf_values(gens, k: int, deadline=None) -> dict:
+    """``{j: dim I_j}`` for j = 0..k, I the ideal generated by ``gens``;
+    every ``echelon`` of the call polls ``deadline`` on one row count.
 
     Degrees below k are the ranks of ``_slices``, the recursion of
     ``echelon_leads``.  Degree k is counted by the blocks of
@@ -223,31 +217,31 @@ def hf_values(gens, k: int) -> dict:
     variable gets class 0: one block, every row.
 
     Degree k's columns are monomials packed into ints in base k + 1
-    (``pack``), so no column list of degree k is built: a shift by x_p
-    adds the pack of x_p.
+    (``pack_weights``), so no column list of degree k is built: a shift by
+    x_p adds the pack of x_p.
     """
     dims = {j: 0 for j in range(k + 1)}
-    ring, by_degree, positions = _by_degree(gens, k)
+    ring, by_degree = _by_degree(gens, k)
     if not by_degree:
         return dims
     n = ring.nvars
     top = max(by_degree)
     gen_classes = pivots = None
     low = 0
-    for j, cols, colindex, pivots in _slices(n, by_degree, positions, k - 1):
+    ticks = itertools.count(1)
+    for j, cols, colindex, pivots in _slices(n, by_degree, k - 1, deadline, ticks):
         dims[j] = len(pivots)
         if j == top:
-            gen_classes, low = _certificate(ring, by_degree, positions, cols, colindex, pivots)
+            gen_classes, low = _certificate(ring, by_degree, cols, colindex, pivots)
     classes = [0] * n if gen_classes is None else parity_classes(ring)
     # degree k: the rows of representative classes only, each block in the
     # order of ``_slices``: the generators, then the greatest variable first.
     # Generators of degree k occur only when top == k, where every class is 0.
-    packs = {t: pack(t, k + 1) for t, m in positions.items() if len(m) == k}
-    gen_rows = _term_rows(by_degree.get(k, ()), packs)
-    weight = [(k + 1) ** (n - 1 - p) for p in range(n)]
+    weight = pack_weights(n, k + 1)
+    gen_rows = _packed_rows(by_degree.get(k, ()), weight)
     by_class: dict = {}  # class -> the pivot rows of degree k - 1, packed
     if pivots:
-        key = [sum(weight[p] for p in m) for m in cols]
+        key = [sum(map(weight.__getitem__, m)) for m in cols]
         for c, row in pivots.items():
             by_class.setdefault(_class(cols[c], classes), []).append(
                 {key[j]: v for j, v in row.items()}
@@ -263,7 +257,7 @@ def hf_values(gens, k: int) -> dict:
                 {m + w: v for m, v in row.items()}
                 for row in by_class.get(beta ^ classes[p], ())
             )
-        dims[k] += size * len(echelon(rows))
+        dims[k] += size * len(echelon(rows, deadline, ticks))
     return dims
 
 
@@ -283,11 +277,11 @@ def power_dim(gens, k: int) -> int:
     When the generators have more than one degree, or the certificate has
     no classes, every generator gets class 0: one block, every product.
 
-    No relabelling of the columns changes a rank, so each monomial is its
-    exponent tuple packed into one int in base k * e + 1 (``pack``), e the
-    top generator degree: every exponent of a product of at most k
-    generators is a digit below the base, so ``_packed_product`` adds the
-    packs of two monomials to multiply them.
+    No relabelling of the columns changes a rank, so each monomial is
+    packed into one int in base k * e + 1 (``pack_weights``), e the top
+    generator degree: every exponent of a product of at most k generators
+    is a digit below the base, so ``_packed_product`` adds the packs of
+    two monomials to multiply them.
 
     ``combinations_with_replacement`` yields the (k-1)-fold prefixes in
     lexicographic order, and a product is its prefix times a last factor
@@ -295,18 +289,18 @@ def power_dim(gens, k: int) -> int:
     once, if some last factor completes it to a representative class, the
     same left-to-right product as multiplying the combination out.
     """
-    ring, by_degree, positions = _by_degree(gens, inf)
+    ring, by_degree = _by_degree(gens, inf)
     if not by_degree:
         return 0
     top = max(by_degree)
     gens = sum(by_degree.values(), [])
     gen_classes, low = None, 0
     if len(by_degree) == 1:
-        [(_, cols, colindex, pivots)] = _slices(ring.nvars, by_degree, positions, top)
-        gen_classes, low = _certificate(ring, by_degree, positions, cols, colindex, pivots)
+        [(_, cols, colindex, pivots)] = _slices(ring.nvars, by_degree, top)
+        gen_classes, low = _certificate(ring, by_degree, cols, colindex, pivots)
     if gen_classes is None:
         gen_classes = [0] * len(gens)
-    packed = _term_rows(gens, {t: pack(t, k * top + 1) for t in positions})
+    packed = _packed_rows(gens, pack_weights(ring.nvars, k * top + 1))
     by_class: dict = {}
     for i, beta in enumerate(gen_classes):
         by_class.setdefault(beta, []).append(i)
@@ -343,57 +337,54 @@ def _packed_product(f: dict, g: dict) -> dict:
     return {m: c for m, c in terms.items() if c}
 
 
-def echelon_leads(gens, k: int) -> dict:
+def echelon_leads(gens, k: int, deadline=None) -> dict:
     """The initial monomials of the ideal generated by ``gens`` under
-    ``omega_order``: ``{j: exponent tuples, descending}`` for j = 0..k.
+    ``omega_order``: ``{j: monomials, descending}`` for j = 0..k; every
+    ``echelon`` of the call polls ``deadline`` on one row count.
 
     The pivots of degree j are in(I)_j, as for any Macaulay matrix with
     columns in descending order (Lazard, EUROCAL 1983).  The columns of
-    ``_slices`` are the position multisets of ``_multisets``, which lists
+    ``_slices`` are numbered in the order of ``_multisets``, which lists
     them descending under ``omega_order`` with no sort, and a row's pivot
     is its smallest column, so each stored row is an element of I_j whose
     leading monomial is its pivot.  The pivots are distinct and there are
-    dim I_j = dim in(I)_j of them, so they are exactly in(I)_j.  Only the
-    pivots are expanded back to exponent tuples.
+    dim I_j = dim in(I)_j of them, so they are exactly in(I)_j.
     """
     leads: dict = {j: [] for j in range(k + 1)}
-    ring, by_degree, positions = _by_degree(gens, k)
+    ring, by_degree = _by_degree(gens, k)
     if by_degree:
-        n = ring.nvars
-        for j, cols, _, pivots in _slices(n, by_degree, positions, k):
-            leads[j] = [_exponents(n, cols[c]) for c in sorted(pivots)]
+        ticks = itertools.count(1)
+        for j, cols, _, pivots in _slices(ring.nvars, by_degree, k, deadline, ticks):
+            leads[j] = [cols[c] for c in sorted(pivots)]
     return leads
 
 
 def _by_degree(gens, k) -> tuple:
-    """The ring, ``{degree: generators}`` of the nonzero generators of
-    degree at most k, and ``{t: _positions(t)}`` over their distinct terms
-    t, after checking that they share one ring and are homogeneous;
-    ``(None, {}, {})`` for none or for k < 0.  Degrees, classes and
-    columns are all read off these multisets."""
+    """The ring and ``{degree: generators}`` of the nonzero generators of
+    degree at most k, after checking that they share one ring and are
+    homogeneous; ``(None, {})`` for none or for k < 0."""
     gens = [g for g in gens if not g.is_zero]
     if not gens or k < 0:
-        return None, {}, {}
+        return None, {}
     ring = gens[0].ring
-    positions = {t: _positions(t) for t in set().union(*(g.terms for g in gens))}
     by_degree: dict = {}
     for g in gens:
         if g.ring is not ring:
             raise RingMismatch(f"generators over {ring.name} and {g.ring.name}")
-        degrees = {len(positions[t]) for t in g.terms}
+        degrees = set(map(len, g.terms))
         if len(degrees) > 1:
             raise NotHomogeneous(f"inhomogeneous generator: {g!r}")
         deg = degrees.pop()
         if deg <= k:
             by_degree.setdefault(deg, []).append(g)
-    return ring, by_degree, positions
+    return ring, by_degree
 
 
-def _slices(n: int, by_degree: dict, positions: dict, k: int):
+def _slices(n: int, by_degree: dict, k: int, deadline=None, ticks=None):
     """Yield ``(j, cols, colindex, pivots)`` for j from the lowest generator
     degree to k: the ``_multisets`` columns of degree j, their numbering,
-    and the ``echelon`` pivot rows of I_j on them.  A generator term's
-    column is its multiset in ``positions`` (``_by_degree``).
+    and the ``echelon`` pivot rows of I_j on them, each ``echelon``
+    polling ``deadline`` on ``ticks``.
 
     For homogeneous generators I_j = R_1 * I_{j-1} + span{g : deg g = j},
     because a multiple m * g with deg m = j - deg g > 0 factors as
@@ -408,8 +399,7 @@ def _slices(n: int, by_degree: dict, positions: dict, k: int):
     for j in range(min(by_degree), k + 1):
         cols = _multisets(n, j)
         colindex = {m: c for c, m in enumerate(cols)}
-        col = {t: colindex[m] for t, m in positions.items() if len(m) == j}
-        rows = _term_rows(by_degree.get(j, ()), col)
+        rows = _term_rows(by_degree.get(j, ()), colindex)
         if pivots:
             # greatest variable (the last position) first: no row order
             # changes the pivot columns, and this one took 3-7% fewer
@@ -418,27 +408,31 @@ def _slices(n: int, by_degree: dict, positions: dict, k: int):
                 rows.extend(
                     {shift[c]: v for c, v in row.items()} for row in pivots.values()
                 )
-        pivots = echelon(rows)
+        pivots = echelon(rows, deadline, ticks)
         del rows  # freed before the caller reads the pivots
         yield j, cols, colindex, pivots
         previndex = colindex
 
 
 def _term_rows(gens, col: dict) -> list:
-    """Each generator's terms as a row ``{col[t]: c}``, ``col`` computed
-    once per distinct exponent tuple t, however many generators share it."""
+    """Each generator's terms as a row ``{col[t]: c}``."""
     return [{col[t]: c for t, c in g.terms.items()} for g in gens]
 
 
-def pack(exps: tuple, base: int) -> int:
-    """An exponent tuple as the digits of one int in ``base``, most
-    significant first.  When every exponent is below the base, distinct
-    tuples pack to distinct ints, the pack of a product is the sum of the
-    packs (no digit carries), and packs ascend as the tuples do."""
-    v = 0
-    for e in exps:
-        v = v * base + e
-    return v
+def _packed_rows(gens, weight: list) -> list:
+    """Each generator's terms as a row keyed by their packs
+    (``pack_weights``)."""
+    get = weight.__getitem__
+    return [{sum(map(get, t)): c for t, c in g.terms.items()} for g in gens]
+
+
+def pack_weights(n: int, base: int) -> list:
+    """The packs of the n variables: a monomial packs into one int, the
+    sum of the packs of its positions, which has its exponents as digits
+    in ``base``, position 0 most significant.  When every exponent is
+    below the base, distinct monomials pack to distinct ints and the pack
+    of a product is the sum of the packs (no digit carries)."""
+    return [base ** (n - 1 - p) for p in range(n)]
 
 
 def parity_classes(ring: Ring) -> list:
@@ -458,11 +452,10 @@ def parity_classes(ring: Ring) -> list:
     return out
 
 
-def _class(positions, classes: list) -> int:
-    """The class of the monomial of a position multiset (a position met
-    twice cancels)."""
+def _class(m: tuple, classes: list) -> int:
+    """The class of a monomial (a position met twice cancels)."""
     c = 0
-    for p in positions:
+    for p in m:
         c ^= classes[p]
     return c
 
@@ -498,14 +491,14 @@ def symmetry_generators(ring: Ring):
     return perms
 
 
-def _certificate(ring: Ring, by_degree: dict, positions: dict, cols, colindex, pivots) -> tuple:
+def _certificate(ring: Ring, by_degree: dict, cols, colindex, pivots) -> tuple:
     """``(classes, low)`` for counting a span built from V by products
     (R_m * V, V^k) by blocks: V is spanned by the generators of
     ``by_degree`` and their multiples, and its ``echelon`` pivot rows on
     the columns ``cols`` (numbered by ``colindex``) are ``pivots``.
 
     A monomial's class in (Z/2)^d is the sum of its variables'
-    (``parity_classes``), read off its multiset in ``positions``.  If each
+    (``parity_classes``).  If each
     generator is parity-homogeneous, ``classes`` lists their classes, in
     the order of ``by_degree``; then such a span is spanned by homogeneous
     elements, so its dimension is the sum of its blocks', one per class.
@@ -522,11 +515,12 @@ def _certificate(ring: Ring, by_degree: dict, positions: dict, cols, colindex, p
     own orbit.
     """
     classes = parity_classes(ring)
-    col = {t: _class(m, classes) for t, m in positions.items()}
-    rows = _term_rows(sum(by_degree.values(), []), col)
-    if any(len(row) != 1 for row in rows):
-        return None, 0
-    gen_classes = [c for row in rows for c in row]
+    gen_classes = []
+    for g in sum(by_degree.values(), []):
+        found = {_class(t, classes) for t in g.terms}
+        if len(found) != 1:
+            return None, 0
+        gen_classes += found
     perms = symmetry_generators(ring)
     if perms is None:
         return gen_classes, 0

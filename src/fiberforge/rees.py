@@ -124,10 +124,7 @@ def integrality_witness(d: int) -> IntegralityWitness:
     phi = hom_catalog(d).phi_W
     W, R, U = ring_W(d), ring_R(d), ring_U(d)
     wmons = monomials_of_degree(W, 2)
-    images = []
-    for m in wmons:
-        support = [p for p, e in enumerate(m) if e]  # one position for a square
-        images.append(phi[W.vars[support[0]]] * phi[W.vars[support[-1]]])
+    images = [phi[W.vars[p]] * phi[W.vars[q]] for p, q in wmons]
     rhs = len(wmons)
     images.append(Polynomial(R, {R.monomial_of(*[xvar(d)] * 4): 1}))
     vec = relations(images, (rhs,)).get(rhs)

@@ -2,12 +2,19 @@
 
 Variables come in four flavours: ambient ``x_i``, fiber ``w_ij`` (symmetric
 pair indices, no ``w_dd``), Veronese ``u_ij`` (symmetric, ``u_dd`` present)
-and a single Rees variable ``t``.  A monomial is a plain exponent tuple
-over a ring the caller knows, printed by ``format_monomial``; the graded
-reverse lexicographic order used throughout sorts pair variables
+and a single Rees variable ``t``.  A monomial is its position multiset
+over a ring the caller knows: the positions of its variables in the
+ring's sequence, one entry per unit of exponent, ascending, so x_3^2 x_17
+is ``(3, 3, 17)`` and 1 is ``()``.  Its degree is its length, a product
+is the sorted concatenation, and ``format_monomial`` prints it.  The
+graded reverse lexicographic order used throughout sorts pair variables
 ascending by (max index, min index):
 
     w_11 < w_12 < w_22 < w_13 < w_23 < w_33 < w_14 < ...
+
+Within one degree that order lists monomials exactly as their multisets
+compare as tuples: the greater monomial has the greater multiset
+(``OrderSpec`` gives the argument).
 
 Coefficients are exact rationals: an ``int``, or a ``Fraction`` where the
 value is not integral.  ``Ring.variable`` and ``Ring.one`` store the int 1
@@ -38,10 +45,10 @@ sound:
   ``Polynomial`` is immutable by convention, and ``apply_hom`` only
   reads the term dicts it stores;
 - an entry is keyed by the source ring itself, compared by identity, and
-  the exponent tuple, which names a monomial only over its ring: a
-  polynomial over another ring with as many variables, whose tuple means
-  other variables, never reads it, and the entry keeps its ring alive,
-  so no other ring takes that identity;
+  the position multiset, which names a monomial only over its ring: a
+  polynomial over another ring, whose positions mean other variables,
+  never reads it, and the entry keeps its ring alive, so no other ring
+  takes that identity;
 - the memo lives and dies with its map: it is an attribute of the map,
   and no table outside the map refers to it.
 
@@ -56,8 +63,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from operator import add, itemgetter
+from operator import neg
 
 from .errors import (
     BadIndex,
@@ -182,23 +188,18 @@ class Ring:
         return self._pairs
 
     def variable(self, v: VariableId) -> "Polynomial":
-        p = self.position(v)
-        exps = [0] * self.nvars
-        exps[p] = 1
-        return Polynomial(self, {tuple(exps): 1})
+        return Polynomial(self, {(self.position(v),): 1})
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: 1})
+        return Polynomial(self, {(): 1})
 
     def monomial_of(self, *variables) -> tuple:
-        """The exponent tuple of a product of VariableIds (with multiplicity)."""
-        exps = [0] * self.nvars
-        for v in variables:
-            exps[self.position(v)] += 1
-        return tuple(exps)
+        """The position multiset of a product of VariableIds (with
+        multiplicity)."""
+        return tuple(sorted(map(self.position, variables)))
 
     def __repr__(self):
         return f"Ring({self.name}, {self.nvars} vars)"
@@ -252,16 +253,29 @@ def ring_Rees(d: int) -> Ring:
 class OrderSpec:
     """A monomial order: omega-grevlex or a block elimination order.
 
-    ``blocks`` lists variable positions per block; earlier blocks are
-    eliminated first (compare greater).  Inside each block the comparison
-    is graded reverse lexicographic over the ring's ascending sequence.
+    ``blocks`` lists variable positions per block, each ascending; earlier
+    blocks are eliminated first (compare greater).  Inside each block the
+    comparison is graded reverse lexicographic over the ring's ascending
+    sequence.  ``parts(m)`` splits a monomial into its block parts, the
+    sub-multisets of the positions of each block, built once per order.
 
-    ``descending_key(exps)`` is a cheaper key that lists monomials from
-    greatest to least: ``descending_key(a) < descending_key(b)`` exactly
-    when ``key(a) > key(b)``.  Per block, ``key`` compares (degree, negated
-    exponents); ``descending_key`` compares (-degree, exponents), which is
-    the reverse order and needs no negated copy of the tuple.  It is built
-    once per order, with a slice for each block of consecutive positions.
+    Per block, ``key`` compares (degree, part).  Graded reverse
+    lexicographic compares (degree, negated exponents), and within one
+    degree the part compares the other way round from the exponent
+    tuple: let e < e' be exponent tuples of one degree, first different
+    at position i, e_i < e'_i.  Both hold as many copies of each position
+    below i, so their multisets agree up to those and the e_i copies of
+    i that follow; the next entry is a further copy of i in the multiset
+    of e', and in that of e a position above i (its remaining degree sits
+    above i).  So the multiset of e' is the smaller: ascending parts are
+    descending exponent tuples, which is ascending negated exponents.
+    A part lists raw positions, not indices inside its block, which
+    changes no comparison, as a block's positions ascend.
+
+    ``descending_key(m)`` lists monomials from greatest to least:
+    ``descending_key(a) < descending_key(b)`` exactly when
+    ``key(a) > key(b)``.  Per block it compares (-degree, negated part),
+    the reverse order of (degree, part).
 
     ``weights`` is set only on the order of an elimination
     (``groebner.eliminate``): one positive integer per position, the
@@ -280,47 +294,55 @@ class OrderSpec:
 
     ring: Ring
     blocks: tuple
+    parts: object = field(init=False, repr=False, compare=False)
     descending_key: object = field(init=False, repr=False, compare=False)
     weights: tuple | None = field(default=None, repr=False, compare=False)
     quotient_nvars: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "descending_key", _descending_key(self.blocks, self.ring.nvars)
-        )
+        if self.blocks == (tuple(range(self.ring.nvars)),):
+            parts = _whole
+            descending = _descending_whole
+        else:
+            parts = _block_parts(self.blocks, self.ring.nvars)
 
-    def key(self, exps: tuple):
-        return tuple(
-            (
-                sum(exps[p] for p in blk),
-                tuple(-exps[p] for p in blk),
-            )
-            for blk in self.blocks
-        )
+            def descending(m):
+                out = []
+                for part in parts(m):
+                    out += (-len(part), tuple(map(neg, part)))
+                return tuple(out)
 
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "descending_key", descending)
 
-def _block_view(blk: tuple):
-    """A getter for one block's exponents, as a tuple in position order."""
-    start = blk[0] if blk else 0
-    if blk == tuple(range(start, start + len(blk))):
-        return itemgetter(slice(start, start + len(blk)))
-    return itemgetter(*blk)  # two or more scattered positions: a tuple
+    def key(self, m: tuple):
+        return tuple((len(part), part) for part in self.parts(m))
 
 
-def _descending_key(blocks: tuple, nvars: int):
-    """Build ``OrderSpec.descending_key`` for the given blocks."""
-    if blocks == (tuple(range(nvars)),):
-        return lambda exps: (-sum(exps), exps)
-    views = [_block_view(blk) for blk in blocks]
+def _whole(m: tuple) -> tuple:
+    return (m,)
 
-    def blockwise(exps):
-        out = []
-        for view in views:
-            part = view(exps)
-            out += (-sum(part), part)
-        return tuple(out)
 
-    return blockwise
+def _descending_whole(m: tuple) -> tuple:
+    return (-len(m), tuple(map(neg, m)))
+
+
+def _block_parts(blocks: tuple, nvars: int):
+    """Build ``OrderSpec.parts`` for the given blocks: a monomial's
+    positions dealt to their blocks, each part ascending as the monomial
+    is."""
+    owner = [0] * nvars
+    for b, blk in enumerate(blocks):
+        for p in blk:
+            owner[p] = b
+
+    def parts(m: tuple) -> list:
+        out = [[] for _ in blocks]
+        for p in m:
+            out[owner[p]].append(p)
+        return [tuple(part) for part in out]
+
+    return parts
 
 
 @lru_cache(maxsize=None)
@@ -347,7 +369,7 @@ def elimination_order(
 
 
 class Polynomial:
-    """A sparse polynomial: ring plus {exponent tuple: coefficient} terms.
+    """A sparse polynomial: ring plus {position multiset: coefficient} terms.
 
     A coefficient is an ``int``, or a ``Fraction`` where it is not
     integral (the module docstring gives the argument that the two mix
@@ -370,11 +392,10 @@ class Polynomial:
     def degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(len, self.terms))
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(map(len, self.terms))) <= 1
 
     # -- arithmetic -------------------------------------------------------
 
@@ -432,10 +453,10 @@ class Polynomial:
     # -- order-aware views -------------------------------------------------
 
     def sorted_terms(self):
-        """Terms as (coefficient, exponent tuple), descending by
+        """Terms as (coefficient, monomial), descending by
         ``omega_order(self.ring)``."""
-        exps = sorted(self.terms, key=omega_order(self.ring).descending_key)
-        return [(self.terms[m], m) for m in exps]
+        monomials = sorted(self.terms, key=omega_order(self.ring).descending_key)
+        return [(self.terms[m], m) for m in monomials]
 
     def leading(self, order: OrderSpec | None = None):
         if not self.terms:
@@ -449,12 +470,13 @@ class Polynomial:
 
 
 def _product(t1: dict, t2: dict) -> dict:
-    """The terms of the product of two term dicts, zeros dropped."""
+    """The terms of the product of two term dicts, zeros dropped; a
+    monomial product is the sorted concatenation of the multisets."""
     terms: dict = {}
     get = terms.get
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
-            m = tuple(map(add, m1, m2))
+            m = tuple(sorted(m1 + m2))
             terms[m] = get(m, 0) + c1 * c2
     return {m: c for m, c in terms.items() if c}
 
@@ -494,7 +516,8 @@ def apply_hom(f: Polynomial, hom, target: Ring) -> Polynomial:
 
     All products go into one accumulator dict.  The image of a monomial
     not yet in the memo is the product of the image powers v^e of its
-    variables, each computed once per call as ((v*v)*v)...; a source
+    distinct variables, e the count of v's position in the multiset,
+    each computed once per call as ((v*v)*v)...; a source
     term c*m adds c times the image of m, and zero coefficients are
     dropped once, at the end, so terms that cancel across source terms
     leave nothing behind.
@@ -524,42 +547,35 @@ def apply_hom(f: Polynomial, hom, target: Ring) -> Polynomial:
             powers[(pos, e)] = got
         return got
 
-    one = {(0,) * target.nvars: 1}
+    one = {(): 1}
     acc: dict = {}
     get = acc.get
-    for exps, c in f.terms.items():
-        term = memo.get((ring, exps))
+    for m, c in f.terms.items():
+        term = memo.get((ring, m))
         if term is None:
             term = one
-            for pos, e in enumerate(exps):
-                if e:
-                    p = power(pos, e)
-                    term = p if term is one else _product(term, p)
-            memo[(ring, exps)] = term
+            for pos in dict.fromkeys(m):
+                p = power(pos, m.count(pos))
+                term = p if term is one else _product(term, p)
+            memo[(ring, m)] = term
         for m, v in term.items():
             acc[m] = get(m, 0) + c * v
     return Polynomial(target, {m: v for m, v in acc.items() if v})
 
 
 def transport(f: Polynomial, target: Ring) -> Polynomial:
-    """Re-express f in a ring containing all variables it actually uses,
-    reading the target's own ``index`` at the nonzero exponents only."""
-    index = target.index
+    """Re-express f in a ring containing all variables it actually uses:
+    each position it uses is looked up once in the target's own
+    ``index``, and each remapped multiset is sorted, as the target may
+    list the variables in another order."""
     rvars = f.ring.vars
-    slots = range(len(rvars))
-    n = target.nvars
-    terms = {}
-    for exps, c in f.terms.items():
-        t = [0] * n
-        for p in compress(slots, exps):
-            q = index.get(rvars[p])
-            if q is None:
-                raise UnknownVariable(
-                    f"polynomial uses a variable not in ring {target.name}"
-                )
-            t[q] = exps[p]
-        terms[tuple(t)] = c
-    return Polynomial(target, terms)
+    where = {p: target.index.get(rvars[p]) for p in set().union(*f.terms)}
+    if None in where.values():
+        raise UnknownVariable(f"polynomial uses a variable not in ring {target.name}")
+    get = where.__getitem__
+    return Polynomial(
+        target, {tuple(sorted(map(get, m))): c for m, c in f.terms.items()}
+    )
 
 
 # -- serialization ---------------------------------------------------------
@@ -571,14 +587,13 @@ def _exp_key(v: VariableId) -> str:
     return ",".join(str(i) for i in v.index)
 
 
-def format_monomial(ring: Ring, exps: tuple) -> str:
-    """Text form of a monomial over ``ring``: `w[i,j]^e*...`, or "1"."""
+def format_monomial(ring: Ring, m: tuple) -> str:
+    """Text form of a monomial over ``ring``: `w[i,j]^e*...` in position
+    order, or "1"."""
     factors = []
-    for v, e in zip(ring.vars, exps):
-        if e == 1:
-            factors.append(repr(v))
-        elif e > 1:
-            factors.append(f"{v!r}^{e}")
+    for p in dict.fromkeys(m):
+        e = m.count(p)
+        factors.append(repr(ring.vars[p]) if e == 1 else f"{ring.vars[p]!r}^{e}")
     return "*".join(factors) or "1"
 
 
@@ -591,7 +606,7 @@ def format_poly(f: Polynomial) -> str:
         text = format_monomial(f.ring, m)
         a = abs(c)
         if a != 1:
-            text = f"{a}*{text}" if any(m) else str(a)
+            text = f"{a}*{text}" if m else str(a)
         parts.append(("+" if c > 0 else "-") + text)
     return "".join(parts)
 
@@ -600,8 +615,6 @@ def poly_to_json(f: Polynomial) -> dict:
     """JSON form with deterministic (descending) term ordering."""
     terms = []
     for c, m in f.sorted_terms():
-        exp = {
-            _exp_key(v): e for v, e in zip(f.ring.vars, m) if e
-        }
+        exp = {_exp_key(f.ring.vars[p]): m.count(p) for p in dict.fromkeys(m)}
         terms.append({"coeff": str(c), "exp": exp})
     return {"ring": f.ring.name, "terms": terms}

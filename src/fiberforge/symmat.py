@@ -75,16 +75,12 @@ def minor2(mat: SymMatrix, rows: tuple, cols: tuple) -> Minor2:
         if not (1 <= i <= mat.d):
             raise BadIndex(f"index {i} outside 1..{mat.d}")
     pos = mat.ring.pair_positions()
-    n = mat.ring.nvars
     terms = {}
     for c, e1, e2 in ((1, (a1, b1), (a2, b2)), (-1, (a1, b2), (a2, b1))):
         p, q = pos.get(e1), pos.get(e2)
         if p is None or q is None:
             continue  # a factor is the missing W corner
-        exps = [0] * n
-        exps[p] += 1
-        exps[q] += 1
-        terms[tuple(exps)] = c
+        terms[(p, q) if p <= q else (q, p)] = c
     value = Polynomial(mat.ring, terms)
     a_class = len({a1, a2} & {b1, b2})
     return Minor2((a1, a2), (b1, b2), a_class, value)

@@ -150,6 +150,18 @@ class TestHomomorphisms:
         assert all(rows[m][m] == 1 and Polynomial(order.ring, rows[m]).leading() == (1, m)
                    for m in rows)
 
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_each_pivot_is_its_rows_leading_term(self, d):
+        # a pivot is a row's least column, and the least multiset of a
+        # degree is its least monomial: the columns must be numbered
+        # greatest monomial first for the pivots to be the leads
+        rows = minor_ideal_U_basis(d)
+        U = ring_U(d)
+        # N_2: the quadrics of U less the quartics of the Veronese image
+        assert len(rows) == comb(U.nvars + 1, 2) - comb(d + 3, 4)
+        for m, row in rows.items():
+            assert Polynomial(U, row).leading() == (1, m)
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([4, 5]), st.data())
     def test_criterion_c_agrees_with_the_full_basis(self, d, data):
@@ -236,7 +248,7 @@ class TestCatalogue:
     def test_claimed_leads_homogeneous(self):
         for entry in catalogue_entries(5):
             assert entry.value.is_homogeneous()
-            assert sum(entry.claimed_leading) == entry.value.degree()
+            assert len(entry.claimed_leading) == entry.value.degree()
 
 
 class TestErrata:

@@ -107,7 +107,7 @@ class TestTSets:
         census = census_degree2(d)
         want = {}
         for m in t_total(d):
-            factors = [v for v, e in zip(W.vars, m) for _ in range(e)]
+            factors = [W.vars[p] for p in m]
             best = max(
                 (_tau(hi), _tau(lo), hi.index, lo.index)
                 for hi, lo in (
@@ -248,7 +248,7 @@ class TestClaimedLeads:
 def _sorted_next_triples(d, p, q):
     """The T set of the census pair (p, q) as positions, by sorting each
     triple and taking the first of its factor pairs in the census."""
-    pairs = census._census_pairs(d)
+    pairs = census_degree2(d)
     out = set()
     for r in range(ring_W(d).nvars):
         x, y, z = sorted((r, p, q))
@@ -260,7 +260,7 @@ def _sorted_next_triples(d, p, q):
 class TestTriplesByCase:
     @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
     def test_cases_match_the_sorted_definition(self, d):
-        pairs = census._census_pairs(d)
+        pairs = census_degree2(d)
         assert pairs
         for p, q in pairs:
             assert census._t_triples(d, p, q) == _sorted_next_triples(d, p, q)
@@ -277,7 +277,7 @@ class TestKSetsOnce:
                 return enum(d)
 
             monkeypatch.setitem(census.FAMILIES, fam, replace(row, enum=spy))
-        cached = (census._k_sets, census.census_degree2, census._census_pairs, census.s_set)
+        cached = (census._k_sets, census.census_degree2, census.s_set)
         for fn in cached:
             fn.cache_clear()
         try:

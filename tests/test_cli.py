@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fiberforge import candidate, cli, groebner, rees
+from fiberforge import candidate, cli, groebner, hilbert, rees
 from fiberforge.errors import BudgetExceeded
 from fiberforge.rings import poly_to_json, ring_W, wvar
 
@@ -105,6 +105,11 @@ class TestExitCodes:
                 "--time-budget-seconds", "0.001")
         assert r.returncode == 3
 
+    def test_budget_stops_the_hf_rank(self):
+        r = run("hf", "--d", "10", "--degree", "3", "--time-budget-seconds", "0.001")
+        assert r.returncode == 3
+        assert r.stdout == "" and r.stderr == "budget exceeded on a required computation\n"
+
     def test_budget_skips_optional_check(self):
         r = run("oracle", "--d", "6", "--which", "fiber",
                 "--time-budget-seconds", "0.01")
@@ -135,8 +140,13 @@ class TestOneDeadline:
             ),
             (
                 ("hf", "--d", "4", "--degree", "2", "--ideal", "oracle"),
-                ["kernel_of_hom"],
-                1,  # the empty kernel misses the closed form
+                ["kernel_of_hom", "hf_exact"],
+                1,  # the spied rank misses the closed form
+            ),
+            (
+                ("hf", "--d", "4", "--degree", "3"),
+                ["hf_exact"],
+                1,
             ),
         ],
     )
@@ -160,6 +170,7 @@ class TestOneDeadline:
         spy(groebner, "kernel_of_hom", SimpleNamespace(elements=()))
         spy(rees, "rees_kernel_oracle", [])
         spy(groebner, "ideal_equal", None)
+        spy(hilbert, "hf_exact", 0)
         start = time.monotonic()
         assert cli.main([*argv, "--time-budget-seconds", "100"]) == code
         end = time.monotonic()
@@ -428,9 +439,10 @@ class TestRees:
         (8, "95ce149ec962afc9"),
     ])
     def test_catalogue_contents_pinned(self, d, digest):
+        nvars = ring_W(d).nvars  # the claimed lead hashed as its exponents
         lines = sorted(
             json.dumps([e.key, list(e.params), poly_to_json(e.value),
-                        list(e.claimed_leading)])
+                        [e.claimed_leading.count(p) for p in range(nvars)]])
             for e in candidate.catalogue_entries(d)
         )
         text = "\n".join(lines)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import count, product
@@ -21,6 +22,7 @@ from fiberforge.errors import (
     NotHomogeneous,
     RingMismatch,
     UnfixedSharedVariable,
+    UnknownVariable,
 )
 from fiberforge.groebner import (
     GroebnerBasis,
@@ -40,6 +42,7 @@ from fiberforge.rings import (
     omega_order,
     poly_to_json,
     ring_R,
+    ring_Rees,
     ring_S,
     ring_W,
     transport,
@@ -50,6 +53,17 @@ from fiberforge.rings import (
 
 W4 = ring_W(4)
 OMEGA4 = omega_order(W4)
+
+
+def _monomial(exps):
+    """The position multiset of an exponent tuple: the test-side
+    reference for the package's monomials."""
+    return tuple(p for p, e in enumerate(exps) for _ in range(e))
+
+
+def _exps(m, n):
+    """The exponent tuple, over n variables, of a position multiset."""
+    return tuple(map(m.count, range(n)))
 
 
 def _wpoly(*terms):
@@ -302,10 +316,7 @@ class TestBasisProperties:
         gens = [rec.value for rec in generators_lambda(4, "all")]
         combo = W4.zero()
         for index, positions, coeff in terms:
-            exps = [0] * W4.nvars
-            for p in positions:
-                exps[p] += 1
-            multiplier = Polynomial(W4, {tuple(exps): Fraction(coeff)})
+            multiplier = Polynomial(W4, {tuple(sorted(positions)): Fraction(coeff)})
             combo = combo + multiplier * gens[index]
         assert normal_form(combo, _lambda_basis(4)).is_zero
 
@@ -331,28 +342,21 @@ R4 = ring_R(4)
 _R4_ORDERS = [omega_order(R4), elimination_order(R4, frozenset({xvar(1)}))]
 
 
-def _exponents(positions):
-    exps = [0] * R4.nvars
-    for p in positions:
-        exps[p] += 1
-    return tuple(exps)
-
-
 def _r4_term(degree):
-    """A term over x1..x3 of R4: (exponents, nonzero integer coefficient),
+    """A term over x1..x3 of R4: (monomial, nonzero integer coefficient),
     its degree drawn from ``degree``."""
     return st.tuples(
         degree.flatmap(
             lambda k: st.lists(st.integers(0, 2), min_size=k, max_size=k)
-        ).map(_exponents),
+        ).map(lambda positions: tuple(sorted(positions))),
         st.integers(-3, 3).filter(bool),
     )
 
 
 def _r4_poly(terms):
     f = R4.zero()
-    for exps, c in terms:
-        f = f + Polynomial(R4, {exps: Fraction(c)})
+    for m, c in terms:
+        f = f + Polynomial(R4, {m: Fraction(c)})
     return f
 
 
@@ -376,10 +380,10 @@ def _s_polynomial(f, g, order):
     """S(f, g) and the degree of the lcm of their leading terms."""
     cf, mf = f.leading(order)
     cg, mg = g.leading(order)
-    lcm = tuple(map(max, mf, mg))
-    qf = Polynomial(f.ring, {tuple(a - b for a, b in zip(lcm, mf)): 1 / cf})
-    qg = Polynomial(g.ring, {tuple(a - b for a, b in zip(lcm, mg)): 1 / cg})
-    return qf * f - qg * g, sum(lcm)
+    lcm = Counter(mf) | Counter(mg)
+    qf = Polynomial(f.ring, {tuple(sorted((lcm - Counter(mf)).elements())): 1 / cf})
+    qg = Polynomial(g.ring, {tuple(sorted((lcm - Counter(mg)).elements())): 1 / cg})
+    return qf * f - qg * g, lcm.total()
 
 
 def _assert_certified(gens, gb, max_degree=None):
@@ -487,6 +491,24 @@ class TestPerCallRings:
         assert _outside_sizes() == before
 
 
+class TestTransport:
+    def test_into_a_reordered_ring_sorts_each_monomial(self):
+        # the joint ring of the Rees oracle lists the eliminated t first, so
+        # t moves from the last position to the first
+        T = ring_Rees(4)
+        joint = Ring("joint", (tvar(),) + ring_S(4).vars, 4)
+        for g in rees_ideal(4)[:20]:
+            f = (T.variable(tvar()) + T.one()) * transport(g, T)
+            moved = transport(f, joint)
+            assert all(list(m) == sorted(m) for m in moved.terms)
+            assert any(m and m[0] == 0 for m in moved.terms)
+            assert transport(moved, T) == f
+
+    def test_missing_variable_raises(self):
+        with pytest.raises(UnknownVariable):
+            transport(ring_Rees(4).variable(tvar()), ring_S(4))
+
+
 class TestElimination:
     def test_elimination_order_blocks(self):
         order = elimination_order(W4, frozenset({wvar(1, 1)}))
@@ -502,18 +524,12 @@ class TestElimination:
             gens.append(transport(joint.variable(v), joint) - transport(img, joint))
         kept = eliminate(gens, joint, frozenset(target.vars))
         assert len(kept) == 1
-        used = {
-            v
-            for f in kept
-            for m in (f.terms or {})
-            for v, e in zip(joint.vars, m)
-            if e
-        }
+        used = {joint.vars[p] for f in kept for m in f.terms for p in m}
         assert used <= set(source.vars)
 
 
 def _free_of(f, positions):
-    return not any(e[p] for e in f.terms for p in positions)
+    return not any(p in positions for m in f.terms for p in m)
 
 
 _X2 = Ring("X2", (xvar(1), xvar(2)), 2)
@@ -523,7 +539,7 @@ _W3 = Ring("W3", tuple(VariableId(VarKind.W, ij) for ij in ((1, 1), (1, 2), (2, 
 # three of them are algebraically dependent, so the kernel is not zero
 _x2_form = st.integers(1, 3).flatmap(
     lambda k: st.dictionaries(
-        st.integers(0, k).map(lambda a: (a, k - a)),
+        st.integers(0, k).map(lambda a: (0,) * a + (1,) * (k - a)),
         st.integers(-2, 2).filter(bool),
         min_size=1,
         max_size=3,
@@ -728,9 +744,9 @@ _PACKING_ORDERS = [
     elimination_order(W4, frozenset(W4.vars[:3])),
     elimination_order(W4, frozenset(W4.vars[p] for p in (0, 4, 5, 8))),
 ]
-_w4_exponents = st.lists(
+_w4_monomials = st.lists(
     st.integers(0, 3), min_size=W4.nvars, max_size=W4.nvars
-).map(tuple)
+).map(_monomial)
 
 
 class TestPacking:
@@ -739,24 +755,23 @@ class TestPacking:
     ``OrderSpec.descending_key``."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(_PACKING_ORDERS), _w4_exponents, _w4_exponents)
+    @given(st.sampled_from(_PACKING_ORDERS), _w4_monomials, _w4_monomials)
     def test_pack_is_faithful(self, order, a, b):
         layout = groebner._layout(order)
         pa, pb = layout.pack(a), layout.pack(b)
         assert layout.unpack(pa) == a
-        assert pa + pb == layout.pack(tuple(map(sum, zip(a, b))))
-        assert layout.degree(pa) == sum(a)
+        assert pa + pb == layout.pack(tuple(sorted(a + b)))
+        assert layout.degree(pa) == len(a)
+        ea, eb = _exps(a, W4.nvars), _exps(b, W4.nvars)
         G = layout.guards
-        assert (((pb | G) - pa) & G == G) == all(x <= y for x, y in zip(a, b))
+        assert (((pb | G) - pa) & G == G) == all(x <= y for x, y in zip(ea, eb))
         lcm = groebner._lcm(pa, pb, layout)
-        assert layout.unpack(lcm) == tuple(map(max, a, b))
-        assert lcm == layout.pack(tuple(map(max, a, b)))
-        assert (not layout.support(pa) & layout.support(pb)) == (
-            not any(x and y for x, y in zip(a, b))
-        )
+        assert layout.unpack(lcm) == _monomial(map(max, ea, eb))
+        assert lcm == layout.pack(_monomial(map(max, ea, eb)))
+        assert (not layout.support(pa) & layout.support(pb)) == (not set(a) & set(b))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from(_PACKING_ORDERS), st.lists(_w4_exponents, max_size=12))
+    @given(st.sampled_from(_PACKING_ORDERS), st.lists(_w4_monomials, max_size=12))
     def test_packed_key_sorts_as_descending_key(self, order, monomials):
         layout = groebner._layout(order)
         packed = sorted((layout.pack(m) for m in monomials), key=layout.key)
@@ -812,6 +827,20 @@ class TestOverflow:
         with pytest.raises(MonomialOverflow) as info:
             buchberger([f, g], order)
         assert info.traceback[-1].name == "buchberger"
+
+    def test_block_degree_at_the_guard(self):
+        # 16-bit fields: a block degree of 2^15 reaches the guard; two blocks
+        # below it fit, though the monomial is longer than one field's value
+        value = (1 << (groebner._FIELD_BITS - 1)) - 1
+        layout = groebner._layout(omega_order(W4))
+        assert layout.unpack(layout.pack((0,) * value)) == (0,) * value
+        with pytest.raises(MonomialOverflow):
+            layout.pack((0,) * value + (3,))
+        two = groebner._layout(elimination_order(W4, frozenset(W4.vars[:1])))
+        m = (0,) * value + (4,) * value
+        assert two.unpack(two.pack(m)) == m
+        with pytest.raises(MonomialOverflow):
+            two.pack(m + (5,))
 
     def test_cli_exits_2(self, narrow, capsys):
         assert cli.main(["oracle", "--d", "4", "--which", "fiber"]) == 2
@@ -894,7 +923,7 @@ def _small_maps(draw):
         k = draw(st.integers(1, 5 - len(xs)))
         monomial = st.lists(
             st.integers(0, len(xs) - 1), min_size=k, max_size=k
-        ).map(lambda idx: tuple(map(idx.count, range(len(xs)))))
+        ).map(lambda idx: tuple(sorted(idx)))
         terms = draw(
             st.dictionaries(
                 monomial, st.integers(-2, 2).filter(bool), min_size=1, max_size=3
@@ -980,11 +1009,11 @@ class TestHilbertSkip:
         layout = groebner._layout(order)
         standard = groebner._StandardCount(layout, order.weights, 3)
         top = 6
-        packed = set(map(layout.pack, leads))
+        packed = {layout.pack(_monomial(a)) for a in leads}
         assert standard.begin(top, comb(top + 2, 2), packed, None, None)
         for e in range(top + 1):
             want = {
-                layout.pack(m)
+                layout.pack(_monomial(m))
                 for m in product(range(top + 1), repeat=3)
                 if sum(map(mul, m, weights)) == e
                 and not any(all(map(int.__le__, a, m)) for a in leads)

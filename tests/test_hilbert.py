@@ -4,14 +4,20 @@ import itertools
 import pytest
 from fractions import Fraction
 import random
+import time
 from math import comb
-from operator import add
 
 from hypothesis import given, settings, strategies as st
 
 from fiberforge.candidate import generators_lambda
 from fiberforge.census import census_degree2
-from fiberforge.errors import DimensionTooSmall, NotHomogeneous, OutOfTable, RingMismatch
+from fiberforge.errors import (
+    BudgetExceeded,
+    DimensionTooSmall,
+    NotHomogeneous,
+    OutOfTable,
+    RingMismatch,
+)
 from fiberforge.groebner import buchberger
 from fiberforge import hilbert
 from fiberforge.hilbert import (
@@ -57,9 +63,9 @@ def _groebner_leads(gens, k):
     ring = gens[0].ring
     out = set()
     for lt in buchberger(gens, omega_order(ring), max_degree=k).leading_monomials():
-        if sum(lt) <= k:
+        if len(lt) <= k:
             out.update(
-                tuple(map(add, lt, m)) for m in monomials_of_degree(ring, k - sum(lt))
+                tuple(sorted(lt + m)) for m in monomials_of_degree(ring, k - len(lt))
             )
     return out
 
@@ -81,15 +87,14 @@ class TestMonomialEnumeration:
         "ring", [W4, ring_R(5), ring_U(4), ring_S(4)], ids=lambda r: r.name
     )
     def test_reversed_multisets_are_the_descending_sort(self, ring):
-        # every degree-k exponent tuple, built by counting and then sorted
+        # every degree-k monomial, sorted by ascending exponent tuple: within
+        # one degree, graded reverse lexicographic from the greatest down
         n = ring.nvars
         for k in range(5):
-            every = [
-                tuple(combo.count(p) for p in range(n))
-                for combo in itertools.combinations_with_replacement(range(n), k)
-            ]
-            want = sorted(every, key=omega_order(ring).descending_key)
+            every = list(itertools.combinations_with_replacement(range(n), k))
+            want = sorted(every, key=lambda m: tuple(map(m.count, range(n))))
             assert monomials_of_degree(ring, k) == want
+            assert want == sorted(every, key=omega_order(ring).descending_key)
 
 
 class TestExactValues:
@@ -161,10 +166,7 @@ def _rank_from_all_multiples(gens, k):
         if g.is_zero or g.degree() > k:
             continue
         for m in monomials_of_degree(R4, k - g.degree()):
-            rows.append({
-                cols[tuple(a + b for a, b in zip(m, t))]: c
-                for t, c in g.terms.items()
-            })
+            rows.append({cols[tuple(sorted(m + t))]: c for t, c in g.terms.items()})
     return len(echelon(rows))
 
 
@@ -229,6 +231,30 @@ class TestDegreeByDegree:
             shuffled = list(gens)
             random.Random(seed).shuffle(shuffled)
             assert hf_exact(shuffled, 3) == hf_closed("IX3", 6)
+
+
+class TestDeadline:
+    """Every rank of one call polls the deadline on one shared row count."""
+
+    def test_past_deadline_stops_hf_values(self):
+        with pytest.raises(BudgetExceeded):
+            hf_values(_lambda_gens(5), 3, deadline=time.monotonic() - 1)
+
+    def test_past_deadline_stops_echelon_leads(self):
+        with pytest.raises(BudgetExceeded):
+            echelon_leads(_lambda_gens(5), 3, deadline=time.monotonic() - 1)
+
+    def test_few_rows_per_echelon_still_poll(self):
+        # 40 rows per call: only the shared count reaches the 64th row
+        rows = [{j: 1} for j in range(40)]
+        ticks = itertools.count(1)
+        echelon(rows, time.monotonic() - 1, ticks)
+        with pytest.raises(BudgetExceeded):
+            echelon(rows, time.monotonic() - 1, ticks)
+
+    def test_future_deadline_changes_nothing(self):
+        gens = _lambda_gens(5)
+        assert hf_values(gens, 3, deadline=time.monotonic() + 600) == hf_values(gens, 3)
 
 
 class TestEchelonKernel:
@@ -390,14 +416,10 @@ class TestInitialIdeal:
 
 
 def _sigma(f, perm):
-    """f with the positions of its exponent tuples permuted by ``perm``."""
-    terms = {}
-    for t, c in f.terms.items():
-        e = [0] * len(t)
-        for p, x in enumerate(t):
-            e[perm[p]] = x
-        terms[tuple(e)] = c
-    return Polynomial(f.ring, terms)
+    """f with the positions of its monomials permuted by ``perm``."""
+    return Polynomial(
+        f.ring, {tuple(sorted(perm[p] for p in t)): c for t, c in f.terms.items()}
+    )
 
 
 def _position_perms(ring):
@@ -422,11 +444,7 @@ def _orbit_gens(draw, d):
     classes = parity_classes(W)
     by_class = {}
     for m in monomials_of_degree(W, 2):
-        beta = 0
-        for p, e in enumerate(m):
-            if e % 2:
-                beta ^= classes[p]
-        by_class.setdefault(beta, []).append(m)
+        by_class.setdefault(classes[m[0]] ^ classes[m[1]], []).append(m)
     every = monomials_of_degree(W, 2)
     gens = []
     perms = _position_perms(W)
@@ -485,7 +503,7 @@ class TestOrbitCounts:
         certificate = _spy(monkeypatch, "_certificate")
         blocks = []
         real = hilbert.echelon
-        monkeypatch.setattr(hilbert, "echelon", lambda rows: blocks.append(1) or real(rows))
+        monkeypatch.setattr(hilbert, "echelon", lambda *a: blocks.append(1) or real(*a))
         assert hf_exact(gens, 3) == hf_closed("IX3", 7)
         assert [low for _, low in certificate] == [(1 << 6) - 1]
         assert len(blocks) == 1 + 7  # degree 2 whole, then the orbits

@@ -227,11 +227,8 @@ def _poly_strategy(ring):
     def build(ts):
         f = ring.zero()
         for positions, c in ts:
-            exps = [0] * ring.nvars
-            for p in positions:
-                exps[p] += 1
             if c:
-                f = f + Polynomial(ring, {tuple(exps): Fraction(c)})
+                f = f + Polynomial(ring, {tuple(sorted(positions)): Fraction(c)})
         return f
 
     return st.lists(term, max_size=4).map(build)
@@ -255,7 +252,7 @@ class TestProperties:
         prod = f * g
         if not prod.is_zero:
             _, mp = prod.leading(OMEGA4)
-            assert key(mp) <= key(tuple(a + b for a, b in zip(mf, mg)))
+            assert key(mp) <= key(tuple(sorted(mf + mg)))
 
     @given(_poly_strategy(W4), _poly_strategy(W4))
     @settings(max_examples=40)
@@ -292,11 +289,10 @@ def _apply_hom_reference(f, hom, target):
         return p
 
     rvars = f.ring.vars
-    for exps, c in f.terms.items():
-        term = Polynomial(target, {(0,) * target.nvars: c})
-        for pos, e in enumerate(exps):
-            if e:
-                term = term * power(rvars[pos], e)
+    for m, c in f.terms.items():
+        term = Polynomial(target, {(): c})
+        for pos in set(m):
+            term = term * power(rvars[pos], m.count(pos))
         result = result + term
     return result
 
@@ -345,7 +341,7 @@ def _check_against_reference(f, g, hom, target):
             assert _integral(got)
     if _integral(f) and _integral(g):
         assert _integral(f + g) and _integral(f * g) and _integral(f.scale(7))
-    used = sorted({p for m in f.terms for p, e in enumerate(m) if e})
+    used = sorted({p for m in f.terms for p in m})
     if used:
         v = f.ring.vars[used[0]]
         partial = {u: img for u, img in hom.items() if u != v}
@@ -396,12 +392,12 @@ class TestRingMapMemo:
             assert [apply_hom(f, memoized, target) for f in polys] == first
 
     def test_other_ring_never_reads_this_rings_entry(self):
-        # same number of variables, listed the other way round: the tuple
-        # (1, 0, ..., 0) is w_11 over W4 and w_34 over the other ring
+        # same variables, listed the other way round: the monomial (0,) is
+        # w_11 over W4 and w_34 over the other ring
         R = ring_R(4)
         flipped = Ring("W4flipped", tuple(reversed(W4.vars)), 4)
         hom = RingMap(dict(hom_catalog(4).phi_W), R)
-        e = (1,) + (0,) * (W4.nvars - 1)
+        e = (0,)
         assert apply_hom(Polynomial(W4, {e: 1}), hom, R) == hom[W4.vars[0]]
         got = apply_hom(Polynomial(flipped, {e: 1}), hom, R)
         assert got == hom[flipped.vars[0]] != hom[W4.vars[0]]
@@ -483,13 +479,37 @@ def _orders_w4():
     ]
 
 
-_exps_w4 = st.lists(
+def _exps(m):
+    """The exponent tuple over W4 of a monomial: the test-side reference."""
+    return tuple(map(m.count, range(W4.nvars)))
+
+
+_monomials_w4 = st.lists(
     st.integers(min_value=0, max_value=3), min_size=W4.nvars, max_size=W4.nvars
-).map(tuple)
+).map(lambda exps: tuple(p for p, e in enumerate(exps) for _ in range(e)))
+
+
+def _exponent_key(order, m):
+    """``OrderSpec.key`` as defined on exponent tuples: per block, the
+    degree, then the negated exponents (graded reverse lexicographic)."""
+    e = _exps(m)
+    return tuple(
+        (sum(e[p] for p in blk), tuple(-e[p] for p in blk)) for blk in order.blocks
+    )
 
 
 class TestDescendingKey:
-    @given(_exps_w4, _exps_w4)
+    @given(st.sampled_from(_orders_w4()), st.lists(_monomials_w4, max_size=12, unique=True))
+    @settings(max_examples=200)
+    def test_keys_sort_as_the_exponent_reference(self, order, monomials):
+        """Within a degree ascending multisets are descending exponent
+        tuples; both keys must sort as graded reverse lexicographic on
+        the exponent tuples does, under omega and under block orders."""
+        want = sorted(monomials, key=lambda m: _exponent_key(order, m))
+        assert sorted(monomials, key=order.key) == want
+        assert sorted(monomials, key=order.descending_key) == want[::-1]
+
+    @given(_monomials_w4, _monomials_w4)
     @settings(max_examples=200)
     def test_reverses_key(self, a, b):
         for order in _orders_w4():
