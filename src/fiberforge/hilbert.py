@@ -62,15 +62,15 @@ def echelon(rows, deadline=None, ticks=None) -> dict:
     """Row echelon form of sparse rational rows ``{column: value}``; a
     column may be any totally ordered key.  A row's pivot is its smallest
     column, so a caller that reads leading monomials off the pivots
-    numbers its columns in descending monomial order, as the position in
+    numbers its columns in descending monomial order, by their place in
     ``_multisets``: with monomials themselves as the columns, the pivot
     would be the least monomial of its row's degree.
 
     Each row is scaled to integers and reduced incrementally against the
     pivots found so far (``_reduce``), sparsest rows first.  A row whose
-    entries are all ints skips the
-    scaling: its common denominator is 1, so the scaling would give the
-    same entries, and only its zeros are dropped.  A row is made primitive
+    entries are all ints skips the scaling: its common denominator is 1,
+    so the scaling would give the same entries, and only its zeros are
+    dropped.  A row is made primitive
     once, when it is stored.  Returns ``{pivot column: primitive integer
     row}``, whose length is the rank.
 
