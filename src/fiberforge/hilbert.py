@@ -70,9 +70,8 @@ def echelon(rows, deadline=None, ticks=None) -> dict:
     pivots found so far (``_reduce``), sparsest rows first.  A row whose
     entries are all ints skips the scaling: its common denominator is 1,
     so the scaling would give the same entries, and only its zeros are
-    dropped.  A row is made primitive
-    once, when it is stored.  Returns ``{pivot column: primitive integer
-    row}``, whose length is the rank.
+    dropped.  A row is made primitive once, when it is stored.  Returns
+    ``{pivot column: primitive integer row}``, whose length is the rank.
 
     With a ``deadline``, every 64th row polls ``time.monotonic()`` and
     raises BudgetExceeded once it has passed.  The rows are counted by
@@ -498,10 +497,10 @@ def _certificate(ring: Ring, by_degree: dict, cols, colindex, pivots) -> tuple:
     the columns ``cols`` (numbered by ``colindex``) are ``pivots``.
 
     A monomial's class in (Z/2)^d is the sum of its variables'
-    (``parity_classes``).  If each
-    generator is parity-homogeneous, ``classes`` lists their classes, in
-    the order of ``by_degree``; then such a span is spanned by homogeneous
-    elements, so its dimension is the sum of its blocks', one per class.
+    (``parity_classes``).  If each generator is parity-homogeneous,
+    ``classes`` lists their classes, in the order of ``by_degree``; then
+    such a span is spanned by homogeneous elements, so its dimension is
+    the sum of its blocks', one per class.
     Otherwise it is None, and ``low`` 0.
 
     A permutation s of 1..d-1, fixing d, acts on the variables through

@@ -558,9 +558,9 @@ def apply_hom(f: Polynomial, hom, target: Ring) -> Polynomial:
                 p = power(pos, m.count(pos))
                 term = p if term is one else _product(term, p)
             memo[(ring, m)] = term
-        for m, v in term.items():
-            acc[m] = get(m, 0) + c * v
-    return Polynomial(target, {m: v for m, v in acc.items() if v})
+        for t, v in term.items():
+            acc[t] = get(t, 0) + c * v
+    return Polynomial(target, {t: v for t, v in acc.items() if v})
 
 
 def transport(f: Polynomial, target: Ring) -> Polynomial:
