@@ -164,7 +164,7 @@ class _Layout:
 
     __slots__ = (
         "blocks", "shifts", "degree_shifts", "block_masks", "value",
-        "guard_shift", "guards", "degmask", "units", "position_at",
+        "guard_shift", "guards", "degmask", "units",
     )
 
     def __init__(self, blocks: tuple, nvars: int, width: int):
@@ -188,7 +188,6 @@ class _Layout:
         for blk, s in zip(blocks, self.degree_shifts):
             for p in blk:
                 self.units[p] = (1 << shift["pos", p]) + (1 << s)
-        self.position_at = {s: p for p, s in enumerate(self.shifts)}
 
     def pack(self, m: tuple) -> int:
         """A position multiset, packed.  Its length bounds every block
@@ -204,19 +203,10 @@ class _Layout:
         return sum(map(self.units.__getitem__, m))
 
     def unpack(self, m: int) -> tuple:
-        """The position multiset of a packed monomial, read off its
-        nonzero exponent fields only, lowest first."""
-        m &= ~self.degmask
-        width, value, at = self.guard_shift + 1, self.value, self.position_at
-        out = []
-        while m:
-            low = (m & -m).bit_length() - 1
-            s = low - low % width  # the shift of the field holding that bit
-            e = (m >> s) & value
-            out += [at[s]] * e
-            m ^= e << s
-        out.sort()
-        return tuple(out)
+        value = self.value
+        return tuple(
+            p for p, s in enumerate(self.shifts) for _ in range((m >> s) & value)
+        )
 
     def degree(self, m: int) -> int:
         value = self.value

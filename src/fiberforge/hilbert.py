@@ -336,10 +336,9 @@ def _packed_product(f: dict, g: dict) -> dict:
     return {m: c for m, c in terms.items() if c}
 
 
-def echelon_leads(gens, k: int, deadline=None) -> dict:
+def echelon_leads(gens, k: int) -> dict:
     """The initial monomials of the ideal generated by ``gens`` under
-    ``omega_order``: ``{j: monomials, descending}`` for j = 0..k; every
-    ``echelon`` of the call polls ``deadline`` on one row count.
+    ``omega_order``: ``{j: monomials, descending}`` for j = 0..k.
 
     The pivots of degree j are in(I)_j, as for any Macaulay matrix with
     columns in descending order (Lazard, EUROCAL 1983).  The columns of
@@ -352,8 +351,7 @@ def echelon_leads(gens, k: int, deadline=None) -> dict:
     leads: dict = {j: [] for j in range(k + 1)}
     ring, by_degree = _by_degree(gens, k)
     if by_degree:
-        ticks = itertools.count(1)
-        for j, cols, _, pivots in _slices(ring.nvars, by_degree, k, deadline, ticks):
+        for j, cols, _, pivots in _slices(ring.nvars, by_degree, k):
             leads[j] = [cols[c] for c in sorted(pivots)]
     return leads
 

@@ -240,10 +240,6 @@ class TestDeadline:
         with pytest.raises(BudgetExceeded):
             hf_values(_lambda_gens(5), 3, deadline=time.monotonic() - 1)
 
-    def test_past_deadline_stops_echelon_leads(self):
-        with pytest.raises(BudgetExceeded):
-            echelon_leads(_lambda_gens(5), 3, deadline=time.monotonic() - 1)
-
     def test_few_rows_per_echelon_still_poll(self):
         # 40 rows per call: only the shared count reaches the 64th row
         rows = [{j: 1} for j in range(40)]
