@@ -94,20 +94,25 @@ def _part1(mat: SymMatrix) -> list:
     swapping m with n multiplies the difference by -(-1)^(delta m + delta n).
     Their first components are four distinct pairs: a pair is not its
     complement, and rows and cols share exactly one index, which lies in
-    neither complement.  The loop meets selections in lexicographic order,
-    so the first of the four is the one with the least first component:
-    (rows, cols) is kept exactly when rows < min(cols, crows, ccols), and
-    the other three are never built.
+    neither complement.  The first of the four in lexicographic order is
+    the one with the least first component, and only it is kept: (rows,
+    cols) with rows < min(cols, crows, ccols).  The least index a of P
+    lies in rows or in crows.  If a is in crows, then crows < rows; if a
+    is in rows, then crows > rows.  So only the rows (a, x) are visited,
+    in lexicographic order, and a selection is kept when
+    rows < min(cols, ccols).
     """
     out = []
     for P in itertools.combinations(range(1, mat.d + 1), 4):
-        for rows in itertools.combinations(P, 2):
-            crows = tuple(x for x in P if x not in rows)
+        a = P[0]
+        for x in P[1:]:
+            rows = (a, x)
+            crows = tuple(y for y in P if y not in rows)
             for cols in itertools.combinations(P, 2):
                 if len(set(rows) & set(cols)) != 1:
                     continue
-                ccols = tuple(x for x in P if x not in cols)
-                if rows > min(cols, crows, ccols):
+                ccols = tuple(y for y in P if y not in cols)
+                if rows > min(cols, ccols):
                     continue
                 m = minor2(mat, rows, cols)
                 n = minor2(mat, crows, ccols)

@@ -28,6 +28,7 @@ from functools import lru_cache
 from math import comb
 from numbers import Rational
 
+from .candidate import claimed_leads
 from .errors import BadParams, NotInS, OutOfTable
 from .hilbert import hf_closed
 from .rings import omega_order, ring_W, wvar
@@ -397,8 +398,6 @@ def verify_census(d: int) -> CensusReport:
     check("G sets disjoint", gtotal, len(gall))
     check("G disjoint from T", set(), gall & union)
     check("Gsum closed form", count_closed(d, "Gsum"), gtotal)
-
-    from .candidate import claimed_leads
 
     claimed = claimed_leads(d)
     missing = {m for m in gall if m not in claimed}

@@ -23,6 +23,7 @@ from .rings import (
     poly_to_json,
     ring_R,
     ring_Rees,
+    ring_S,
     ring_W,
 )
 
@@ -158,8 +159,7 @@ def cmd_hf(args) -> int:
     if args.degree < 0:
         raise BadParams(f"--degree must be >= 0, got {args.degree}")
     if args.ideal == "oracle":
-        fiber_kernel, _ = _ORACLES["fiber"]
-        gens = list(fiber_kernel(args.d, args.deadline).elements)
+        gens = list(_kernel("fiber", args.d, args.deadline).elements)
     else:
         gens = _lambda_values(args.d, _PART[args.ideal])
     gens = _maybe_shuffle(args, gens)
@@ -314,20 +314,22 @@ def _check_rees_membership(report: VerifyReport, d: int, args):
 
 
 # ``oracle --which`` names, in the order ``verify --deep`` runs them, each
-# (kernel of d and the deadline, generators of d).  They call through the
-# modules, so a replaced module attribute is the one that runs.
+# (source ring, target ring, map of d, generators of d).  The maps and the
+# generators call through the modules, so a replaced module attribute is
+# the one that runs.  This table is the one place where the Groebner route
+# meets the paper's maps.
 _ORACLES = {
-    "fiber": (
-        lambda d, deadline: groebner.kernel_of_hom(
-            ring_W(d), ring_R(d), candidate.hom_catalog(d).phi_W, deadline
-        ),
-        _lambda_values,
-    ),
-    "rees": (
-        lambda d, deadline: rees.rees_kernel_oracle(d, deadline),
-        lambda d: rees.rees_ideal(d),
-    ),
+    "fiber": (ring_W, ring_R, lambda d: candidate.hom_catalog(d).phi_W, _lambda_values),
+    "rees": (ring_S, ring_Rees, lambda d: rees.rees_substitution(d),
+             lambda d: rees.rees_ideal(d)),
 }
+
+
+def _kernel(which: str, d: int, deadline):
+    """The oracle's kernel: ``groebner.kernel_of_hom`` of its row's map."""
+    source, target, hom, _ = _ORACLES[which]
+    return groebner.kernel_of_hom(source(d), target(d), hom(d), deadline)
+
 
 # The one oracle check ``verify`` always runs and a budget stop fails (exit 3)
 _REQUIRED_ORACLE = ("fiber", 4)
@@ -340,11 +342,11 @@ def _oracle_check(report: VerifyReport, which: str, d: int, deadline):
     elimination.  When the budget runs out the required check fails and
     any other is skipped.
     """
-    kernel, generators = _ORACLES[which]
+    *_, generators = _ORACLES[which]
     name = f"{which}-oracle-equality-d{d}"
     gens = generators(d)
     try:
-        ker = kernel(d, deadline)
+        ker = _kernel(which, d, deadline)
         eq = groebner.ideal_equal(gens, ker, deadline)
         report.add(name, True, eq)
     except BudgetExceeded:

@@ -22,8 +22,7 @@ Order data is computed once.  The engine keeps these invariants:
   digit tuple, which is the order of ``OrderSpec.descending_key``.
   ``_reducers`` packs each position multiset on entry, as the sum of
   its positions' units (a 1 in the position's field and in its block's
-  degree field); ``_basis``, ``normal_form`` and ``leading_monomials``
-  unpack on exit.
+  degree field); ``_basis`` and ``normal_form`` unpack on exit.
 - Overflow is an error, never a wrap.  ``_Layout.pack`` refuses a block
   degree (hence an exponent) that reaches the guard.  Every other
   monomial the engine creates is a lcm or a sum q + b with q and b
@@ -67,7 +66,7 @@ Order data is computed once.  The engine keeps these invariants:
   key computed; the heap entry carries the lcm, so a pop recomputes
   nothing.  The pair degree is the lcm's degree: its weighted degree
   under an order that carries ``weights`` (an elimination, see
-  ``eliminate``), and its standard degree otherwise and in every
+  ``kernel_of_hom``), and its standard degree otherwise and in every
   truncated call, since truncation cuts by standard degree.  For input
   homogeneous in the weights this is the sugar strategy (Giovini, Mora,
   Niesi, Robbiano and Traverso, ISSAC 1991).
@@ -428,10 +427,6 @@ class GroebnerBasis:
     def reducers(self) -> tuple:
         return tuple(_reducers(self.elements, self.order))
 
-    def leading_monomials(self) -> list:
-        unpack = _layout(self.order).unpack
-        return [unpack(lt) for _, lt, _ in self.reducers]
-
 
 def _basis(order: OrderSpec, reducers, truncation_degree) -> GroebnerBasis:
     ring = order.ring
@@ -627,14 +622,30 @@ def buchberger(
     once the deadline has passed.
 
     Under an order that carries ``weights`` (an elimination, made by
-    ``eliminate``) the pairs pop by weighted lcm degree unless the call
-    is truncated, and the result holds only the elements whose leads
-    miss the first block, inter-reduced among themselves: the reduced
-    basis of the elimination ideal (the argument is in ``eliminate``).
-    If the order also carries ``quotient_nvars`` and every generator is
-    homogeneous in the weights, an untruncated call skips the pairs that
-    the quotient's Hilbert function proves zero (module docstring), for
-    as long as ``_PAIRS_PER_MONOMIAL`` lets it count.
+    ``kernel_of_hom``) the pairs pop by weighted lcm degree unless the
+    call is truncated; any grading gives the same result, as any pair
+    order does (module docstring).  If the order also carries
+    ``quotient_nvars`` and every generator is homogeneous in the weights,
+    an untruncated call skips the pairs that the quotient's Hilbert
+    function proves zero (module docstring), for as long as
+    ``_PAIRS_PER_MONOMIAL`` lets it count; that changes the work, not the
+    result.
+
+    Such a call also returns only the elements whose lead misses the
+    first block, inter-reduced among themselves: the reduced basis of the
+    elimination ideal.  The rest of the basis is dropped unreduced.  This
+    is sound.  Let G be the Groebner basis the main loop ends with and K
+    its elements whose leads miss the block.  Under a block order a
+    monomial with a positive exponent in the first block is greater than
+    every monomial without one, so each term of an element of K is at
+    most its lead, hence free of the block too.  By the elimination
+    theorem K is a Groebner basis of the elimination ideal, and
+    inter-reducing K (each element reduced by the others, made monic,
+    zeros dropped) gives its reduced basis.  That basis is unique; the
+    elements of the fully reduced basis of the whole ideal whose leads
+    miss the block are also one, so the two are the same set.  A lead
+    with a block variable never divides a monomial free of the block, so
+    the dropped elements could not have changed a kept one.
     """
     ring = order.ring
     gens = [g for g in gens if not g.is_zero]
@@ -741,7 +752,7 @@ def buchberger(
                     count.found(lead)
 
         kept = basis
-        if order.weights is not None:
+        if order.weights is not None:  # an elimination: see the docstring
             eliminated = sum(1 << p for p in order.blocks[0])
             kept = [r for r in basis if not r[0] & eliminated]
         reduced = _interreduce(kept, layout, deadline, ticks)
@@ -750,48 +761,6 @@ def buchberger(
         err.partial = _basis(order, found, max_degree)
         raise
     return _basis(order, reduced, max_degree)
-
-
-def eliminate(
-    gens,
-    joint: Ring,
-    eliminated: frozenset,
-    deadline: float | None = None,
-    weights: tuple | None = None,
-    quotient_nvars: int | None = None,
-) -> list:
-    """The reduced basis of the elimination ideal (the elements free of
-    ``eliminated``), sorted by degree and lead.
-
-    ``weights`` (one per position of ``joint``; all 1 by default) is the
-    grading that orders the S-pairs; a caller passes one in which its
-    generators are homogeneous.  Any grading gives the same result, as
-    any pair order does (module docstring).  ``quotient_nvars`` is passed
-    only by a caller that has proven ``joint`` modulo the generators'
-    ideal a polynomial ring in that many variables of weight 1; it turns
-    on the Hilbert-driven skip, which changes the work, not the result.
-    Both ride on the elimination order, so ``buchberger`` keeps its
-    signature.
-
-    Only the elements whose lead misses the eliminated block are
-    inter-reduced; the rest of the graph ideal's basis is dropped
-    unreduced.  This is sound.  Let G be the Groebner basis the main loop
-    ends with and K its elements whose leads miss the block.  Under a
-    block order a monomial with a positive exponent in the first block is
-    greater than every monomial without one, so each term of an element
-    of K is at most its lead, hence free of the block too.  By the
-    elimination theorem K is a Groebner basis of the elimination ideal,
-    and inter-reducing K (each element reduced by the others, made monic,
-    zeros dropped) gives its reduced basis.  That basis is unique; the
-    elements of the fully reduced basis of the whole ideal whose leads
-    miss the block are also one, so the two are the same set.  A lead
-    with a block variable never divides a monomial free of the block, so
-    the dropped elements could not have changed a kept one.
-    """
-    if weights is None:
-        weights = (1,) * joint.nvars
-    order = elimination_order(joint, eliminated, weights, quotient_nvars)
-    return list(buchberger(gens, order, None, deadline).elements)
 
 
 def kernel_of_hom(
@@ -817,12 +786,13 @@ def kernel_of_hom(
     the source ring psi is the map, so the part of G free of E is its
     kernel.
 
-    The kept elements are the reduced basis of that ideal, already
-    sorted.  On source monomials the elimination order is
-    ``omega_order(source)``: its second block is the source variables in
-    order.  So by the elimination theorem they are a Groebner basis under
-    it; as part of a reduced basis they are monic and inter-reduced; and
-    they keep the whole basis's order by degree and lead.
+    The elements ``buchberger`` keeps under the elimination order are
+    the reduced basis of that ideal (see there), already sorted.  On
+    source monomials the elimination order is ``omega_order(source)``:
+    its second block is the source variables in order.  So by the
+    elimination theorem they are a Groebner basis under it; as part of a
+    reduced basis they are monic and inter-reduced; and they keep the
+    whole basis's order by degree and lead.
 
     The S-pairs pop by a grading in which the generators are homogeneous
     when the images are: each source variable weighs the degree of its
@@ -861,10 +831,10 @@ def kernel_of_hom(
     weights = (1,) * len(eliminated) + tuple(
         max(images[v].degree(), 1) for v in source.vars
     )
-    kept = eliminate(
-        gens, joint, frozenset(eliminated), deadline, weights,
-        len(eliminated) + len(fixed),
+    order = elimination_order(
+        joint, frozenset(eliminated), weights, len(eliminated) + len(fixed)
     )
+    kept = buchberger(gens, order, None, deadline).elements
     return GroebnerBasis(omega_order(source), tuple(transport(f, source) for f in kept))
 
 

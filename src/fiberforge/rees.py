@@ -3,9 +3,12 @@
 I is generated by the quadrics ``candidate.hom_catalog(d).phi_W``, in the
 order of the w variables.  L is the symmetric-algebra part, read off a
 basis of the linear syzygies of the generators; Lambda is the fiber part
-from ``candidate``.  An elimination oracle computes the full Rees kernel
-independently for cross-certification, and ``integrality_witness``
-produces the degree-two equation of integrality.
+from ``candidate``.  J is claimed to be the kernel of
+``rees_substitution``, and ``integrality_witness`` produces the
+degree-two equation of integrality.  This module is on the rank route
+and never loads the Groebner engine: ``cli`` alone hands
+``rees_substitution`` to ``groebner.kernel_of_hom`` for the elimination
+oracle, so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .candidate import epsilon, generators_lambda, hom_catalog
-from .groebner import GroebnerBasis, kernel_of_hom
 from .hilbert import monomials_of_degree, power_dim, relations
 from .rings import (
     Polynomial,
@@ -86,6 +88,8 @@ def rees_ideal(d: int) -> list:
 def rees_substitution(d: int) -> RingMap:
     """The map S -> R[t] with x fixed and w_ij -> t*g_ij, over
     ``ring_Rees(d)``; the quadrics g_ij are ``hom_catalog(d).phi_W``.
+    The x map to themselves and the images use only x and t, as
+    ``groebner.kernel_of_hom`` asks of a map whose rings share variables.
 
     A new ``RingMap`` per call, whose memo goes with it."""
     T = ring_Rees(d)
@@ -94,16 +98,6 @@ def rees_substitution(d: int) -> RingMap:
     for v, g in hom_catalog(d).phi_W.items():
         hom[v] = t * transport(g, T)
     return RingMap(hom, T)
-
-
-def rees_kernel_oracle(d: int, deadline: float | None = None) -> GroebnerBasis:
-    """Kernel of S -> R[t], ``rees_substitution``: its reduced basis under
-    ``omega_order(ring_S(d))``, by ``groebner.kernel_of_hom``, which
-    eliminates t.  The x map to themselves and the images use only x and
-    t, as its precondition asks.  Raises BudgetExceeded (with partial
-    state) once ``deadline`` passes.
-    """
-    return kernel_of_hom(ring_S(d), ring_Rees(d), rees_substitution(d), deadline)
 
 
 @dataclass(frozen=True)

@@ -278,10 +278,10 @@ class OrderSpec:
     the reverse order of (degree, part).
 
     ``weights`` is set only on the order of an elimination
-    (``groebner.eliminate``): one positive integer per position, the
-    grading by which its S-pairs are ordered (``groebner.kernel_of_hom``
-    picks one in which its generators are homogeneous).  It is not part
-    of the monomial order and takes no part in equality or hashing.
+    (``groebner.kernel_of_hom``): one positive integer per position, the
+    grading by which its S-pairs are ordered (``kernel_of_hom`` picks one
+    in which its generators are homogeneous).  It is not part of the
+    monomial order and takes no part in equality or hashing.
     ``groebner.buchberger`` reads it (see there).
 
     ``quotient_nvars`` rides beside it, likewise outside equality and
@@ -359,8 +359,10 @@ def elimination_order(
     """Two-block order: ``eliminated`` variables first (greater block).
 
     ``weights``, one per position of ``ring``, makes it the order of an
-    elimination, and ``quotient_nvars`` gives its quotient's Hilbert
-    function (see ``OrderSpec``)."""
+    elimination: ``groebner.buchberger`` then returns only the reduced
+    basis of the elimination ideal, its elements free of ``eliminated``.
+    ``quotient_nvars`` gives its quotient's Hilbert function (see
+    ``OrderSpec``)."""
     first = tuple(p for p, v in enumerate(ring.vars) if v in eliminated)
     second = tuple(p for p, v in enumerate(ring.vars) if v not in eliminated)
     if len(first) != len(eliminated):

@@ -13,7 +13,7 @@ import pytest
 from fiberforge import candidate, census, groebner, hilbert, rees
 from fiberforge.candidate import DOCUMENTED_ERRATA_KEYS
 from fiberforge.errors import BudgetExceeded
-from fiberforge.rings import omega_order, ring_R, ring_W
+from fiberforge.rings import omega_order, ring_R, ring_Rees, ring_S, ring_W
 from math import comb
 
 
@@ -195,7 +195,7 @@ class TestCriterion6Oracles:
     def test_rees_membership_always(self):
         d = 4
         hom = rees.rees_substitution(d)
-        from fiberforge.rings import apply_hom, ring_Rees
+        from fiberforge.rings import apply_hom
 
         T = ring_Rees(d)
         ok = all(apply_hom(g, hom, T).is_zero for g in rees.rees_ideal(d))
@@ -205,7 +205,10 @@ class TestCriterion6Oracles:
     def test_rees_kernel_equality_d4_budgeted(self):
         d = 4
         try:
-            oracle = rees.rees_kernel_oracle(d, deadline=time.monotonic() + 3600.0)
+            oracle = groebner.kernel_of_hom(
+                ring_S(d), ring_Rees(d), rees.rees_substitution(d),
+                deadline=time.monotonic() + 3600.0,
+            )
             ok = groebner.ideal_equal(
                 rees.rees_ideal(d), oracle, deadline=time.monotonic() + 3600.0
             )

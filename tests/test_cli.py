@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fiberforge import candidate, cli, groebner, hilbert, rees
+from fiberforge import candidate, cli, groebner, hilbert
 from fiberforge.errors import BudgetExceeded
 from fiberforge.rings import poly_to_json, ring_W, wvar
 
@@ -51,13 +51,13 @@ class TestExitCodes:
     ], ids=["hf-oracle", "oracle-fiber", "oracle-rees"])
     def test_small_d_fails_before_any_elimination(self, monkeypatch, capsys, argv):
         calls = []
-        real = groebner.eliminate
+        real = groebner.buchberger
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(groebner, "eliminate", spy)
+        monkeypatch.setattr(groebner, "buchberger", spy)
         assert cli.main(list(argv)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -135,7 +135,7 @@ class TestOneDeadline:
             ),
             (
                 ("verify", "--d", "5", "--deep"),
-                ["kernel_of_hom", "ideal_equal", "rees_kernel_oracle", "ideal_equal"],
+                ["kernel_of_hom", "ideal_equal", "kernel_of_hom", "ideal_equal"],
                 0,  # both oracle checks are optional at d=5 and are skipped
             ),
             (
@@ -168,7 +168,6 @@ class TestOneDeadline:
             monkeypatch.setattr(module, name, call)
 
         spy(groebner, "kernel_of_hom", SimpleNamespace(elements=()))
-        spy(rees, "rees_kernel_oracle", [])
         spy(groebner, "ideal_equal", None)
         spy(hilbert, "hf_exact", 0)
         start = time.monotonic()
@@ -184,8 +183,8 @@ class TestOneDeadline:
 class TestLayering:
     """``verify`` calls ``buchberger`` only in its oracle checks and
     ``normal_form`` never; the rank route (``hilbert``, ``candidate``,
-    ``census``, ``symmat`` and ``rings``) does not even import the
-    Groebner engine."""
+    ``census``, ``rees``, ``symmat`` and ``rings``) does not even import
+    the Groebner engine, which only ``cli`` wires to the paper's maps."""
 
     @pytest.mark.parametrize("argv, oracle", [
         (("verify", "--d", "5"), False),
@@ -218,7 +217,7 @@ class TestLayering:
         assert reductions == []
 
     @pytest.mark.parametrize(
-        "module", ["hilbert", "candidate", "census", "symmat", "rings"]
+        "module", ["hilbert", "candidate", "census", "rees", "symmat", "rings"]
     )
     def test_rank_route_does_not_import_groebner(self, module):
         code = (

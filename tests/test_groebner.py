@@ -27,12 +27,11 @@ from fiberforge.errors import (
 from fiberforge.groebner import (
     GroebnerBasis,
     buchberger,
-    eliminate,
     ideal_equal,
     kernel_of_hom,
     normal_form,
 )
-from fiberforge.rees import rees_ideal, rees_kernel_oracle, sym_algebra_ideal
+from fiberforge.rees import rees_ideal, rees_substitution, sym_algebra_ideal
 from fiberforge.rings import (
     Polynomial,
     Ring,
@@ -275,7 +274,7 @@ class TestPinnedBases:
         ],
     )
     def test_rees_kernel_oracle(self, d, digest, size):
-        gb = rees_kernel_oracle(d)
+        gb = _rees_kernel(d)
         assert gb.order is omega_order(ring_S(d))
         assert (_digest(gb.elements), len(gb.elements)) == (digest, size)
 
@@ -284,7 +283,8 @@ class TestPinnedBases:
         bare = GroebnerBasis(gb.order, gb.elements, gb.truncation_degree)
         assert bare == gb and hash(bare) == hash(gb)
         assert bare.reducers == gb.reducers
-        assert gb.leading_monomials() == [
+        unpack = groebner._layout(gb.order).unpack
+        assert [unpack(lt) for _, lt, _ in gb.reducers] == [
             f.leading(OMEGA4)[1] for f in gb.elements
         ]
 
@@ -522,7 +522,8 @@ class TestElimination:
         gens = []
         for v, img in images.items():
             gens.append(transport(joint.variable(v), joint) - transport(img, joint))
-        kept = eliminate(gens, joint, frozenset(target.vars))
+        order = elimination_order(joint, frozenset(target.vars), (1,) * joint.nvars)
+        kept = buchberger(gens, order).elements
         assert len(kept) == 1
         used = {joint.vars[p] for f in kept for m in f.terms for p in m}
         assert used <= set(source.vars)
@@ -548,8 +549,9 @@ _x2_form = st.integers(1, 3).flatmap(
 
 
 class TestGradedElimination:
-    """``eliminate`` pops its S-pairs by a grading and inter-reduces only
-    the kept elements; neither may change the result."""
+    """``buchberger`` under an elimination order with weights pops its
+    S-pairs by that grading and inter-reduces only the kept elements;
+    neither may change the result."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(_x2_form, min_size=3, max_size=3))
@@ -576,8 +578,14 @@ class TestGradedElimination:
         eliminated = frozenset({xvar(1)})
         full = buchberger(gens, elimination_order(R4, eliminated))
         kept = [f for f in full.elements if _free_of(f, [0])]
-        assert eliminate(gens, R4, eliminated, None, tuple(weights)) == kept
-        assert eliminate(gens, R4, eliminated) == kept
+        for w in (tuple(weights), (1,) * R4.nvars):
+            order = elimination_order(R4, eliminated, w)
+            assert list(buchberger(gens, order).elements) == kept
+
+
+def _rees_kernel(d):
+    """The Rees oracle's kernel: S -> R[t] by ``rees_substitution``."""
+    return kernel_of_hom(ring_S(d), ring_Rees(d), rees_substitution(d))
 
 
 @lru_cache(maxsize=None)
@@ -597,7 +605,7 @@ class TestOracleNegativeControls:
         assert not ideal_equal([g for g in full if g not in dropped], kernel)
 
     def test_rees_d4_without_one_l_generator(self):
-        kernel = rees_kernel_oracle(4)
+        kernel = _rees_kernel(4)
         gens = rees_ideal(4)
         assert ideal_equal(gens, kernel)
         first_l = sym_algebra_ideal(4)[0]
@@ -902,7 +910,7 @@ class TestSameWork:
 
     def test_rees_kernel_d4(self, monkeypatch):
         calls, memos = _reduction_spy(monkeypatch)
-        rees_kernel_oracle(4)
+        _rees_kernel(4)
         assert _work(calls) == (458, 399, 67)
         assert len(memos) == 1
 
@@ -933,31 +941,39 @@ def _small_maps(draw):
     return source, target, images
 
 
-def _eliminate_spy(mp):
-    """Record every ``groebner.eliminate`` call's arguments."""
+def _buchberger_spy(mp):
+    """Record every ``groebner.buchberger`` call's arguments."""
     seen = []
-    real = groebner.eliminate
-    mp.setattr(groebner, "eliminate", lambda *args: seen.append(args) or real(*args))
+    real = groebner.buchberger
+    mp.setattr(groebner, "buchberger", lambda *args: seen.append(args) or real(*args))
     return seen
+
+
+def _uncounted(gens, order, max_degree, deadline):
+    """The same elimination under the same weights with no quotient
+    count: its kept elements."""
+    eliminated = frozenset(order.ring.vars[p] for p in order.blocks[0])
+    plain = elimination_order(order.ring, eliminated, order.weights)
+    assert plain == order and plain.quotient_nvars is None
+    return buchberger(gens, plain, max_degree, deadline).elements
 
 
 class TestHilbertSkip:
     """``kernel_of_hom`` hands its elimination the quotient's variable
     count; ``buchberger`` skips the pairs that count proves zero.  The
-    result is the one ``eliminate`` gives with no count."""
+    result is the one the same elimination gives with no count."""
 
     @settings(max_examples=40, deadline=None)
     @given(_small_maps())
     def test_kernel_equals_the_elimination_with_no_count(self, small_map):
         source, target, images = small_map
         with pytest.MonkeyPatch.context() as mp:
-            seen = _eliminate_spy(mp)
+            seen = _buchberger_spy(mp)
             kernel = kernel_of_hom(source, target, images)
         (args,) = seen
-        gens, joint, eliminated, deadline, weights, quotient_nvars = args
         # E and F together are the target variables
-        assert quotient_nvars == target.nvars
-        plain = eliminate(gens, joint, eliminated, deadline, weights)
+        assert args[1].quotient_nvars == target.nvars
+        plain = _uncounted(*args)
         assert kernel.elements == tuple(transport(f, source) for f in plain)
 
     def test_inhomogeneous_image_does_the_same_work(self, monkeypatch):
@@ -967,13 +983,12 @@ class TestHilbertSkip:
         source = Ring("S", ws, 2)
         X1, X2 = target.variable(x1), target.variable(x2)
         images = dict(zip(ws, (X1 * X1 + X1, X1 * X2, X2 * X2)))
-        seen = _eliminate_spy(monkeypatch)
+        seen = _buchberger_spy(monkeypatch)
         calls, _ = _reduction_spy(monkeypatch)
         kernel = kernel_of_hom(source, target, images)
         counted = _work(calls)
         calls.clear()
-        gens, joint, eliminated, deadline, weights, _ = seen[0]
-        plain = eliminate(gens, joint, eliminated, deadline, weights)
+        plain = _uncounted(*seen[0])
         assert _work(calls) == counted and counted[0] > 0
         assert kernel.elements == tuple(transport(f, source) for f in plain)
 
@@ -989,7 +1004,7 @@ class TestHilbertSkip:
         x = xvar(1)
         ring = Ring("X1", (x,), 1)
         X = ring.variable(x)
-        seen = _eliminate_spy(monkeypatch)
+        seen = _buchberger_spy(monkeypatch)
         with pytest.raises(UnfixedSharedVariable):
             kernel_of_hom(ring, ring, {x: X * X})
         assert seen == []

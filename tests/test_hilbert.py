@@ -62,7 +62,8 @@ def _groebner_leads(gens, k):
         return set()
     ring = gens[0].ring
     out = set()
-    for lt in buchberger(gens, omega_order(ring), max_degree=k).leading_monomials():
+    for f in buchberger(gens, omega_order(ring), max_degree=k).elements:
+        lt = f.leading()[1]
         if len(lt) <= k:
             out.update(
                 tuple(sorted(lt + m)) for m in monomials_of_degree(ring, k - len(lt))

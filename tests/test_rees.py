@@ -9,7 +9,7 @@ from operator import mul
 
 import pytest
 
-from fiberforge import groebner, hilbert, rees
+from fiberforge import cli, groebner, hilbert, rees
 
 from fiberforge.candidate import hom_catalog, phi_U, phi_W, generators_lambda
 from fiberforge.errors import DimensionTooSmall
@@ -19,7 +19,6 @@ from fiberforge.rees import (
     linear_syzygies,
     power_check,
     rees_ideal,
-    rees_kernel_oracle,
     rees_substitution,
     sym_algebra_ideal,
 )
@@ -77,11 +76,11 @@ class TestQuadricIdeal:
 
     def test_rees_map_and_oracle_refuse_small_d_before_eliminating(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(groebner, "eliminate", lambda *args: calls.append(args))
+        monkeypatch.setattr(groebner, "buchberger", lambda *args: calls.append(args))
         with pytest.raises(DimensionTooSmall):
             rees_substitution(3)
         with pytest.raises(DimensionTooSmall):
-            rees_kernel_oracle(3)
+            cli._kernel("rees", 3, None)
         assert calls == []
 
 
