@@ -273,8 +273,10 @@ def enum_census(d: int, family: str, params: tuple = ()) -> CensusSet:
     if d < 4:
         raise BadParams(f"census needs d >= 4, got {d}")
     row = FAMILIES.get(family)
-    if row is None or row.enum is None:
+    if row is None:
         raise BadParams(f"unknown census family {family!r}")
+    if row.enum is None:
+        raise BadParams(f"census family {family!r} has a closed form but no enumeration")
     pairs = _pairs(family, row, params)
     members = frozenset(row.enum(d, *pairs))
     expected = row.closed(d, *pairs) if row.closed else None

@@ -248,7 +248,7 @@ def _check_counts(report: VerifyReport, d: int, args):
 
 
 def _check_hf(report: VerifyReport, d: int, args):
-    dims = hilbert.hf_values(_maybe_shuffle(args, _lambda_values(d)), 3)
+    dims = hilbert.hf_values(_maybe_shuffle(args, _lambda_values(d)), 3, args.deadline)
     report.add("HF2", hilbert.hf_closed("IX2", d), dims[2])
     report.add("HF3", hilbert.hf_closed("IX3", d), dims[3])
 

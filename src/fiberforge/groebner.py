@@ -2,8 +2,9 @@
 
 Works over any of the package's rings with either the graded order or a
 block elimination order.  Supports degree truncation for homogeneous
-input (a truncated basis is a full basis "up to degree k") and
-``time.monotonic()`` deadlines that abort with the partial state attached.
+input (a truncated basis is a full basis "up to degree k") and a
+``time.monotonic()`` deadline, read at each step, that aborts with the
+partial state attached.
 
 Order data is computed once.  The engine keeps these invariants:
 
@@ -131,7 +132,6 @@ Order data is computed once.  The engine keeps these invariants:
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -357,7 +357,7 @@ class _StandardCount:
         self.degree = 0  # the greatest degree whose set is built
         self.excess = None
 
-    def begin(self, degree: int, queued: int, leads: set, deadline, ticks) -> bool:
+    def begin(self, degree: int, queued: int, leads: set, deadline) -> bool:
         """Count ``degree``, whose ``queued`` pairs are about to pop, unless
         the cost rule declines it (False).  ``leads`` holds every current
         lead; the sets of lower degrees are final, as no element of a
@@ -366,7 +366,7 @@ class _StandardCount:
         if _PAIRS_PER_MONOMIAL * queued < hf:
             return False
         for e in range(self.degree + 1, degree + 1):
-            self.sets[e] = self._build(e, leads, deadline, ticks)
+            self.sets[e] = self._build(e, leads, deadline)
         self.degree = degree
         self.excess = len(self.sets[degree]) - hf
         return True
@@ -377,7 +377,7 @@ class _StandardCount:
         del self.sets[self.degree][lead]
         self.excess -= 1
 
-    def _build(self, e: int, leads: set, deadline, ticks) -> dict:
+    def _build(self, e: int, leads: set, deadline) -> dict:
         sets, units, weights = self.sets, self.units, self.weights
         out = {}
         for p, (unit, w) in enumerate(zip(units, weights)):
@@ -387,11 +387,7 @@ class _StandardCount:
             for m, mask in sets[e - w].items():
                 if mask >> p > 1:  # m holds a position above p
                     continue
-                if (
-                    deadline is not None
-                    and next(ticks) % 64 == 0
-                    and time.monotonic() > deadline
-                ):
+                if deadline is not None and time.monotonic() > deadline:
                     raise BudgetExceeded("deadline passed counting standard monomials")
                 c = m + unit
                 if c in leads:
@@ -464,7 +460,7 @@ def _lcm(a: int, b: int, layout: _Layout) -> int:
 
 
 def _reduce_terms(
-    terms: dict, layout: _Layout, reducers, deadline=None, ticks=None, memo=None
+    terms: dict, layout: _Layout, reducers, deadline=None, memo=None
 ) -> dict:
     """Full normal form of a packed term dict against monic reducers.
 
@@ -477,10 +473,8 @@ def _reduce_terms(
     docstring).  A caller may share one across calls only while it just
     appends to ``reducers``; without one the call keeps its own.
 
-    With a ``deadline``, every 64th reduction step polls the clock.  The
-    steps are counted by ``ticks``, an ``itertools.count(1)`` that a
-    caller may share across many calls, so that many short reductions
-    still poll; without one the count starts afresh.
+    With a ``deadline``, each reduction step reads the clock: polling
+    often can only stop a run earlier, never change its result.
 
     Terms are taken greatest first from a heap keyed by the packed key
     ``m - 2*(m & DEGMASK)``, computed once per term when it enters
@@ -503,19 +497,13 @@ def _reduce_terms(
     work = dict(terms)
     heap = [(m - 2 * (m & degmask), m) for m in work]
     heapq.heapify(heap)
-    if ticks is None:
-        ticks = itertools.count(1)
     nred = len(reducers)
     while heap:
         m = heappop(heap)[1]
         c = work.pop(m, None)
         if c is None:  # stale entry
             continue
-        if (
-            deadline is not None
-            and next(ticks) % 64 == 0
-            and time.monotonic() > deadline
-        ):
+        if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("deadline passed during reduction")
         k = memo.get(m, -1)
         if k < 0:
@@ -568,7 +556,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return Polynomial(f.ring, {unpack(m): c for m, c in rem.items()})
 
 
-def _interreduce(reducers: list, layout: _Layout, deadline=None, ticks=None) -> list:
+def _interreduce(reducers: list, layout: _Layout, deadline=None) -> list:
     """Fully inter-reduce monic reducers; return them sorted by degree and
     leading monomial.
 
@@ -590,7 +578,7 @@ def _interreduce(reducers: list, layout: _Layout, deadline=None, ticks=None) -> 
             if own is nothing:  # reduced to zero
                 continue
             reducers[i] = nothing  # an element does not reduce itself
-            terms = _reduce_terms(own[2], layout, reducers, deadline, ticks)
+            terms = _reduce_terms(own[2], layout, reducers, deadline)
             if terms == own[2]:
                 reducers[i] = own
             elif terms:
@@ -613,13 +601,12 @@ def buchberger(
     With ``max_degree`` the computation discards S-pairs above that degree,
     which is sound only for homogeneous input; inhomogeneous input raises.
     Once ``time.monotonic()`` passes ``deadline`` the call aborts with
-    BudgetExceeded: the loop polls the clock before each pair, and one
-    step counter spans every reduction of the call (seed inter-reduction,
-    S-pairs, final inter-reduction) and polls every 64th step.  Its
-    ``.partial`` holds the monic basis elements found so far (the monic
-    generators if the seed was not yet inter-reduced), sorted by degree
-    and leading monomial.  It is not reduced: no further work is done
-    once the deadline has passed.
+    BudgetExceeded: the loop reads the clock before each pair, and so does
+    each step of every reduction of the call (seed inter-reduction,
+    S-pairs, final inter-reduction).  Its ``.partial`` holds the monic
+    basis elements found so far (the monic generators if the seed was not
+    yet inter-reduced), sorted by degree and leading monomial.  It is not
+    reduced: no further work is done once the deadline has passed.
 
     Under an order that carries ``weights`` (an elimination, made by
     ``kernel_of_hom``) the pairs pop by weighted lcm degree unless the
@@ -667,7 +654,6 @@ def buchberger(
     else:
         pair_degree = layout.degree
 
-    ticks = itertools.count(1)  # reduction steps, for the deadline poll
     memo: dict = {}  # first divisors in ``basis``, which only grows
     basis: list = []  # reducers (support, lead, monic terms), in the order found
     pairs: list = []  # heap of (pair degree, i, j, lcm)
@@ -687,7 +673,7 @@ def buchberger(
                 heapq.heappush(pairs, (ldeg, i, j, l))
 
     try:
-        seed = _interreduce(packed, layout, deadline, ticks)
+        seed = _interreduce(packed, layout, deadline)
         for r in seed:
             if max_degree is None or _degree(r[2], layout) <= max_degree:
                 add_element(r)
@@ -702,7 +688,7 @@ def buchberger(
                 current = ldeg
                 queued = 1 + sum(1 for p in pairs if p[0] == ldeg)
                 leads = {r[1] for r in basis}
-                if not count.begin(ldeg, queued, leads, deadline, ticks):
+                if not count.begin(ldeg, queued, leads, deadline):
                     count = None  # declined: no later degree is counted
             if count is not None and count.excess == 0:
                 continue  # settled: its S-polynomial reduces to zero
@@ -744,7 +730,7 @@ def buchberger(
                     sterms[t] = s
                 elif acc is not None:
                     del sterms[t]
-            rem = _reduce_terms(sterms, layout, basis, deadline, ticks, memo)
+            rem = _reduce_terms(sterms, layout, basis, deadline, memo)
             if rem:
                 lead = next(iter(rem))
                 add_element(_reducer(rem, lead, layout))
@@ -755,7 +741,7 @@ def buchberger(
         if order.weights is not None:  # an elimination: see the docstring
             eliminated = sum(1 << p for p in order.blocks[0])
             kept = [r for r in basis if not r[0] & eliminated]
-        reduced = _interreduce(kept, layout, deadline, ticks)
+        reduced = _interreduce(kept, layout, deadline)
     except BudgetExceeded as err:
         found = sorted(basis or packed, key=_sort_key(layout))
         err.partial = _basis(order, found, max_degree)

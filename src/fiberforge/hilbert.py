@@ -58,7 +58,7 @@ def _multisets(n: int, k: int) -> list:
     return out
 
 
-def echelon(rows, deadline=None, ticks=None) -> dict:
+def echelon(rows, deadline=None) -> dict:
     """Row echelon form of sparse rational rows ``{column: value}``; a
     column may be any totally ordered key.  A row's pivot is its smallest
     column, so a caller that reads leading monomials off the pivots
@@ -73,15 +73,13 @@ def echelon(rows, deadline=None, ticks=None) -> dict:
     dropped.  A row is made primitive once, when it is stored.  Returns
     ``{pivot column: primitive integer row}``, whose length is the rank.
 
-    With a ``deadline``, every 64th row polls ``time.monotonic()`` and
-    raises BudgetExceeded once it has passed.  The rows are counted by
-    ``ticks``, an ``itertools.count(1)`` that a caller may share across
-    calls, so that many small eliminations still poll.
+    With a ``deadline``, each row reads ``time.monotonic()`` and raises
+    BudgetExceeded once it has passed: polling often can only stop a run
+    earlier, never change its result.
     """
     pivots: dict = {}
-    ticks = ticks or itertools.count(1)
     for row in sorted(rows, key=len):
-        if deadline is not None and next(ticks) % 64 == 0 and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("deadline passed during elimination")
         if all(type(v) is int for v in row.values()):
             row = {j: v for j, v in row.items() if v} if 0 in row.values() else dict(row)
@@ -202,7 +200,7 @@ def hf_exact(gens, k: int, deadline=None) -> int:
 
 def hf_values(gens, k: int, deadline=None) -> dict:
     """``{j: dim I_j}`` for j = 0..k, I the ideal generated by ``gens``;
-    every ``echelon`` of the call polls ``deadline`` on one row count.
+    each row of every ``echelon`` of the call reads ``deadline``.
 
     Degrees below k are the ranks of ``_slices``, the recursion of
     ``echelon_leads``.  Degree k is counted by the blocks of
@@ -227,8 +225,7 @@ def hf_values(gens, k: int, deadline=None) -> dict:
     top = max(by_degree)
     gen_classes = pivots = None
     low = 0
-    ticks = itertools.count(1)
-    for j, cols, colindex, pivots in _slices(n, by_degree, k - 1, deadline, ticks):
+    for j, cols, colindex, pivots in _slices(n, by_degree, k - 1, deadline):
         dims[j] = len(pivots)
         if j == top:
             gen_classes, low = _certificate(ring, by_degree, cols, colindex, pivots)
@@ -256,7 +253,7 @@ def hf_values(gens, k: int, deadline=None) -> dict:
                 {m + w: v for m, v in row.items()}
                 for row in by_class.get(beta ^ classes[p], ())
             )
-        dims[k] += size * len(echelon(rows, deadline, ticks))
+        dims[k] += size * len(echelon(rows, deadline))
     return dims
 
 
@@ -377,11 +374,11 @@ def _by_degree(gens, k) -> tuple:
     return ring, by_degree
 
 
-def _slices(n: int, by_degree: dict, k: int, deadline=None, ticks=None):
+def _slices(n: int, by_degree: dict, k: int, deadline=None):
     """Yield ``(j, cols, colindex, pivots)`` for j from the lowest generator
     degree to k: the ``_multisets`` columns of degree j, their numbering,
     and the ``echelon`` pivot rows of I_j on them, each ``echelon``
-    polling ``deadline`` on ``ticks``.
+    reading ``deadline`` at every row.
 
     For homogeneous generators I_j = R_1 * I_{j-1} + span{g : deg g = j},
     because a multiple m * g with deg m = j - deg g > 0 factors as
@@ -405,7 +402,7 @@ def _slices(n: int, by_degree: dict, k: int, deadline=None, ticks=None):
                 rows.extend(
                     {shift[c]: v for c, v in row.items()} for row in pivots.values()
                 )
-        pivots = echelon(rows, deadline, ticks)
+        pivots = echelon(rows, deadline)
         del rows  # freed before the caller reads the pivots
         yield j, cols, colindex, pivots
         previndex = colindex

@@ -110,6 +110,11 @@ class TestExitCodes:
         assert r.returncode == 3
         assert r.stdout == "" and r.stderr == "budget exceeded on a required computation\n"
 
+    def test_budget_stops_verify_hf(self):
+        r = run("verify", "--d", "8", "--check", "hf", "--time-budget-seconds", "0.001")
+        assert r.returncode == 3
+        assert r.stdout == "" and r.stderr == "budget exceeded on a required computation\n"
+
     def test_budget_skips_optional_check(self):
         r = run("oracle", "--d", "6", "--which", "fiber",
                 "--time-budget-seconds", "0.01")
@@ -135,7 +140,7 @@ class TestOneDeadline:
             ),
             (
                 ("verify", "--d", "5", "--deep"),
-                ["kernel_of_hom", "ideal_equal", "kernel_of_hom", "ideal_equal"],
+                ["hf_values", "kernel_of_hom", "ideal_equal", "kernel_of_hom", "ideal_equal"],
                 0,  # both oracle checks are optional at d=5 and are skipped
             ),
             (
@@ -170,6 +175,7 @@ class TestOneDeadline:
         spy(groebner, "kernel_of_hom", SimpleNamespace(elements=()))
         spy(groebner, "ideal_equal", None)
         spy(hilbert, "hf_exact", 0)
+        spy(hilbert, "hf_values", {j: hilbert.hf_closed(f"IX{j}", 5) for j in (2, 3)})
         start = time.monotonic()
         assert cli.main([*argv, "--time-budget-seconds", "100"]) == code
         end = time.monotonic()

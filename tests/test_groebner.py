@@ -6,7 +6,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import count, product
+from itertools import product
 from math import comb
 from operator import mul
 
@@ -213,21 +213,20 @@ class TestBudget:
         assert deadlines == [deadline]  # one Buchberger run per comparison
 
     def test_ideal_equal_second_basis_gets_no_fresh_budget(self, monkeypatch):
-        deadlines = self._spy(monkeypatch, 0.05)
-        # one binomial: its basis polls the deadline too rarely to notice
-        # that it has passed; the comparison's run on Lambda does notice
+        # the basis is built with no deadline; the comparison's one run on
+        # Lambda gets the caller's deadline, which passes while it sleeps
         gens = [_wpoly((1, [(1, 2), (3, 4)]), (-1, [(1, 3), (2, 4)]))]
+        basis = buchberger(gens, OMEGA4)
         lam = [rec.value for rec in generators_lambda(4, "all")]
+        deadlines = self._spy(monkeypatch, 0.05)
         deadline = time.monotonic() + 0.01
-        basis = groebner.buchberger(gens, OMEGA4, None, deadline)
         with pytest.raises(BudgetExceeded):
             ideal_equal(lam, basis, deadline)
-        assert deadlines == [deadline, deadline]
+        assert deadlines == [deadline]
 
-    def test_poll_counter_spans_the_whole_call(self):
+    def test_truncated_run_with_no_pairs_stops_at_a_passed_deadline(self):
         # a degree-2 truncation of Lambda6 has no pairs: the deadline is
-        # noticed only by a step counter shared across the seed's many
-        # short reductions
+        # noticed only by the steps of the seed's inter-reduction
         gens = [rec.value for rec in generators_lambda(6, "all")]
         with pytest.raises(BudgetExceeded):
             buchberger(gens, omega_order(ring_W(6)), 2, time.monotonic() - 1)
@@ -863,8 +862,8 @@ def _reduction_spy(monkeypatch):
     calls, memos = [], []
     real = groebner._reduce_terms
 
-    def spy(terms, layout, reducers, deadline=None, ticks=None, memo=None):
-        rem = real(terms, layout, reducers, deadline, ticks, memo)
+    def spy(terms, layout, reducers, deadline=None, memo=None):
+        rem = real(terms, layout, reducers, deadline, memo)
         calls.append((memo is not None, not rem))
         if memo is not None and all(m is not memo for m in memos):
             memos.append(memo)
@@ -1025,7 +1024,7 @@ class TestHilbertSkip:
         standard = groebner._StandardCount(layout, order.weights, 3)
         top = 6
         packed = {layout.pack(_monomial(a)) for a in leads}
-        assert standard.begin(top, comb(top + 2, 2), packed, None, None)
+        assert standard.begin(top, comb(top + 2, 2), packed, None)
         for e in range(top + 1):
             want = {
                 layout.pack(_monomial(m))
@@ -1039,11 +1038,11 @@ class TestHilbertSkip:
         order = elimination_order(R4, frozenset({xvar(1)}), (1,) * 4, 4)
         standard = groebner._StandardCount(groebner._layout(order), order.weights, 4)
         with pytest.raises(BudgetExceeded):
-            standard.begin(6, 100, set(), time.monotonic() - 1, count(1))
+            standard.begin(6, 100, set(), time.monotonic() - 1)
 
     def test_cost_rule_declines_a_thin_degree(self):
         # with no leads every monomial is standard: HF(6) = C(9, 3) = 84
         order = elimination_order(R4, frozenset({xvar(1)}), (1,) * 4, 4)
         standard = groebner._StandardCount(groebner._layout(order), order.weights, 4)
-        assert not standard.begin(6, 20, set(), None, None)
-        assert standard.begin(6, 21, set(), None, None) and standard.excess == 0
+        assert not standard.begin(6, 20, set(), None)
+        assert standard.begin(6, 21, set(), None) and standard.excess == 0

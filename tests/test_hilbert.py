@@ -235,19 +235,19 @@ class TestDegreeByDegree:
 
 
 class TestDeadline:
-    """Every rank of one call polls the deadline on one shared row count."""
+    """Each row of every rank of one call reads the deadline."""
 
     def test_past_deadline_stops_hf_values(self):
         with pytest.raises(BudgetExceeded):
             hf_values(_lambda_gens(5), 3, deadline=time.monotonic() - 1)
 
     def test_few_rows_per_echelon_still_poll(self):
-        # 40 rows per call: only the shared count reaches the 64th row
-        rows = [{j: 1} for j in range(40)]
-        ticks = itertools.count(1)
-        echelon(rows, time.monotonic() - 1, ticks)
-        with pytest.raises(BudgetExceeded):
-            echelon(rows, time.monotonic() - 1, ticks)
+        # the first row cannot be scaled, so only a poll at the first row
+        # stops the call before it fails, however few rows it has
+        for size in (1, 2, 40):
+            rows = [{0: "not a number"}] + [{j: 1} for j in range(1, size)]
+            with pytest.raises(BudgetExceeded):
+                echelon(rows, time.monotonic() - 1)
 
     def test_future_deadline_changes_nothing(self):
         gens = _lambda_gens(5)
