@@ -17,8 +17,8 @@ principal submatrix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import BadParams, BeyondTruncation, DimensionTooSmall
 from .hilbert import monomials_of_degree, rref
@@ -38,8 +38,7 @@ from .rings import (
 from .symmat import SymMatrix, delta, minor2, pcm_pairs
 
 
-@dataclass(frozen=True)
-class GeneratorRecord:
+class GeneratorRecord(NamedTuple):
     part: int
     indices: tuple
     provenance: str
@@ -145,8 +144,7 @@ def _part2(mat: SymMatrix) -> list:
 # -- ring maps ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomCatalog:
+class HomCatalog(NamedTuple):
     """The maps between W, U and the ambient ring for one dimension d,
     each a ``RingMap`` whose memo lives as long as the catalogue."""
 
@@ -271,8 +269,7 @@ def minor_ideal_U_basis(d: int) -> dict:
 # [ambient]), and its claimed leading pairs.
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     key: str
     params: tuple
     value: Polynomial

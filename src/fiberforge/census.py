@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from numbers import Rational
+from typing import NamedTuple
 
 from .candidate import claimed_leads
 from .errors import BadParams, NotInS, OutOfTable
@@ -34,8 +34,7 @@ from .hilbert import hf_closed
 from .rings import omega_order, ring_W, wvar
 
 
-@dataclass(frozen=True)
-class CensusSet:
+class CensusSet(NamedTuple):
     family: str
     d: int
     params: tuple
@@ -227,8 +226,7 @@ def _gsum_size(d):
     return _exact_quotient(num, 720, "Gsum")
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One census family: its params hold ``pairs`` index pairs, none,
     ``(i, j)`` or ``((i, j), (k, l))``; ``enum`` and ``closed`` map
     ``(d, *pairs)`` to the members and their closed-form count, or are
@@ -303,8 +301,7 @@ def census_size(d: int, k: int) -> int:
     return sum(count_closed(d, f) for f in _BY_DEGREE[k])
 
 
-@dataclass
-class CensusReport:
+class CensusReport(NamedTuple):
     """``checks`` holds one ``(name, expected, actual)`` row per claim."""
 
     d: int

@@ -13,7 +13,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import candidate, census, groebner, hilbert, rees
 from .errors import BadParams, BudgetExceeded, FiberForgeError
@@ -32,20 +32,19 @@ SCHEMA = "fiber-forge/1"
 PASS, FAIL, SKIPPED = "PASS", "FAIL", "SKIPPED"
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     expected: str
     actual: str
     status: str
 
 
-@dataclass
 class VerifyReport:
-    d: int
-    checks: list = field(default_factory=list)
-    errata: list = field(default_factory=list)
-    budget_blown: bool = False
+    def __init__(self, d: int):
+        self.d = d
+        self.checks = []
+        self.errata = []
+        self.budget_blown = False
 
     def add(self, name, expected, actual):
         status = PASS if expected == actual else FAIL

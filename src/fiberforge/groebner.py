@@ -133,7 +133,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
@@ -404,20 +403,46 @@ class _StandardCount:
         return out
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced (monic, inter-reduced) basis, sorted deterministically.
 
     ``truncation_degree`` is None for a full basis; otherwise normal forms
     are only valid for homogeneous input of degree at most that bound.
-    ``reducers`` is derived from the elements on first use, so a basis
-    that is only compared is never packed; it takes no part in equality
-    or hashing.
+    Equality, hashing and the repr read ``order``, ``elements`` and
+    ``truncation_degree``; no field can be assigned.  ``reducers`` is
+    derived from the elements on first use and kept in the instance
+    dict, so a basis that is only compared is never packed; it takes no
+    part in equality or hashing.
     """
 
-    order: OrderSpec
-    elements: tuple
-    truncation_degree: int | None = None
+    def __init__(
+        self, order: OrderSpec, elements: tuple, truncation_degree: int | None = None
+    ):
+        self.__dict__.update(
+            order=order, elements=elements, truncation_degree=truncation_degree
+        )
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of GroebnerBasis")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return self.order, self.elements, self.truncation_degree
+
+    def __eq__(self, other):
+        if other.__class__ is not GroebnerBasis:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"GroebnerBasis(order={self.order!r}, elements={self.elements!r}, "
+            f"truncation_degree={self.truncation_degree!r})"
+        )
 
     @cached_property
     def reducers(self) -> tuple:

@@ -13,8 +13,8 @@ oracle, so the two routes stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .candidate import epsilon, generators_lambda, hom_catalog
 from .hilbert import monomials_of_degree, power_dim, relations
@@ -100,8 +100,7 @@ def rees_substitution(d: int) -> RingMap:
     return RingMap(hom, T)
 
 
-@dataclass(frozen=True)
-class IntegralityWitness:
+class IntegralityWitness(NamedTuple):
     d: int
     combo: Polynomial  # degree-2 polynomial over W with phi_W(combo) = x_d^4
     h: Polynomial  # u_dd^2 - epsilon(combo), over U

@@ -59,7 +59,6 @@ belong to their ring (``Ring.index``, ``Ring.pair_positions``).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -74,6 +73,15 @@ from .errors import (
 )
 
 
+# The immutable classes below write each field once in ``__init__`` with
+# ``_init`` and refuse every later assignment or deletion with ``_frozen``.
+_init = object.__setattr__
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+
 class VarKind(Enum):
     X = "x"
     W = "w"
@@ -81,33 +89,43 @@ class VarKind(Enum):
     T = "t"
 
 
-@dataclass(frozen=True, order=False)
 class VariableId:
     """A tagged variable: x_i, w_ij, u_ij or t.
 
     Pair indices are canonicalized to i <= j on construction.  The hash
-    is computed then too, as the value the generated ``__hash__`` would
-    give, so a dict keyed by variables (``Ring.index``, a homomorphism)
-    never calls the Python-level ``Enum.__hash__`` of the kind.
+    is computed then too, equal to ``hash((kind, index))``, so a dict
+    keyed by variables (``Ring.index``, a homomorphism) never calls the
+    Python-level ``Enum.__hash__`` of the kind.  Two variables are equal
+    when their kinds and indices are; a variable equals no other type,
+    a bare ``(kind, index)`` tuple included.  The cached rings share
+    their variables with every caller, so no field can be assigned.
     """
 
-    kind: VarKind
-    index: tuple
+    __slots__ = ("kind", "index", "_hash")
 
-    def __post_init__(self):
-        if self.kind in (VarKind.W, VarKind.U):
-            i, j = self.index
+    def __init__(self, kind: VarKind, index: tuple):
+        if kind in (VarKind.W, VarKind.U):
+            i, j = index
             if i < 1 or j < 1:
-                raise BadIndex(f"pair index out of range: {self.index}")
+                raise BadIndex(f"pair index out of range: {index}")
             if i > j:
-                object.__setattr__(self, "index", (j, i))
-        elif self.kind is VarKind.X:
-            (i,) = self.index
+                index = (j, i)
+        elif kind is VarKind.X:
+            (i,) = index
             if i < 1:
                 raise BadIndex(f"x index out of range: {i}")
+        _init(self, "kind", kind)
+        _init(self, "index", index)
         # an Enum member hashes as its name, and a tuple by its items'
-        # hashes: the generated hash, without the Python-level Enum.__hash__
-        object.__setattr__(self, "_hash", hash((self.kind._name_, self.index)))
+        # hashes: hash((kind, index)), without the Python-level Enum.__hash__
+        _init(self, "_hash", hash((kind._name_, index)))
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not VariableId:
+            return NotImplemented
+        return self.kind is other.kind and self.index == other.index
 
     def __hash__(self):
         return self._hash
@@ -249,7 +267,6 @@ def ring_Rees(d: int) -> Ring:
     return Ring(f"Rees{d}", ring_S(d).vars + (tvar(),), d)
 
 
-@dataclass(frozen=True)
 class OrderSpec:
     """A monomial order: omega-grevlex or a block elimination order.
 
@@ -290,21 +307,29 @@ class OrderSpec:
     ideal of the elimination's generators is, so that the quotient's
     Hilbert function in the weights is C(delta + m - 1, m - 1).
     ``groebner.buchberger`` counts standard monomials against it.
+
+    Equality, hashing and the repr read ``ring`` and ``blocks`` alone;
+    ``parts``, ``descending_key``, ``weights`` and ``quotient_nvars``
+    stay outside them.  ``omega_order`` hands one cached order to every
+    caller, so no field can be assigned.
     """
 
-    ring: Ring
-    blocks: tuple
-    parts: object = field(init=False, repr=False, compare=False)
-    descending_key: object = field(init=False, repr=False, compare=False)
-    weights: tuple | None = field(default=None, repr=False, compare=False)
-    quotient_nvars: int | None = field(default=None, repr=False, compare=False)
+    __slots__ = (
+        "ring", "blocks", "parts", "descending_key", "weights", "quotient_nvars"
+    )
 
-    def __post_init__(self):
-        if self.blocks == (tuple(range(self.ring.nvars)),):
+    def __init__(
+        self,
+        ring: Ring,
+        blocks: tuple,
+        weights: tuple | None = None,
+        quotient_nvars: int | None = None,
+    ):
+        if blocks == (tuple(range(ring.nvars)),):
             parts = _whole
             descending = _descending_whole
         else:
-            parts = _block_parts(self.blocks, self.ring.nvars)
+            parts = _block_parts(blocks, ring.nvars)
 
             def descending(m):
                 out = []
@@ -312,8 +337,25 @@ class OrderSpec:
                     out += (-len(part), tuple(map(neg, part)))
                 return tuple(out)
 
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "descending_key", descending)
+        _init(self, "ring", ring)
+        _init(self, "blocks", blocks)
+        _init(self, "parts", parts)
+        _init(self, "descending_key", descending)
+        _init(self, "weights", weights)
+        _init(self, "quotient_nvars", quotient_nvars)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not OrderSpec:
+            return NotImplemented
+        return (self.ring, self.blocks) == (other.ring, other.blocks)
+
+    def __hash__(self):
+        return hash((self.ring, self.blocks))
+
+    def __repr__(self):
+        return f"OrderSpec(ring={self.ring!r}, blocks={self.blocks!r})"
 
     def key(self, m: tuple):
         return tuple((len(part), part) for part in self.parts(m))
@@ -325,6 +367,10 @@ def _whole(m: tuple) -> tuple:
 
 def _descending_whole(m: tuple) -> tuple:
     return (-len(m), tuple(map(neg, m)))
+
+
+def _graded(m: tuple) -> tuple:
+    return (len(m), m)
 
 
 def _block_parts(blocks: tuple, nvars: int):
@@ -461,10 +507,23 @@ class Polynomial:
         return [(self.terms[m], m) for m in monomials]
 
     def leading(self, order: OrderSpec | None = None):
+        """``(coefficient, monomial)`` of the greatest term under ``order``
+        (omega by default).
+
+        A block order takes the least ``descending_key``.  The whole-ring
+        order takes the greatest ``(len(m), m)`` instead, which negates
+        no position: its ``descending_key(m)`` is ``(-len(m), negated m)``,
+        and between two multisets of one length negating every entry
+        reverses the lexicographic order, so the least key and the
+        greatest ``(len(m), m)`` name the same monomial.
+        """
         if not self.terms:
             raise ZeroPolynomial("the zero polynomial has no leading term")
         order = order or omega_order(self.ring)
-        m = min(self.terms, key=order.descending_key)
+        if order.descending_key is _descending_whole:
+            m = max(self.terms, key=_graded)
+        else:
+            m = min(self.terms, key=order.descending_key)
         return self.terms[m], m
 
     def __repr__(self):

@@ -17,7 +17,7 @@ the minors are tested against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadIndex, NotA1
 from .rings import Polynomial, VarKind, ring_U, ring_W, uvar, wvar
@@ -44,8 +44,7 @@ class SymMatrix:
         return self.ring.variable(v)
 
 
-@dataclass(frozen=True)
-class Minor2:
+class Minor2(NamedTuple):
     """A 2x2 minor selection with its diagonal class and expanded value."""
 
     rows: tuple
@@ -104,8 +103,7 @@ def delta(m: Minor2) -> int:
     return 0 if r == c else 1
 
 
-@dataclass(frozen=True)
-class PcmPair:
+class PcmPair(NamedTuple):
     """Two complementary A2 partitions of one 4x4 principal submatrix."""
 
     ambient: tuple

@@ -1,7 +1,6 @@
 """Tests for the monomial census: K sets, S sets, T partitions, G families."""
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -277,7 +276,7 @@ class TestKSetsOnce:
                 calls.append(fam)
                 return enum(d)
 
-            monkeypatch.setitem(census.FAMILIES, fam, replace(row, enum=spy))
+            monkeypatch.setitem(census.FAMILIES, fam, row._replace(enum=spy))
         cached = (census._k_sets, census.census_degree2, census.s_set)
         for fn in cached:
             fn.cache_clear()

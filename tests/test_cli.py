@@ -235,6 +235,19 @@ class TestLayering:
         assert r.returncode == 0, r.stderr
         assert r.stdout == "False\n"
 
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        """The value types are written without ``dataclasses``, whose
+        import pulls in ``inspect``, ``ast`` and ``dis``: a command pays
+        for neither."""
+        code = (
+            "import sys, fiberforge.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
+
 
 class TestGens:
     def test_text_output(self):

@@ -280,8 +280,20 @@ class TestPinnedBases:
     def test_cached_order_data_not_in_equality(self):
         gb = _lambda_basis(4)
         bare = GroebnerBasis(gb.order, gb.elements, gb.truncation_degree)
+        assert "reducers" not in vars(bare)
         assert bare == gb and hash(bare) == hash(gb)
         assert bare.reducers == gb.reducers
+        assert "reducers" in vars(bare)
+        fresh = GroebnerBasis(gb.order, gb.elements, gb.truncation_degree)
+        assert bare == fresh == gb and hash(bare) == hash(fresh)
+        assert fresh != GroebnerBasis(gb.order, gb.elements, 2)
+        assert fresh != GroebnerBasis(gb.order, gb.elements[1:])
+        assert repr(fresh) == (
+            f"GroebnerBasis(order={gb.order!r}, elements={gb.elements!r}, "
+            "truncation_degree=None)"
+        )
+        with pytest.raises(AttributeError):
+            fresh.elements = ()
         unpack = groebner._layout(gb.order).unpack
         assert [unpack(lt) for _, lt, _ in gb.reducers] == [
             f.leading(OMEGA4)[1] for f in gb.elements

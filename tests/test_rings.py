@@ -21,6 +21,7 @@ from fiberforge.rings import (
     Polynomial,
     Ring,
     RingMap,
+    VarKind,
     apply_hom,
     elimination_order,
     format_monomial,
@@ -54,6 +55,22 @@ class TestVariableId:
     def test_pair_canonicalized(self):
         assert wvar(4, 2).index == (2, 4)
         assert uvar(3, 1) == uvar(1, 3)
+        assert wvar(3, 1) == wvar(1, 3) and hash(wvar(3, 1)) == hash(wvar(1, 3))
+
+    def test_equal_only_to_variables(self):
+        assert wvar(1, 3) != (VarKind.W, (1, 3))
+        assert wvar(1, 3) != uvar(1, 3)
+        assert len({wvar(1, 3), (VarKind.W, (1, 3))}) == 2
+
+    def test_fields_cannot_be_assigned(self):
+        v = wvar(1, 3)
+        with pytest.raises(AttributeError):
+            v.index = (2, 3)
+        with pytest.raises(AttributeError):
+            v.kind = VarKind.U
+        with pytest.raises(AttributeError):
+            del v.index
+        assert v == wvar(1, 3) and v.kind is VarKind.W
 
     def test_w_corner_rejected(self):
         with pytest.raises(BadIndex):
@@ -518,6 +535,41 @@ class TestDescendingKey:
             assert (da < db) == (ka > kb)
             assert (da == db) == (a == b)
 
+    @given(_poly_strategy(W4).filter(lambda f: f.terms), st.sampled_from(_orders_w4()))
+    @settings(max_examples=200)
+    def test_leading_is_least_descending_key(self, f, order):
+        """Under the whole-ring order ``leading`` takes the greatest
+        (degree, multiset) instead; it must pick the same term."""
+        m = min(f.terms, key=order.descending_key)
+        assert f.leading(order) == (f.terms[m], m)
+        if order is OMEGA4:
+            assert f.leading() == (f.terms[m], m)
+
     def test_not_part_of_equality(self):
         order = OrderSpec(W4, OMEGA4.blocks)
         assert order == OMEGA4 and hash(order) == hash(OMEGA4)
+
+    def test_weights_and_quotient_outside_equality_and_repr(self):
+        eliminated = frozenset(W4.vars[:3])
+        plain = elimination_order(W4, eliminated)
+        tagged = elimination_order(W4, eliminated, (2,) * W4.nvars, 5)
+        assert tagged.weights == (2,) * W4.nvars and tagged.quotient_nvars == 5
+        assert plain == tagged and hash(plain) == hash(tagged)
+        assert repr(plain) == repr(tagged) == (
+            f"OrderSpec(ring={W4!r}, blocks={plain.blocks!r})"
+        )
+        assert plain != elimination_order(W4, frozenset(W4.vars[:2]))
+        assert plain != plain.blocks
+
+    def test_fields_cannot_be_assigned(self):
+        order = elimination_order(W4, frozenset(W4.vars[:3]))
+        for name, value in [
+            ("ring", ring_W(5)),
+            ("blocks", OMEGA4.blocks),
+            ("weights", (1,) * W4.nvars),
+            ("quotient_nvars", 3),
+            ("descending_key", OMEGA4.descending_key),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(order, name, value)
+        assert order.weights is None and order.blocks != OMEGA4.blocks
