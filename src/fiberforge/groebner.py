@@ -149,6 +149,7 @@ from .rings import (
     OrderSpec,
     Polynomial,
     Ring,
+    _frozen,
     elimination_order,
     omega_order,
     transport,
@@ -422,10 +423,7 @@ class GroebnerBasis:
             order=order, elements=elements, truncation_degree=truncation_degree
         )
 
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot assign to field {name!r} of GroebnerBasis")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _frozen
 
     def _fields(self) -> tuple:
         return self.order, self.elements, self.truncation_degree

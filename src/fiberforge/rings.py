@@ -73,8 +73,11 @@ from .errors import (
 )
 
 
-# The immutable classes below write each field once in ``__init__`` with
-# ``_init`` and refuse every later assignment or deletion with ``_frozen``.
+# The immutable classes below (and ``groebner.GroebnerBasis``) write each
+# field once in ``__init__`` with ``_init`` and refuse every later
+# assignment or deletion with ``_frozen``.  As copying and unpickling
+# restore slots by assignment, the slotted ones rebuild themselves
+# through ``__init__`` in ``__reduce__``.
 _init = object.__setattr__
 
 
@@ -121,6 +124,9 @@ class VariableId:
         _init(self, "_hash", hash((kind._name_, index)))
 
     __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        return VariableId, (self.kind, self.index)
 
     def __eq__(self, other):
         if other.__class__ is not VariableId:
@@ -346,6 +352,9 @@ class OrderSpec:
 
     __setattr__ = __delattr__ = _frozen
 
+    def __reduce__(self):
+        return OrderSpec, (self.ring, self.blocks, self.weights, self.quotient_nvars)
+
     def __eq__(self, other):
         if other.__class__ is not OrderSpec:
             return NotImplemented
@@ -367,10 +376,6 @@ def _whole(m: tuple) -> tuple:
 
 def _descending_whole(m: tuple) -> tuple:
     return (-len(m), tuple(map(neg, m)))
-
-
-def _graded(m: tuple) -> tuple:
-    return (len(m), m)
 
 
 def _block_parts(blocks: tuple, nvars: int):
@@ -507,23 +512,10 @@ class Polynomial:
         return [(self.terms[m], m) for m in monomials]
 
     def leading(self, order: OrderSpec | None = None):
-        """``(coefficient, monomial)`` of the greatest term under ``order``
-        (omega by default).
-
-        A block order takes the least ``descending_key``.  The whole-ring
-        order takes the greatest ``(len(m), m)`` instead, which negates
-        no position: its ``descending_key(m)`` is ``(-len(m), negated m)``,
-        and between two multisets of one length negating every entry
-        reverses the lexicographic order, so the least key and the
-        greatest ``(len(m), m)`` name the same monomial.
-        """
         if not self.terms:
             raise ZeroPolynomial("the zero polynomial has no leading term")
         order = order or omega_order(self.ring)
-        if order.descending_key is _descending_whole:
-            m = max(self.terms, key=_graded)
-        else:
-            m = min(self.terms, key=order.descending_key)
+        m = min(self.terms, key=order.descending_key)
         return self.terms[m], m
 
     def __repr__(self):

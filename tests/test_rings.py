@@ -1,7 +1,9 @@
 """Ring core: variables, the omega order, arithmetic, homomorphisms."""
 
 import ast
+import copy
 import gc
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,6 +73,12 @@ class TestVariableId:
         with pytest.raises(AttributeError):
             del v.index
         assert v == wvar(1, 3) and v.kind is VarKind.W
+
+    def test_copy_and_pickle(self):
+        v = wvar(3, 1)
+        for other in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert other == v and hash(other) == hash(v)
+            assert other.index == (1, 3)
 
     def test_w_corner_rejected(self):
         with pytest.raises(BadIndex):
@@ -537,10 +545,10 @@ class TestDescendingKey:
 
     @given(_poly_strategy(W4).filter(lambda f: f.terms), st.sampled_from(_orders_w4()))
     @settings(max_examples=200)
-    def test_leading_is_least_descending_key(self, f, order):
-        """Under the whole-ring order ``leading`` takes the greatest
-        (degree, multiset) instead; it must pick the same term."""
-        m = min(f.terms, key=order.descending_key)
+    def test_leading_is_greatest_key(self, f, order):
+        """``leading`` takes the least ``descending_key``, which must name
+        the term that is greatest under ``key``."""
+        m = max(f.terms, key=order.key)
         assert f.leading(order) == (f.terms[m], m)
         if order is OMEGA4:
             assert f.leading() == (f.terms[m], m)
@@ -573,3 +581,19 @@ class TestDescendingKey:
             with pytest.raises(AttributeError):
                 setattr(order, name, value)
         assert order.weights is None and order.blocks != OMEGA4.blocks
+
+    def test_copy_and_pickle(self):
+        """Copies rebuild the order through ``__init__``.  A ring compares
+        by identity, so only a shallow copy, which shares it, is equal."""
+        order = elimination_order(W4, frozenset(W4.vars[:3]), (2,) * W4.nvars, 5)
+        assert copy.copy(order) == order
+        x11, x12, x34 = (W4.variable(wvar(*ij)) for ij in ((1, 1), (1, 2), (3, 4)))
+        f = x12 * x34 - x11 * x11
+        g = pickle.loads(pickle.dumps(f))
+        assert g.ring.vars == W4.vars and g.terms == f.terms
+        for other in (
+            copy.copy(order), copy.deepcopy(order), pickle.loads(pickle.dumps(order))
+        ):
+            assert other.ring.vars == W4.vars and other.blocks == order.blocks
+            assert (other.weights, other.quotient_nvars) == ((2,) * W4.nvars, 5)
+            assert g.leading(other) == f.leading(order)
