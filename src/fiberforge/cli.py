@@ -16,7 +16,7 @@ import time
 from typing import NamedTuple
 
 from . import candidate, census, groebner, hilbert, rees
-from .errors import BadParams, BudgetExceeded, FiberForgeError
+from .errors import BadParams, BudgetExceeded, DimensionTooSmall, FiberForgeError
 from .rings import (
     apply_hom,
     format_monomial,
@@ -254,7 +254,7 @@ def _check_hf(report: VerifyReport, d: int, args):
 
 def _check_initial(report: VerifyReport, d: int, args):
     gens = _maybe_shuffle(args, _lambda_values(d))
-    got = hilbert.echelon_leads(gens, 2)[2]
+    got = hilbert.echelon_leads(gens, 2, args.deadline)[2]
     report.add("initial-degree-2", _formatted(d, census.census_degree2(d)), _formatted(d, got))
 
 
@@ -284,9 +284,8 @@ def _check_catalogue(report: VerifyReport, d: int, args):
 
 
 def _check_powers(report: VerifyReport, d: int, args):
-    report.add("power-check-k1-negative-control", False, rees.power_check(d, 1))
-    report.add("power-check-I2-eq-m4", True, rees.power_check(d, 2))
-    report.add("power-check-I3-eq-m6", True, rees.power_check(d, 3))
+    for k, name in ((1, "k1-negative-control"), (2, "I2-eq-m4"), (3, "I3-eq-m6")):
+        report.add(f"power-check-{name}", k > 1, rees.power_check(d, k, args.deadline))
 
 
 def _check_identities(report: VerifyReport, d: int, args):
@@ -371,6 +370,8 @@ _CHECKS = {
 
 
 def cmd_verify(args) -> int:
+    if args.d < 4:  # for every check, ``identities`` too, before any runs
+        raise DimensionTooSmall(f"need d >= 4, got {args.d}")
     report = VerifyReport(args.d)
     which = _CHECKS if args.check == "all" else (args.check,)
     for name in which:

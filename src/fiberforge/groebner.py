@@ -66,9 +66,8 @@ Order data is computed once.  The engine keeps these invariants:
   The other pairs pop in the order (pair degree, i, j), with no order
   key computed; the heap entry carries the lcm, so a pop recomputes
   nothing.  The pair degree is the lcm's degree: its weighted degree
-  under an order that carries ``weights`` (an elimination, see
-  ``kernel_of_hom``), and its standard degree otherwise and in every
-  truncated call, since truncation cuts by standard degree.  For input
+  in ``kernel_of_hom``'s elimination, and its standard degree in
+  ``buchberger``, whose truncation cuts by standard degree.  For input
   homogeneous in the weights this is the sugar strategy (Giovini, Mora,
   Niesi, Robbiano and Traverso, ISSAC 1991).
 - Any pair order is sound (Buchberger 1985).  The chain criterion at pop
@@ -91,11 +90,10 @@ Order data is computed once.  The engine keeps these invariants:
   above its bound, and a pair within it cites only pairs within it, as
   their lcms divide its own.
 - Hilbert-driven skip (Traverso, "Hilbert functions and the Buchberger
-  algorithm", J. Symb. Comp. 22, 1996).  When the order carries
-  ``quotient_nvars`` m (set by ``kernel_of_hom``, whose docstring proves
-  that the ring modulo the ideal I of the generators is a polynomial
-  ring in m variables of weight 1) and every generator is homogeneous in
-  the weights, I's Hilbert function is known in advance:
+  algorithm", J. Symb. Comp. 22, 1996).  When the ring modulo the ideal
+  I of the generators is a polynomial ring in m variables of weight 1
+  (``kernel_of_hom`` proves it of its elimination) and every generator
+  is homogeneous in the weights, I's Hilbert function is known in advance:
   HF(delta) = C(delta + m - 1, m - 1).  The standard monomials of
   weighted degree delta, those that no current lead divides, number at
   least HF(delta), as the leads generate part of in(I).  When they
@@ -631,31 +629,9 @@ def buchberger(
     yet inter-reduced), sorted by degree and leading monomial.  It is not
     reduced: no further work is done once the deadline has passed.
 
-    Under an order that carries ``weights`` (an elimination, made by
-    ``kernel_of_hom``) the pairs pop by weighted lcm degree unless the
-    call is truncated; any grading gives the same result, as any pair
-    order does (module docstring).  If the order also carries
-    ``quotient_nvars`` and every generator is homogeneous in the weights,
-    an untruncated call skips the pairs that the quotient's Hilbert
-    function proves zero (module docstring), for as long as
-    ``_PAIRS_PER_MONOMIAL`` lets it count; that changes the work, not the
-    result.
-
-    Such a call also returns only the elements whose lead misses the
-    first block, inter-reduced among themselves: the reduced basis of the
-    elimination ideal.  The rest of the basis is dropped unreduced.  This
-    is sound.  Let G be the Groebner basis the main loop ends with and K
-    its elements whose leads miss the block.  Under a block order a
-    monomial with a positive exponent in the first block is greater than
-    every monomial without one, so each term of an element of K is at
-    most its lead, hence free of the block too.  By the elimination
-    theorem K is a Groebner basis of the elimination ideal, and
-    inter-reducing K (each element reduced by the others, made monic,
-    zeros dropped) gives its reduced basis.  That basis is unique; the
-    elements of the fully reduced basis of the whole ideal whose leads
-    miss the block are also one, so the two are the same set.  A lead
-    with a block variable never divides a monomial free of the block, so
-    the dropped elements could not have changed a kept one.
+    Its pairs pop by standard degree and it returns the whole reduced
+    basis; ``kernel_of_hom`` runs the same loop (``_buchberger``) with its
+    own grading, count and kept block.
     """
     ring = order.ring
     gens = [g for g in gens if not g.is_zero]
@@ -664,19 +640,42 @@ def buchberger(
             raise RingMismatch(f"generator over {g.ring.name}, order over {ring.name}")
     if max_degree is not None and not all(g.is_homogeneous() for g in gens):
         raise NotHomogeneous("degree truncation requires homogeneous generators")
+    packed = _reducers(gens, order)
+    return _buchberger(packed, order, max_degree, deadline, _layout(order).degree, None, 0)
+
+
+def _buchberger(packed, order, max_degree, deadline, pair_degree, count, eliminated):
+    """The main loop, the final inter-reduction and the ``.partial`` of
+    ``buchberger`` on the reducers ``packed``, its pairs popped by
+    ``pair_degree``.
+
+    ``kernel_of_hom`` calls it under an elimination order with a grading
+    in which its generators are homogeneous when the images are; any
+    grading gives the same result, as any pair order does (module
+    docstring).  With a ``_StandardCount`` as ``count`` it skips the pairs
+    that the quotient's Hilbert function proves zero (module docstring),
+    for as long as ``_PAIRS_PER_MONOMIAL`` lets it count; that changes the
+    work, not the result.
+
+    It returns only the elements whose lead misses the positions of the
+    bitmask ``eliminated``, the first block of ``order`` or none,
+    inter-reduced among themselves: the reduced basis of the elimination
+    ideal.  The rest of the basis is dropped unreduced.  This is sound.
+    Let G be the Groebner basis the main loop ends with and K its
+    elements whose leads miss the block.  Under a block order a monomial
+    with a positive exponent in the first block is greater than every
+    monomial without one, so each term of an element of K is at most its
+    lead, hence free of the block too.  By the elimination theorem K is a
+    Groebner basis of the elimination ideal, and inter-reducing K (each
+    element reduced by the others, made monic, zeros dropped) gives its
+    reduced basis.  That basis is unique; the elements of the fully
+    reduced basis of the whole ideal whose leads miss the block are also
+    one, so the two are the same set.  A lead with a block variable never
+    divides a monomial free of the block, so the dropped elements could
+    not have changed a kept one.
+    """
     layout = _layout(order)
     guards = layout.guards
-    packed = _reducers(gens, order)
-    count = None  # the Hilbert-driven skip's standard monomials
-    if max_degree is None and order.weights is not None:
-        pair_degree = _weighted_degree(layout, order.weights)
-        if order.quotient_nvars is not None and all(
-            len(set(map(pair_degree, r[2]))) == 1 for r in packed
-        ):
-            count = _StandardCount(layout, order.weights, order.quotient_nvars)
-    else:
-        pair_degree = layout.degree
-
     memo: dict = {}  # first divisors in ``basis``, which only grows
     basis: list = []  # reducers (support, lead, monic terms), in the order found
     pairs: list = []  # heap of (pair degree, i, j, lcm)
@@ -760,10 +759,7 @@ def buchberger(
                 if count is not None:
                     count.found(lead)
 
-        kept = basis
-        if order.weights is not None:  # an elimination: see the docstring
-            eliminated = sum(1 << p for p in order.blocks[0])
-            kept = [r for r in basis if not r[0] & eliminated]
+        kept = [r for r in basis if not r[0] & eliminated]
         reduced = _interreduce(kept, layout, deadline)
     except BudgetExceeded as err:
         found = sorted(basis or packed, key=_sort_key(layout))
@@ -787,21 +783,20 @@ def kernel_of_hom(
     raises ``UnfixedSharedVariable`` before any elimination.  The target
     variables outside the source, E, are eliminated from the joint ring
     (E, then the source), in which G is the ideal of v - image(v) over
-    the source (an identity-mapped v gives 0, which ``buchberger``
-    drops).  G is the kernel of the endomorphism psi: v -> image(v)
-    fixing E.  Each
+    the source (an identity-mapped v gives 0, which is dropped).  G is
+    the kernel of the endomorphism psi: v -> image(v) fixing E.  Each
     generator lies in ker psi, as by the proviso psi fixes every image;
     and f - psi(f) lies in G for every f, as v = image(v) modulo G.  On
     the source ring psi is the map, so the part of G free of E is its
     kernel.
 
-    The elements ``buchberger`` keeps under the elimination order are
-    the reduced basis of that ideal (see there), already sorted.  On
-    source monomials the elimination order is ``omega_order(source)``:
-    its second block is the source variables in order.  So by the
-    elimination theorem they are a Groebner basis under it; as part of a
-    reduced basis they are monic and inter-reduced; and they keep the
-    whole basis's order by degree and lead.
+    The elements ``_buchberger`` keeps under the elimination order, those
+    whose lead misses E, are the reduced basis of that ideal (see there),
+    already sorted.  On source monomials the elimination order is
+    ``omega_order(source)``: its second block is the source variables in
+    order.  So by the elimination theorem they are a Groebner basis under
+    it; as part of a reduced basis they are monic and inter-reduced; and
+    they keep the whole basis's order by degree and lead.
 
     The S-pairs pop by a grading in which the generators are homogeneous
     when the images are: each source variable weighs the degree of its
@@ -809,7 +804,8 @@ def kernel_of_hom(
 
     The elimination also learns m = |E| + |F|, F the source variables
     that map to themselves: the joint ring modulo G is the polynomial
-    ring k[E, F], whose Hilbert function ``buchberger`` counts against.
+    ring k[E, F], whose Hilbert function a ``_StandardCount`` counts
+    against when every generator is homogeneous in the weights.
     The inclusion k[E, F] -> joint/G is onto, as v = image(v) modulo G
     and by the proviso every image lies in k[E, F]; it is one-to-one, as
     psi kills G and fixes k[E, F], so G meets k[E, F] in 0.  Each
@@ -840,10 +836,15 @@ def kernel_of_hom(
     weights = (1,) * len(eliminated) + tuple(
         max(images[v].degree(), 1) for v in source.vars
     )
-    order = elimination_order(
-        joint, frozenset(eliminated), weights, len(eliminated) + len(fixed)
-    )
-    kept = buchberger(gens, order, None, deadline).elements
+    order = elimination_order(joint, frozenset(eliminated))
+    layout = _layout(order)
+    pair_degree = _weighted_degree(layout, weights)
+    packed = _reducers([g for g in gens if not g.is_zero], order)
+    count = None
+    if all(len(set(map(pair_degree, r[2]))) == 1 for r in packed):
+        count = _StandardCount(layout, weights, len(eliminated) + len(fixed))
+    mask = (1 << len(eliminated)) - 1  # E's positions come first in the joint ring
+    kept = _buchberger(packed, order, None, deadline, pair_degree, count, mask).elements
     return GroebnerBasis(omega_order(source), tuple(transport(f, source) for f in kept))
 
 

@@ -257,9 +257,10 @@ def hf_values(gens, k: int, deadline=None) -> dict:
     return dims
 
 
-def power_dim(gens, k: int) -> int:
+def power_dim(gens, k: int, deadline=None) -> int:
     """The dimension of the span of the k-fold products of ``gens``, for
-    k >= 1, counted by the blocks of ``_certificate``.
+    k >= 1, counted by the blocks of ``_certificate``; each ``echelon``
+    reads ``deadline``.
 
     When the generators share one degree, V is their span, and the
     products span V^k, being multilinear in their factors.  Block b holds
@@ -292,7 +293,7 @@ def power_dim(gens, k: int) -> int:
     gens = sum(by_degree.values(), [])
     gen_classes, low = None, 0
     if len(by_degree) == 1:
-        [(_, cols, colindex, pivots)] = _slices(ring.nvars, by_degree, top)
+        [(_, cols, colindex, pivots)] = _slices(ring.nvars, by_degree, top, deadline)
         gen_classes, low = _certificate(ring, by_degree, cols, colindex, pivots)
     if gen_classes is None:
         gen_classes = [0] * len(gens)
@@ -317,7 +318,9 @@ def power_dim(gens, k: int) -> int:
             if head and prefix is None:
                 prefix = functools.reduce(_packed_product, [packed[i] for i in head])
             rows.extend(_packed_product(prefix, g) if head else g for g in lasts)
-    return sum(orbit(beta, low)[1] * len(echelon(rows)) for beta, rows in blocks.items())
+    return sum(
+        orbit(beta, low)[1] * len(echelon(rows, deadline)) for beta, rows in blocks.items()
+    )
 
 
 def _packed_product(f: dict, g: dict) -> dict:
@@ -333,9 +336,10 @@ def _packed_product(f: dict, g: dict) -> dict:
     return {m: c for m, c in terms.items() if c}
 
 
-def echelon_leads(gens, k: int) -> dict:
+def echelon_leads(gens, k: int, deadline=None) -> dict:
     """The initial monomials of the ideal generated by ``gens`` under
-    ``omega_order``: ``{j: monomials, descending}`` for j = 0..k.
+    ``omega_order``: ``{j: monomials, descending}`` for j = 0..k; each
+    ``echelon`` reads ``deadline``.
 
     The pivots of degree j are in(I)_j, as for any Macaulay matrix with
     columns in descending order (Lazard, EUROCAL 1983).  The columns of
@@ -348,7 +352,7 @@ def echelon_leads(gens, k: int) -> dict:
     leads: dict = {j: [] for j in range(k + 1)}
     ring, by_degree = _by_degree(gens, k)
     if by_degree:
-        for j, cols, _, pivots in _slices(ring.nvars, by_degree, k):
+        for j, cols, _, pivots in _slices(ring.nvars, by_degree, k, deadline):
             leads[j] = [cols[c] for c in sorted(pivots)]
     return leads
 

@@ -33,13 +33,14 @@ from .rings import (
 )
 
 
-def power_check(d: int, k: int) -> bool:
+def power_check(d: int, k: int, deadline=None) -> bool:
     """True iff the k-fold products of the generators span all degree-2k
     forms, I^k = m^{2k}: iff their span, counted by parity blocks and
     S_{d-1}-orbits (``hilbert.power_dim``), has dimension
-    C(2k + d - 1, 2k), the number of degree-2k monomials."""
+    C(2k + d - 1, 2k), the number of degree-2k monomials; the count reads
+    ``deadline``."""
     gens = list(hom_catalog(d).phi_W.values())
-    return power_dim(gens, k) == comb(2 * k + d - 1, 2 * k)
+    return power_dim(gens, k, deadline) == comb(2 * k + d - 1, 2 * k)
 
 
 def linear_syzygies(d: int) -> tuple:

@@ -300,37 +300,14 @@ class OrderSpec:
     ``key(a) > key(b)``.  Per block it compares (-degree, negated part),
     the reverse order of (degree, part).
 
-    ``weights`` is set only on the order of an elimination
-    (``groebner.kernel_of_hom``): one positive integer per position, the
-    grading by which its S-pairs are ordered (``kernel_of_hom`` picks one
-    in which its generators are homogeneous).  It is not part of the
-    monomial order and takes no part in equality or hashing.
-    ``groebner.buchberger`` reads it (see there).
-
-    ``quotient_nvars`` rides beside it, likewise outside equality and
-    hashing: set by ``groebner.kernel_of_hom``, it is the number m of
-    variables of weight 1 of the polynomial ring that the ring modulo the
-    ideal of the elimination's generators is, so that the quotient's
-    Hilbert function in the weights is C(delta + m - 1, m - 1).
-    ``groebner.buchberger`` counts standard monomials against it.
-
     Equality, hashing and the repr read ``ring`` and ``blocks`` alone;
-    ``parts``, ``descending_key``, ``weights`` and ``quotient_nvars``
-    stay outside them.  ``omega_order`` hands one cached order to every
-    caller, so no field can be assigned.
+    ``parts`` and ``descending_key`` stay outside them.  ``omega_order``
+    hands one cached order to every caller, so no field can be assigned.
     """
 
-    __slots__ = (
-        "ring", "blocks", "parts", "descending_key", "weights", "quotient_nvars"
-    )
+    __slots__ = ("ring", "blocks", "parts", "descending_key")
 
-    def __init__(
-        self,
-        ring: Ring,
-        blocks: tuple,
-        weights: tuple | None = None,
-        quotient_nvars: int | None = None,
-    ):
+    def __init__(self, ring: Ring, blocks: tuple):
         if blocks == (tuple(range(ring.nvars)),):
             parts = _whole
             descending = _descending_whole
@@ -347,13 +324,11 @@ class OrderSpec:
         _init(self, "blocks", blocks)
         _init(self, "parts", parts)
         _init(self, "descending_key", descending)
-        _init(self, "weights", weights)
-        _init(self, "quotient_nvars", quotient_nvars)
 
     __setattr__ = __delattr__ = _frozen
 
     def __reduce__(self):
-        return OrderSpec, (self.ring, self.blocks, self.weights, self.quotient_nvars)
+        return OrderSpec, (self.ring, self.blocks)
 
     def __eq__(self, other):
         if other.__class__ is not OrderSpec:
@@ -401,24 +376,13 @@ def omega_order(ring: Ring) -> OrderSpec:
     return OrderSpec(ring, (tuple(range(ring.nvars)),))
 
 
-def elimination_order(
-    ring: Ring,
-    eliminated: frozenset,
-    weights: tuple | None = None,
-    quotient_nvars: int | None = None,
-) -> OrderSpec:
-    """Two-block order: ``eliminated`` variables first (greater block).
-
-    ``weights``, one per position of ``ring``, makes it the order of an
-    elimination: ``groebner.buchberger`` then returns only the reduced
-    basis of the elimination ideal, its elements free of ``eliminated``.
-    ``quotient_nvars`` gives its quotient's Hilbert function (see
-    ``OrderSpec``)."""
+def elimination_order(ring: Ring, eliminated: frozenset) -> OrderSpec:
+    """Two-block order: ``eliminated`` variables first (greater block)."""
     first = tuple(p for p, v in enumerate(ring.vars) if v in eliminated)
     second = tuple(p for p, v in enumerate(ring.vars) if v not in eliminated)
     if len(first) != len(eliminated):
         raise UnknownVariable("eliminated variables not all in ring")
-    return OrderSpec(ring, (first, second), weights, quotient_nvars)
+    return OrderSpec(ring, (first, second))
 
 
 class Polynomial:

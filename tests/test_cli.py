@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import subprocess
 import sys
@@ -9,8 +11,9 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fiberforge import candidate, cli, groebner, hilbert
+from fiberforge import candidate, census, cli, groebner, hilbert
 from fiberforge.errors import BudgetExceeded
 from fiberforge.rings import poly_to_json, ring_W, wvar
 
@@ -51,13 +54,13 @@ class TestExitCodes:
     ], ids=["hf-oracle", "oracle-fiber", "oracle-rees"])
     def test_small_d_fails_before_any_elimination(self, monkeypatch, capsys, argv):
         calls = []
-        real = groebner.buchberger
+        real = groebner._buchberger  # every Buchberger run passes through it
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(groebner, "buchberger", spy)
+        monkeypatch.setattr(groebner, "_buchberger", spy)
         assert cli.main(list(argv)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -115,11 +118,82 @@ class TestExitCodes:
         assert r.returncode == 3
         assert r.stdout == "" and r.stderr == "budget exceeded on a required computation\n"
 
+    @pytest.mark.parametrize("check", ["initial", "powers"])
+    def test_budget_stops_verify_initial_and_powers(self, capsys, check):
+        argv = ["verify", "--d", "12", "--check", check, "--time-budget-seconds", "0.001"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr() == ("", "budget exceeded on a required computation\n")
+
+    @pytest.mark.parametrize("check", ["all", *cli._CHECKS])
+    def test_verify_refuses_small_d_for_every_check(self, capsys, check):
+        assert cli.main(["verify", "--d", "3", "--check", check]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_budget_skips_optional_check(self):
         r = run("oracle", "--d", "6", "--which", "fiber",
                 "--time-budget-seconds", "0.01")
         assert r.returncode == 0
         assert "SKIPPED" in r.stdout
+
+
+_IDEALS = ("lambda", "lambda0", "lambda1", "lambda2", "oracle")
+_PAIR = st.tuples(st.integers(0, 7), st.integers(0, 7)).map("{0[0]},{0[1]}".format)
+_PARAMS = st.one_of(
+    st.none(),
+    st.lists(_PAIR, min_size=1, max_size=2).map(":".join),
+    st.sampled_from(["", "x", "1", "1,2,3", "1,2:", ":", "a,b"]),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A command line: a subcommand and its options, d in -1..6, and at
+    times a budget that is refused or runs out at once.  ``--deep`` and
+    the Rees oracle are drawn only at d <= 5, to keep each run short."""
+    command = draw(st.sampled_from(["gens", "hf", "census", "verify", "oracle", "rees"]))
+    d = draw(st.integers(-1, 6))
+    argv = [command, "--d", str(d)]
+    if command == "gens":
+        argv += ["--part", draw(st.sampled_from(list(cli._PART)))]
+    elif command == "hf":
+        argv += ["--degree", str(draw(st.integers(0, 3)))]
+        argv += ["--ideal", draw(st.sampled_from(_IDEALS))]
+    elif command == "census":
+        argv += ["--family", draw(st.sampled_from([*census.FAMILIES, "Nope"]))]
+        params = draw(_PARAMS)
+        if params is not None:
+            argv += ["--params", params]
+    elif command == "verify":
+        argv += ["--check", draw(st.sampled_from(["all", *cli._CHECKS]))]
+        if d <= 5 and draw(st.booleans()):
+            argv.append("--deep")
+    elif command == "oracle":
+        argv += ["--which", "rees" if d <= 5 and draw(st.booleans()) else "fiber"]
+    else:
+        argv += ["--emit", draw(st.sampled_from(list(cli._REES_EMIT)))]
+    if command in ("hf", "verify") and draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(0, 9)))]
+    argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    budget = draw(st.none() | st.sampled_from(["0", "nan", "-1", "1e-9"]))
+    if budget is not None:
+        argv += ["--time-budget-seconds", budget]
+    return argv
+
+
+class TestArgumentVectors:
+    @settings(max_examples=150, deadline=None)
+    @given(_argv())
+    def test_exit_code_contract(self, argv):
+        """Every command line exits 0, 1, 2 or 3 with no traceback, and
+        d < 4 exits 2."""
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue()
+        if int(argv[2]) < 4:
+            assert code == 2, argv
 
 
 class TestOneDeadline:

@@ -533,8 +533,8 @@ class TestElimination:
         gens = []
         for v, img in images.items():
             gens.append(transport(joint.variable(v), joint) - transport(img, joint))
-        order = elimination_order(joint, frozenset(target.vars), (1,) * joint.nvars)
-        kept = buchberger(gens, order).elements
+        full = buchberger(gens, elimination_order(joint, frozenset(target.vars)))
+        kept = [f for f in full.elements if _free_of(f, range(target.nvars))]
         assert len(kept) == 1
         used = {joint.vars[p] for f in kept for m in f.terms for p in m}
         assert used <= set(source.vars)
@@ -559,17 +559,27 @@ _x2_form = st.integers(1, 3).flatmap(
 ).map(lambda terms: Polynomial(_X2, terms))
 
 
+def _eliminate(gens, order, weights):
+    """``groebner._buchberger`` as ``kernel_of_hom`` calls it, with no
+    count: pairs popped by ``weights``, the first block's leads dropped."""
+    layout = groebner._layout(order)
+    packed = groebner._reducers([g for g in gens if not g.is_zero], order)
+    grading = groebner._weighted_degree(layout, weights)
+    mask = sum(1 << p for p in order.blocks[0])
+    return groebner._buchberger(packed, order, None, None, grading, None, mask)
+
+
 class TestGradedElimination:
-    """``buchberger`` under an elimination order with weights pops its
-    S-pairs by that grading and inter-reduces only the kept elements;
+    """The Buchberger core under an elimination order with weights pops
+    its S-pairs by that grading and inter-reduces only the kept elements;
     neither may change the result."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(_x2_form, min_size=3, max_size=3))
     def test_kernel_matches_the_standard_degree_order(self, forms):
         # images of different degrees: the grading differs from the
-        # standard degree; the plain elimination order carries no weights,
-        # so its pairs pop by standard degree and its basis is fully reduced
+        # standard degree; ``buchberger`` pops its pairs by standard degree
+        # and reduces its whole basis
         images = dict(zip(_W3.vars, forms))
         joint = Ring("X2+W3", _X2.vars + _W3.vars, 2)
         gens = [
@@ -586,12 +596,11 @@ class TestGradedElimination:
     @settings(max_examples=60, deadline=None)
     @given(_inhomogeneous, st.lists(st.integers(1, 3), min_size=4, max_size=4))
     def test_kept_only_equals_the_kept_part_of_the_full_basis(self, gens, weights):
-        eliminated = frozenset({xvar(1)})
-        full = buchberger(gens, elimination_order(R4, eliminated))
+        order = elimination_order(R4, frozenset({xvar(1)}))
+        full = buchberger(gens, order)
         kept = [f for f in full.elements if _free_of(f, [0])]
         for w in (tuple(weights), (1,) * R4.nvars):
-            order = elimination_order(R4, eliminated, w)
-            assert list(buchberger(gens, order).elements) == kept
+            assert list(_eliminate(gens, order, w).elements) == kept
 
 
 def _rees_kernel(d):
@@ -649,15 +658,16 @@ class TestIdealPredicates:
 
 
 def _max_degree_spy(monkeypatch):
-    """Record the ``max_degree`` of each ``buchberger`` call."""
+    """Record the ``max_degree`` of each Buchberger run: every one, the
+    elimination of ``kernel_of_hom`` too, passes through the core."""
     bounds = []
-    real = groebner.buchberger
+    real = groebner._buchberger
 
-    def spy(gens, order, max_degree=None, deadline=None):
+    def spy(packed, order, max_degree, *rest):
         bounds.append(max_degree)
-        return real(gens, order, max_degree, deadline)
+        return real(packed, order, max_degree, *rest)
 
-    monkeypatch.setattr(groebner, "buchberger", spy)
+    monkeypatch.setattr(groebner, "_buchberger", spy)
     return bounds
 
 
@@ -845,7 +855,7 @@ class TestOverflow:
         g = _wpoly((1, [(1, 1), (1, 3)]), (-1, []))
         with pytest.raises(MonomialOverflow) as info:
             buchberger([f, g], order)
-        assert info.traceback[-1].name == "buchberger"
+        assert info.traceback[-1].name == "_buchberger"
 
     def test_block_degree_at_the_guard(self):
         # 16-bit fields: a block degree of 2^15 reaches the guard; two blocks
@@ -907,8 +917,7 @@ class TestSameWork:
         assert [len(m) for m in memos] == [958]
 
     def test_fiber_d5_standard_degree_order(self, monkeypatch):
-        # the plain elimination order carries no weights: the full basis,
-        # its pairs popped by standard degree
+        # ``buchberger``: the full basis, its pairs popped by standard degree
         W, R, images = ring_W(5), ring_R(5), hom_catalog(5).phi_W
         joint = Ring("R5+W5", R.vars + W.vars, 5)
         gens = [
@@ -952,39 +961,38 @@ def _small_maps(draw):
     return source, target, images
 
 
-def _buchberger_spy(mp):
-    """Record every ``groebner.buchberger`` call's arguments."""
+def _core_spy(mp):
+    """Record every ``groebner._buchberger`` call's arguments."""
     seen = []
-    real = groebner.buchberger
-    mp.setattr(groebner, "buchberger", lambda *args: seen.append(args) or real(*args))
+    real = groebner._buchberger
+    mp.setattr(
+        groebner, "_buchberger", lambda *args, **kw: seen.append(args) or real(*args, **kw)
+    )
     return seen
 
 
-def _uncounted(gens, order, max_degree, deadline):
-    """The same elimination under the same weights with no quotient
+def _uncounted(args):
+    """The same elimination, grading and kept block with no quotient
     count: its kept elements."""
-    eliminated = frozenset(order.ring.vars[p] for p in order.blocks[0])
-    plain = elimination_order(order.ring, eliminated, order.weights)
-    assert plain == order and plain.quotient_nvars is None
-    return buchberger(gens, plain, max_degree, deadline).elements
+    return groebner._buchberger(*args[:5], count=None, eliminated=args[6]).elements
 
 
 class TestHilbertSkip:
-    """``kernel_of_hom`` hands its elimination the quotient's variable
-    count; ``buchberger`` skips the pairs that count proves zero.  The
-    result is the one the same elimination gives with no count."""
+    """``kernel_of_hom`` hands its elimination a count of the quotient's
+    standard monomials; the core skips the pairs that count proves zero.
+    The result is the one the same elimination gives with no count."""
 
     @settings(max_examples=40, deadline=None)
     @given(_small_maps())
     def test_kernel_equals_the_elimination_with_no_count(self, small_map):
         source, target, images = small_map
         with pytest.MonkeyPatch.context() as mp:
-            seen = _buchberger_spy(mp)
+            seen = _core_spy(mp)
             kernel = kernel_of_hom(source, target, images)
         (args,) = seen
         # E and F together are the target variables
-        assert args[1].quotient_nvars == target.nvars
-        plain = _uncounted(*args)
+        assert args[5].nvars == target.nvars
+        plain = _uncounted(args)
         assert kernel.elements == tuple(transport(f, source) for f in plain)
 
     def test_inhomogeneous_image_does_the_same_work(self, monkeypatch):
@@ -994,12 +1002,13 @@ class TestHilbertSkip:
         source = Ring("S", ws, 2)
         X1, X2 = target.variable(x1), target.variable(x2)
         images = dict(zip(ws, (X1 * X1 + X1, X1 * X2, X2 * X2)))
-        seen = _buchberger_spy(monkeypatch)
+        seen = _core_spy(monkeypatch)
         calls, _ = _reduction_spy(monkeypatch)
         kernel = kernel_of_hom(source, target, images)
         counted = _work(calls)
         calls.clear()
-        plain = _uncounted(*seen[0])
+        plain = _uncounted(seen[0])
+        assert seen[0][5] is None  # no grading makes the generators homogeneous
         assert _work(calls) == counted and counted[0] > 0
         assert kernel.elements == tuple(transport(f, source) for f in plain)
 
@@ -1015,7 +1024,7 @@ class TestHilbertSkip:
         x = xvar(1)
         ring = Ring("X1", (x,), 1)
         X = ring.variable(x)
-        seen = _buchberger_spy(monkeypatch)
+        seen = _core_spy(monkeypatch)
         with pytest.raises(UnfixedSharedVariable):
             kernel_of_hom(ring, ring, {x: X * X})
         assert seen == []
@@ -1031,9 +1040,8 @@ class TestHilbertSkip:
         # the sets built degree by degree hold exactly the monomials that
         # no lead divides, whatever the leads' degrees
         ring = Ring("X3", (xvar(1), xvar(2), xvar(3)), 3)
-        order = elimination_order(ring, frozenset({xvar(1)}), tuple(weights), 3)
-        layout = groebner._layout(order)
-        standard = groebner._StandardCount(layout, order.weights, 3)
+        layout = groebner._layout(elimination_order(ring, frozenset({xvar(1)})))
+        standard = groebner._StandardCount(layout, tuple(weights), 3)
         top = 6
         packed = {layout.pack(_monomial(a)) for a in leads}
         assert standard.begin(top, comb(top + 2, 2), packed, None)
@@ -1047,14 +1055,14 @@ class TestHilbertSkip:
             assert set(standard.sets[e]) == want
 
     def test_counting_polls_the_deadline(self):
-        order = elimination_order(R4, frozenset({xvar(1)}), (1,) * 4, 4)
-        standard = groebner._StandardCount(groebner._layout(order), order.weights, 4)
+        order = elimination_order(R4, frozenset({xvar(1)}))
+        standard = groebner._StandardCount(groebner._layout(order), (1,) * 4, 4)
         with pytest.raises(BudgetExceeded):
             standard.begin(6, 100, set(), time.monotonic() - 1)
 
     def test_cost_rule_declines_a_thin_degree(self):
         # with no leads every monomial is standard: HF(6) = C(9, 3) = 84
-        order = elimination_order(R4, frozenset({xvar(1)}), (1,) * 4, 4)
-        standard = groebner._StandardCount(groebner._layout(order), order.weights, 4)
+        order = elimination_order(R4, frozenset({xvar(1)}))
+        standard = groebner._StandardCount(groebner._layout(order), (1,) * 4, 4)
         assert not standard.begin(6, 20, set(), None)
         assert standard.begin(6, 21, set(), None) and standard.excess == 0

@@ -76,7 +76,7 @@ class TestQuadricIdeal:
 
     def test_rees_map_and_oracle_refuse_small_d_before_eliminating(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(groebner, "buchberger", lambda *args: calls.append(args))
+        monkeypatch.setattr(groebner, "_buchberger", lambda *args: calls.append(args))
         with pytest.raises(DimensionTooSmall):
             rees_substitution(3)
         with pytest.raises(DimensionTooSmall):

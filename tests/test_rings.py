@@ -557,35 +557,39 @@ class TestDescendingKey:
         order = OrderSpec(W4, OMEGA4.blocks)
         assert order == OMEGA4 and hash(order) == hash(OMEGA4)
 
-    def test_weights_and_quotient_outside_equality_and_repr(self):
+    def test_an_order_is_its_ring_and_blocks(self):
+        """An order takes its ring and blocks and nothing else: equality,
+        hashing and the repr read those two alone."""
         eliminated = frozenset(W4.vars[:3])
         plain = elimination_order(W4, eliminated)
-        tagged = elimination_order(W4, eliminated, (2,) * W4.nvars, 5)
-        assert tagged.weights == (2,) * W4.nvars and tagged.quotient_nvars == 5
-        assert plain == tagged and hash(plain) == hash(tagged)
-        assert repr(plain) == repr(tagged) == (
+        rebuilt = OrderSpec(W4, plain.blocks)
+        assert plain == rebuilt and hash(plain) == hash(rebuilt)
+        assert repr(plain) == repr(rebuilt) == (
             f"OrderSpec(ring={W4!r}, blocks={plain.blocks!r})"
         )
         assert plain != elimination_order(W4, frozenset(W4.vars[:2]))
         assert plain != plain.blocks
+        with pytest.raises(TypeError):
+            OrderSpec(W4, plain.blocks, (2,) * W4.nvars)
+        with pytest.raises(TypeError):
+            elimination_order(W4, eliminated, (2,) * W4.nvars)
 
     def test_fields_cannot_be_assigned(self):
         order = elimination_order(W4, frozenset(W4.vars[:3]))
         for name, value in [
             ("ring", ring_W(5)),
             ("blocks", OMEGA4.blocks),
-            ("weights", (1,) * W4.nvars),
-            ("quotient_nvars", 3),
+            ("parts", OMEGA4.parts),
             ("descending_key", OMEGA4.descending_key),
         ]:
             with pytest.raises(AttributeError):
                 setattr(order, name, value)
-        assert order.weights is None and order.blocks != OMEGA4.blocks
+        assert order.blocks != OMEGA4.blocks
 
     def test_copy_and_pickle(self):
         """Copies rebuild the order through ``__init__``.  A ring compares
         by identity, so only a shallow copy, which shares it, is equal."""
-        order = elimination_order(W4, frozenset(W4.vars[:3]), (2,) * W4.nvars, 5)
+        order = elimination_order(W4, frozenset(W4.vars[:3]))
         assert copy.copy(order) == order
         x11, x12, x34 = (W4.variable(wvar(*ij)) for ij in ((1, 1), (1, 2), (3, 4)))
         f = x12 * x34 - x11 * x11
@@ -595,5 +599,4 @@ class TestDescendingKey:
             copy.copy(order), copy.deepcopy(order), pickle.loads(pickle.dumps(order))
         ):
             assert other.ring.vars == W4.vars and other.blocks == order.blocks
-            assert (other.weights, other.quotient_nvars) == ((2,) * W4.nvars, 5)
             assert g.leading(other) == f.leading(order)
