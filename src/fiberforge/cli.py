@@ -284,8 +284,10 @@ def _check_catalogue(report: VerifyReport, d: int, args):
 
 
 def _check_powers(report: VerifyReport, d: int, args):
-    for k, name in ((1, "k1-negative-control"), (2, "I2-eq-m4"), (3, "I3-eq-m6")):
-        report.add(f"power-check-{name}", k > 1, rees.power_check(d, k, args.deadline))
+    deadline = args.deadline
+    report.add("power-check-k1-negative-control", False, rees.power_check(d, 1, deadline))
+    report.add("power-check-I2-eq-m4", True, rees.power_check(d, 2, deadline))
+    report.add("power-check-I3-eq-m6", True, rees.power_check(d, 3, deadline))
 
 
 def _check_identities(report: VerifyReport, d: int, args):
